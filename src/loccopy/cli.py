@@ -3,7 +3,9 @@
 Subcommands: majorize, catalysis, check-pair, synthesize, simulate,
 generate, survey.  Output is a single JSON object on stdout (or a human
 table with --pretty).  Exit codes: 0 for success or an affirmative
-verdict, 1 for a negative verdict, 2 for input errors.  File arguments
+verdict, 1 for a negative verdict, 2 for input errors, 3 for an
+internal error (a synthesized protocol failed its own verification;
+see SynthesisError).  File arguments
 accept "-" for stdin.  The default seed comes from $LOCCOPY_SEED when
 set, else 0.
 """
@@ -19,7 +21,14 @@ import sys
 import numpy as np
 
 from . import generators, serialization
-from .config import DEFAULT, AmbiguityError, NumericConfig, PreconditionError
+from .config import (
+    DEFAULT,
+    TAU,
+    AmbiguityError,
+    NumericConfig,
+    PreconditionError,
+    SynthesisError,
+)
 from .copying import (
     ORTHOGONAL,
     orthogonality,
@@ -31,11 +40,10 @@ from .majorization import CATALYTIC, DIRECT, catalytic_copy_check, majorizes
 from .simulator import run_copy
 from .states import max_entangled
 
-TAU = 2.0 * math.pi
-
 OK = 0
 NEGATIVE = 1
 INPUT_ERROR = 2
+INTERNAL_ERROR = 3
 
 _TOLERANCE_FLAGS = (
     "unitarity_tol",
@@ -245,6 +253,8 @@ def _smallest_factor(d: int) -> int | None:
 def cmd_survey(args) -> int:
     cfg = _config_from(args)
     seed = args.seed if args.seed is not None else _default_seed()
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     rows = []
     for d in args.d:
         orthogonal_count = 0
@@ -371,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except SynthesisError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

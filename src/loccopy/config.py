@@ -1,7 +1,12 @@
-"""Centralized numeric tolerances and error types."""
+"""Centralized numeric tolerances, constants and error types."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
+
+TAU = 2.0 * math.pi
+
+NORM_TOL = 1e-10  # |norm - 1| bound when constructing a state or probability vector
 
 
 @dataclass(frozen=True)
@@ -14,8 +19,7 @@ class NumericConfig:
     """
 
     unitarity_tol: float = 1e-9         # ||U^dag U - I||_F bound for unitarity checks
-    eig_reconstruction_tol: float = 1e-10  # ||V diag(lam) V^dag - M||_F for eig_normal
-    normality_tol: float = 1e-8         # Schur off-diagonal residual bound
+    normality_tol: float = 1e-8         # ||M V - V diag(lam)||_F / max(1, ||M||_F) bound in eig_normal
     phase_tol: float = 1e-7             # eigenphase clustering gap cut, radians
     ortho_tol: float = 1e-9             # relative trace threshold for orthogonality
     sum_tol: float = 1e-10              # one-sided slack on majorization partial sums
@@ -23,6 +27,13 @@ class NumericConfig:
     fidelity_tol: float = 1e-9          # copy verification: require f >= 1 - fidelity_tol
     synthesis_tol: float = 1e-9         # ||A (T~ x 1) A^dag - T~ x T~||_F bound
     max_dim: int = 20736                # largest dense matrix dimension (12^4)
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            if f.name.endswith("_tol"):
+                value = getattr(self, f.name)
+                if not (math.isfinite(value) and value > 0.0):
+                    raise ValueError(f"{f.name} must be positive and finite, got {value!r}")
 
 
 DEFAULT = NumericConfig()

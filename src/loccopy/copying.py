@@ -20,11 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, AmbiguityError, NumericConfig, PreconditionError, SynthesisError
+from .config import (
+    DEFAULT,
+    TAU,
+    AmbiguityError,
+    NumericConfig,
+    PreconditionError,
+    SynthesisError,
+)
 from .states import BipartiteState, assert_max_entangled, assert_unitary, unitary_of_state
-from .tensor import eig_normal, kron, partial_trace_second
-
-TAU = 2.0 * math.pi
+from .tensor import eig_normal, kron
 
 ORTHOGONAL = "orthogonal"
 IDENTICAL = "identical_up_to_phase"
@@ -75,6 +80,8 @@ def pair_operator(
 ) -> np.ndarray:
     """T = D * PT_2(|psi1><psi2|), equal to U1 U2^dag; unitary.
 
+    Tracing out the second factor of |psi1><psi2| contracts the two
+    amplitude grids over their second index, so T = D * C1 C2^dag.
     Both inputs must be maximally entangled; that is exactly the
     condition under which the partial trace is proportional to a unitary.
     """
@@ -83,9 +90,7 @@ def pair_operator(
         raise ValueError(f"dimension mismatch: {psi1.d} vs {psi2.d}")
     assert_max_entangled(psi1, cfg)
     assert_max_entangled(psi2, cfg)
-    d = psi1.d
-    rho = np.outer(psi1.vector(), psi2.vector().conj())
-    return d * partial_trace_second(rho, d, d)
+    return psi1.d * psi1.grid @ psi2.grid.conj().T
 
 
 def orthogonality(t: np.ndarray, config: NumericConfig | None = None) -> str:
@@ -106,30 +111,62 @@ def orthogonality(t: np.ndarray, config: NumericConfig | None = None) -> str:
     return NEITHER
 
 
-def _circular_distance(a: float, b: float) -> float:
-    delta = abs(a - b) % TAU
-    return min(delta, TAU - delta)
-
-
-def _cluster_phases(phases: np.ndarray, tol: float) -> list[tuple[float, np.ndarray]]:
+def _cluster_phases(phases: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Group phases (radians, [0, 2pi)) into clusters cut at gaps > tol.
 
     The first and last groups merge when they meet across the 0/2pi seam.
-    Returns (circular mean, member indices) per cluster.
+    Returns (circular mean per cluster, cluster index per phase); cluster 0
+    holds the smallest phase.
     """
     order = np.argsort(phases)
     sp = phases[order]
-    n = sp.size
-    cuts = [k + 1 for k in range(n - 1) if sp[k + 1] - sp[k] > tol]
-    segments = np.split(order, cuts)
-    if len(segments) > 1 and (sp[0] + TAU - sp[-1]) <= tol:
-        segments[0] = np.concatenate([segments[-1], segments[0]])
-        segments = segments[:-1]
-    clusters = []
-    for seg in segments:
-        rep = float(np.angle(np.sum(np.exp(1j * phases[seg]))) % TAU)
-        clusters.append((rep, seg))
-    return clusters
+    sorted_labels = np.concatenate(([0], np.cumsum(np.diff(sp) > tol)))
+    count = int(sorted_labels[-1]) + 1
+    if count > 1 and (sp[0] + TAU - sp[-1]) <= tol:
+        count -= 1
+        sorted_labels[sorted_labels == count] = 0
+    labels = np.empty_like(sorted_labels)
+    labels[order] = sorted_labels
+    z = np.exp(1j * phases)
+    sums = (np.bincount(labels, weights=z.real, minlength=count)
+            + 1j * np.bincount(labels, weights=z.imag, minlength=count))
+    return np.angle(sums) % TAU, labels
+
+
+def _verdict(lam: np.ndarray, trace: complex, config: NumericConfig) -> SpectrumReport:
+    """The spectral verdict on the eigenvalues lam of a unitary pair operator."""
+    d = lam.size
+    phases = np.angle(lam) % TAU
+    reps, labels = _cluster_phases(phases, config.phase_tol)
+    m = reps.size
+    multiplicities = np.bincount(labels, minlength=m)
+
+    by_phase = np.argsort(reps, kind="stable")
+    if m > 1:
+        sorted_reps = reps[by_phase]
+        smallest = float(np.min(np.diff(sorted_reps, append=sorted_reps[0] + TAU)))
+        if smallest <= 2.0 * config.phase_tol:
+            raise AmbiguityError(
+                f"two eigenphase clusters are separated by only {smallest:.3e} rad, "
+                f"between phase_tol {config.phase_tol:.1e} and twice that; "
+                "the clustering is ambiguous at this tolerance"
+            )
+
+    rotation = float((-reps[0]) % TAU)  # cluster 0 holds the smallest phase
+    rotated = (reps + rotation) % TAU
+    by_rotated = np.argsort(rotated, kind="stable")
+    offset = np.abs(rotated[by_rotated] - TAU * np.arange(m) / m) % TAU
+    aligned = bool(np.all(np.minimum(offset, TAU - offset) <= config.phase_tol))
+    copyable = aligned and d % m == 0 and bool(np.all(multiplicities == d // m))
+
+    return SpectrumReport(
+        eigenphases=np.sort(phases),
+        clusters=tuple(zip(reps[by_phase].tolist(), multiplicities[by_phase].tolist())),
+        rotation=rotation,
+        detected_m=m if copyable else None,
+        copyable=copyable,
+        trace=complex(trace),
+    )
 
 
 def spectral_verdict(t: np.ndarray, config: NumericConfig | None = None) -> SpectrumReport:
@@ -139,50 +176,12 @@ def spectral_verdict(t: np.ndarray, config: NumericConfig | None = None) -> Spec
     containing the smallest phase at 0, and reports copyable iff the
     cluster representatives match the Mth-roots-of-unity grid (M = number
     of clusters) within phase_tol and all multiplicities equal D/M.
+    Needs only the eigenvalues of t, never its eigenvectors.
     """
     cfg = config or DEFAULT
     t = np.asarray(t, dtype=complex)
     assert_unitary(t, cfg, "pair operator")
-    d = t.shape[0]
-    lam, _ = eig_normal(t, cfg)
-    phases = np.angle(lam) % TAU
-    clusters = _cluster_phases(phases, cfg.phase_tol)
-    m = len(clusters)
-
-    if m > 1:
-        reps = sorted(rep for rep, _ in clusters)
-        gaps = [reps[k + 1] - reps[k] for k in range(m - 1)]
-        gaps.append(reps[0] + TAU - reps[-1])
-        smallest = min(gaps)
-        if smallest <= 2.0 * cfg.phase_tol:
-            raise AmbiguityError(
-                f"two eigenphase clusters are separated by only {smallest:.3e} rad, "
-                f"between phase_tol {cfg.phase_tol:.1e} and twice that; "
-                "the clustering is ambiguous at this tolerance"
-            )
-
-    anchor_member = int(np.argmin(phases))
-    anchor = next(rep for rep, seg in clusters if anchor_member in seg)
-    rotation = (-anchor) % TAU
-
-    rotated = sorted(
-        (((rep + rotation) % TAU, len(seg)) for rep, seg in clusters)
-    )
-    aligned = all(
-        _circular_distance(phase, TAU * k / m) <= cfg.phase_tol
-        for k, (phase, _) in enumerate(rotated)
-    )
-    multiplicities = [count for _, count in rotated]
-    copyable = bool(aligned and d % m == 0 and all(c == d // m for c in multiplicities))
-
-    return SpectrumReport(
-        eigenphases=np.sort(phases),
-        clusters=tuple((rep, len(seg)) for rep, seg in sorted(clusters, key=lambda c: c[0])),
-        rotation=rotation,
-        detected_m=m if copyable else None,
-        copyable=copyable,
-        trace=complex(np.trace(t)),
-    )
+    return _verdict(np.linalg.eigvals(t), np.trace(t), cfg)
 
 
 def degeneracy_form_check(multiplicities: list[int], m: int, d: int) -> bool:
@@ -220,14 +219,30 @@ def _root_labels(lam: np.ndarray, report: SpectrumReport) -> np.ndarray:
     return np.round(rotated / (TAU / m)).astype(int) % m
 
 
+def _decompose(t: np.ndarray, config: NumericConfig) -> tuple[np.ndarray, np.ndarray, SpectrumReport]:
+    """One eigendecomposition of a unitary t, shared by verdict and synthesis.
+
+    Raises PreconditionError when the spectral condition fails.
+    """
+    assert_unitary(t, config, "pair operator")
+    lam, v = eig_normal(t, config)
+    report = _verdict(lam, np.trace(t), config)
+    if not report.copyable:
+        raise PreconditionError(
+            "pair operator spectrum is not equally degenerate roots of unity; "
+            "no copying protocol exists"
+        )
+    return lam, v, report
+
+
 def _synthesize_from(
-    t: np.ndarray, report: SpectrumReport, config: NumericConfig
+    t: np.ndarray, lam: np.ndarray, v: np.ndarray, report: SpectrumReport,
+    config: NumericConfig,
 ) -> np.ndarray:
     d = t.shape[0]
     m = report.detected_m
-    lam, v = eig_normal(t, config)
     labels = _root_labels(lam, report)
-    if any(int(np.sum(labels == r)) != d // m for r in range(m)):
+    if np.any(np.bincount(labels, minlength=m) != d // m):
         raise SynthesisError(
             f"eigenspace dimensions {np.bincount(labels, minlength=m)} "
             f"disagree with equal degeneracy {d}//{m}"
@@ -237,27 +252,22 @@ def _synthesize_from(
     # flat index mu = k + d*l, with eigenvalues lambda_{labels[k]} and
     # lambda_{(labels[k] + labels[l]) mod M}.  The spectral condition
     # makes the eigenvalue multiplicities match, so a basis permutation
-    # pairing equal eigenvalues conjugates one operator into the other.
-    source: dict[int, list[int]] = {r: [] for r in range(m)}
-    target: dict[int, list[int]] = {r: [] for r in range(m)}
-    for l in range(d):
-        for k in range(d):
-            mu = k + d * l
-            source[labels[k]].append(mu)
-            target[(labels[k] + labels[l]) % m].append(mu)
+    # pairing equal eigenvalues, taken in mu order within each root,
+    # conjugates one operator into the other.
+    source = np.tile(labels, d)
+    target = ((labels[None, :] + labels[:, None]) % m).ravel()  # row l, column k: mu
+    source_dims = np.bincount(source, minlength=m)
+    target_dims = np.bincount(target, minlength=m)
+    if np.any(source_dims != target_dims):
+        r = int(np.flatnonzero(source_dims != target_dims)[0])
+        raise SynthesisError(
+            f"eigenspace of root {r} has dimension {source_dims[r]} "
+            f"as source but {target_dims[r]} as target"
+        )
     permutation = np.empty(d * d, dtype=int)
-    for r in range(m):
-        if len(source[r]) != len(target[r]):
-            raise SynthesisError(
-                f"eigenspace of root {r} has dimension {len(source[r])} "
-                f"as source but {len(target[r])} as target"
-            )
-        for src, dst in zip(source[r], target[r]):
-            permutation[src] = dst
-    p = np.zeros((d * d, d * d))
-    p[permutation, np.arange(d * d)] = 1.0
+    permutation[np.argsort(source, kind="stable")] = np.argsort(target, kind="stable")
     w = np.kron(v, v)  # column k + d*l is v_k (x) v_l in the mu convention
-    a = w @ p @ w.conj().T
+    a = w[:, permutation] @ w.conj().T  # W P W^dag with P e_mu = e_permutation[mu]
 
     t_rot = np.exp(1j * report.rotation) * t
     eye = np.eye(d)
@@ -281,13 +291,8 @@ def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarr
     """
     cfg = config or DEFAULT
     t = np.asarray(t, dtype=complex)
-    report = spectral_verdict(t, cfg)
-    if not report.copyable:
-        raise PreconditionError(
-            "pair operator spectrum is not equally degenerate roots of unity; "
-            "no copying protocol exists"
-        )
-    return _synthesize_from(t, report, cfg)
+    lam, v, report = _decompose(t, cfg)
+    return _synthesize_from(t, lam, v, report, cfg)
 
 
 def synthesize_protocol(
@@ -300,30 +305,31 @@ def synthesize_protocol(
 
     Requires psi1 and psi2 orthogonal, all three states maximally
     entangled, and the pair operator copyable.  The abstract eigenspace
-    problem is solved for W = U2^dag U1 (whose solution is the operator
-    C_1 relating A and B); then A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag and
-    B = conj(C_1), with theta_1 = 0 and theta_2 = -rotation.  The result
-    is verified by full four-particle simulation before being returned.
+    problem is solved for W = U2^dag U1, whose solution is the operator
+    C_1 relating A and B; then A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag and
+    B = conj(C_1), with theta_1 = 0 and theta_2 = -rotation.  W is
+    similar to the pair operator T = U1 U2^dag, so its trace and
+    spectrum decide orthogonality and copyability in T's place.  Each
+    state is validated once, and the result is verified by full
+    four-particle simulation before being returned.
     """
     cfg = config or DEFAULT
-    t = pair_operator(psi1, psi2, cfg)
-    kind = orthogonality(t, cfg)
-    if kind != ORTHOGONAL:
-        raise PreconditionError(
-            f"states to copy must be orthogonal, got verdict {kind!r}"
+    if not psi1.d == psi2.d == blank.d:
+        raise ValueError(
+            f"dimension mismatch: {psi1.d}, {psi2.d} and blank {blank.d}"
         )
     u1 = unitary_of_state(psi1, cfg)
     u2 = unitary_of_state(psi2, cfg)
     ub = unitary_of_state(blank, cfg)
 
-    w = u2.conj().T @ u1  # similar to t, so same spectrum and verdict
-    report = spectral_verdict(w, cfg)
-    if not report.copyable:
+    w = u2.conj().T @ u1
+    kind = orthogonality(w, cfg)
+    if kind != ORTHOGONAL:
         raise PreconditionError(
-            "pair operator spectrum is not equally degenerate roots of unity; "
-            "no copying protocol exists"
+            f"states to copy must be orthogonal, got verdict {kind!r}"
         )
-    c1 = _synthesize_from(w, report, cfg)
+    lam, v, report = _decompose(w, cfg)
+    c1 = _synthesize_from(w, lam, v, report, cfg)
 
     a_op = kron(u1, u1, cfg) @ c1 @ kron(u1, ub, cfg).conj().T
     b_op = c1.conj()
@@ -333,10 +339,11 @@ def synthesize_protocol(
         d=psi1.d, blank=blank, a_op=a_op, b_op=b_op, phases=(0.0, theta2)
     )
 
-    from .simulator import verify_copy  # deferred: simulator imports this module
+    # deferred: simulator imports this module; the states are validated above
+    from .simulator import _simulate
 
     for label, psi in (("psi1", psi1), ("psi2", psi2)):
-        fidelity = verify_copy(protocol, psi, cfg)
+        fidelity, _ = _simulate(protocol, psi, cfg)
         if fidelity < 1.0 - cfg.fidelity_tol:
             raise SynthesisError(
                 f"synthesized protocol failed verification on {label}: "

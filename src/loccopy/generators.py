@@ -8,13 +8,10 @@ because psi1 = (T (x) 1)|psi2> by construction.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
+from .config import TAU
 from .states import BipartiteState, from_unitary
-
-TAU = 2.0 * math.pi
 
 
 def _haar(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -12,12 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, NumericConfig
+from .config import DEFAULT, NORM_TOL, NumericConfig
 from .copying import CopyProtocol
 from .states import BipartiteState, assert_max_entangled, assert_unitary
 from .tensor import permute_factors
-
-NORM_TOL = 1e-10
 
 WIRING = (1, 3, 2, 4)  # self-inverse factor permutation pairing A and B slots
 
@@ -95,8 +93,15 @@ def run_copy(
     if psi.d != protocol.d:
         raise ValueError(f"dimension mismatch: state {psi.d} vs protocol {protocol.d}")
     assert_max_entangled(psi, cfg)
+    return _simulate(protocol, psi, cfg)
+
+
+def _simulate(
+    protocol: CopyProtocol, psi: BipartiteState, config: NumericConfig
+) -> tuple[float, float]:
+    """run_copy on a psi already known to be maximally entangled of dimension d."""
     initial = assemble(psi, protocol.blank)
-    final = apply_local(initial, protocol.a_op, protocol.b_op, cfg)
+    final = apply_local(initial, protocol.a_op, protocol.b_op, config)
     target = assemble(psi, psi)
     ip = complex(np.vdot(target.vector, final.vector))
     return abs(ip) ** 2, float(np.angle(ip))

@@ -12,9 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, NumericConfig, PreconditionError
-
-NORM_TOL = 1e-10
+from .config import DEFAULT, NORM_TOL, NumericConfig, PreconditionError
 
 
 @dataclass

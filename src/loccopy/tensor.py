@@ -12,7 +12,6 @@ throughout the package:
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg as la
 
 from .config import DEFAULT, NumericConfig, PreconditionError
 
@@ -73,19 +72,25 @@ def eig_normal(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a normal matrix with orthonormal eigenvectors.
 
-    Uses a complex Schur factorization, which stays unitary under
-    eigenvalue degeneracy where a generic eigensolver may not.  Returns
+    A general eigensolver returns eigenvectors that are orthogonal across
+    distinct eigenvalues of a normal matrix but only linearly independent
+    inside a degenerate eigenspace.  A QR factorization of the eigenvector
+    matrix keeps each column inside the span of itself and the columns
+    before it, so it orthonormalizes every eigenspace without mixing two
+    of them.  The residual ||m V - V diag(lam)||_F, relative to
+    max(1, ||m||_F), must then stay within normality_tol; a non-normal
+    matrix fails it because no unitary V diagonalizes it.  Returns
     (eigenvalues, eigenvector columns), unsorted; m @ V == V @ diag(lam).
     """
     cfg = config or DEFAULT
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    t, z = la.schur(m, output="complex")
-    off = t - np.diag(np.diag(t))
-    residual = la.norm(off)
-    if residual > cfg.normality_tol * max(1.0, la.norm(t)):
+    lam, vecs = np.linalg.eig(m)
+    v, _ = np.linalg.qr(vecs)
+    residual = float(np.linalg.norm(m @ v - v * lam))
+    if not residual <= cfg.normality_tol * max(1.0, float(np.linalg.norm(m))):
         raise PreconditionError(
-            f"matrix is not normal: off-diagonal Schur residual {residual:.3e}"
+            f"matrix is not normal: eigenvector residual {residual:.3e}"
         )
-    return np.diag(t).copy(), z
+    return lam, v

@@ -334,3 +334,43 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["majorize", f, f])
         assert code == 2
         assert "error:" in err
+
+    def test_zero_samples_is_input_error(self, capsys):
+        code, out, err = run(capsys, ["survey", "--d", "3", "--samples", "0"])
+        assert code == 2
+        assert out == ""
+        assert "--samples must be at least 1" in err
+
+    def test_non_positive_tolerance_is_input_error(self, capsys):
+        code, _, err = run(capsys, ["survey", "--d", "2", "--samples", "1",
+                                    "--phase-tol", "0"])
+        assert code == 2
+        assert "phase_tol" in err
+
+    def test_synthesis_failure_is_internal_error(self, capsys, tmp_path, monkeypatch):
+        from loccopy import cli
+        from loccopy.config import SynthesisError
+
+        def fail(*args, **kwargs):
+            raise SynthesisError("synthesized A fails its defining relation")
+
+        monkeypatch.setattr(cli, "synthesize_protocol", fail)
+        psi1, psi2 = copyable_pair(4, 2, seed=1)
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
+        code, out, err = run(capsys, ["synthesize", pair])
+        assert code == 3
+        assert out == ""
+        assert "internal error: synthesized A fails" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, loccopy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

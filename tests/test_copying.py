@@ -1,7 +1,10 @@
 import collections
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from loccopy.config import AmbiguityError, NumericConfig, PreconditionError
 from loccopy.copying import (
@@ -27,7 +30,7 @@ from loccopy.generators import (
     traceless_unitary,
 )
 from loccopy.states import from_unitary, max_entangled
-from loccopy.tensor import eig_normal, kron
+from loccopy.tensor import eig_normal, kron, partial_trace_second
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -62,6 +65,17 @@ class TestPairOperator:
         grid[0, 0] = 1.0
         with pytest.raises(PreconditionError):
             pair_operator(BipartiteState(grid), max_entangled(2))
+
+
+class TestPairOperatorFormula:
+    @given(st.sampled_from([2, 6, 12]), st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_partial_trace(self, d, seed1, seed2):
+        psi1 = from_unitary(haar_unitary(d, seed=seed1))
+        psi2 = from_unitary(haar_unitary(d, seed=seed2))
+        rho = np.outer(psi1.vector(), psi2.vector().conj())
+        expected = d * partial_trace_second(rho, d, d)
+        assert np.max(np.abs(pair_operator(psi1, psi2) - expected)) < 1e-12
 
 
 class TestOrthogonality:
@@ -365,3 +379,63 @@ class TestToleranceKnobs:
         assert orthogonality(t) == ORTHOGONAL
         strict = NumericConfig(ortho_tol=1e-13)
         assert orthogonality(t, strict) == NEITHER
+
+
+def count_calls(monkeypatch, module, name):
+    """Count calls of module.name through every loccopy binding of it."""
+    original = getattr(module, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for mod in [module] + [m for key, m in sys.modules.items() if key.startswith("loccopy")]:
+        if getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+    return calls
+
+
+class TestWorkCounts:
+    """Exact per-call work: one eigendecomposition per pair, one check per state."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        import loccopy.states
+        import loccopy.tensor
+
+        found = {
+            "eig_normal": count_calls(monkeypatch, loccopy.tensor, "eig_normal"),
+            "assert_max_entangled": count_calls(
+                monkeypatch, loccopy.states, "assert_max_entangled"),
+            "svd": count_calls(monkeypatch, np.linalg, "svd"),
+            "eigvals": count_calls(monkeypatch, np.linalg, "eigvals"),
+            "schur": [],
+        }
+        try:
+            import scipy.linalg
+        except ImportError:  # without scipy nothing can call schur
+            pass
+        else:
+            found["schur"] = count_calls(monkeypatch, scipy.linalg, "schur")
+        return found
+
+    @pytest.mark.parametrize("d,m", [(2, 2), (6, 3), (12, 4)])
+    def test_synthesize_protocol(self, counts, d, m):
+        psi1, psi2 = copyable_pair(d, m, seed=d)
+        blank = from_unitary(haar_unitary(d, seed=d + 1))
+        synthesize_protocol(psi1, psi2, blank)
+        assert {k: len(v) for k, v in counts.items()} == {
+            "eig_normal": 1, "assert_max_entangled": 3, "svd": 3, "eigvals": 0, "schur": 0,
+        }
+
+    def test_spectral_verdict_reads_eigenvalues_only(self, counts):
+        spectral_verdict(copyable_unitary(12, 3, seed=4))
+        assert {k: len(v) for k, v in counts.items()} == {
+            "eig_normal": 0, "assert_max_entangled": 0, "svd": 0, "eigvals": 1, "schur": 0,
+        }
+
+    def test_synthesize_a(self, counts):
+        synthesize_a(copyable_unitary(6, 2, seed=4))
+        assert len(counts["eig_normal"]) == 1
+        assert len(counts["eigvals"]) == len(counts["schur"]) == 0

@@ -132,3 +132,19 @@ class TestEigNormal:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError, match="square"):
             eig_normal(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("d, m", [(12, 3), (16, 4)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_degenerate_spectrum_orthonormal_basis(self, d, m, seed):
+        from loccopy.config import DEFAULT
+        from loccopy.generators import copyable_unitary
+
+        t = copyable_unitary(d, m, seed=seed)
+        lam, v = eig_normal(t)
+        assert np.linalg.norm(v.conj().T @ v - np.eye(d)) < DEFAULT.unitarity_tol
+        assert np.linalg.norm(t @ v - v @ np.diag(lam)) < (
+            DEFAULT.normality_tol * np.linalg.norm(t))
+        # every root keeps its multiplicity d/m
+        labels = np.round(np.angle(lam / lam[0]) / (2 * np.pi / m)).astype(int) % m
+        assert np.allclose(lam, lam[0] * np.exp(2j * np.pi * labels / m), atol=1e-12)
+        assert np.array_equal(np.bincount(labels, minlength=m), [d // m] * m)
