@@ -1,7 +1,9 @@
 # Two orthogonal Bell states can be copied onto a shared blank pair by
 # purely local unitaries, one on Alice's particles and one on Bob's.
 # This builds the protocol for the |Phi+>, |Psi+> pair and checks it by
-# brute-force four-particle simulation.
+# the closed-form four-party overlap <psi psi| A^13 B^24 |psi blank> on
+# the dense A and B (simulator.apply_local, the brute-force
+# four-particle simulation, is kept as that overlap's oracle).
 
 import numpy as np
 

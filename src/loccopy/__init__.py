@@ -3,7 +3,8 @@
 Decides when a pair of orthogonal maximally entangled states can be
 copied by local operations with a maximally entangled blank state,
 synthesizes the two local unitaries that do it, and verifies protocols
-by full four-particle simulation.  Includes the majorization machinery
+by the closed-form four-party overlap on the dense A and B, with a
+brute-force four-particle simulator kept as its oracle.  Includes the majorization machinery
 (Nielsen transformability and catalytic copying of partially entangled
 states) and deterministic generators for test families.
 """

@@ -36,7 +36,7 @@ from .copying import (
     spectral_verdict,
     synthesize_protocol,
 )
-from .majorization import CATALYTIC, DIRECT, catalytic_copy_check, majorizes
+from .majorization import CATALYTIC, DIRECT, _partial_sums, catalytic_copy_check, majorizes
 from .simulator import run_copy
 from .states import max_entangled
 
@@ -106,14 +106,11 @@ def _load_pair(paths: list[str]):
 
 
 def _partial_sum_rows(v: np.ndarray, w: np.ndarray, tol: float) -> list[dict]:
-    n = max(v.size, w.size)
-    a = np.pad(np.sort(v)[::-1], (0, n - v.size))
-    b = np.pad(np.sort(w)[::-1], (0, n - w.size))
-    ca, cb = np.cumsum(a), np.cumsum(b)
+    ca, cb = _partial_sums(v, w)
     return [
         {"r": k + 1, "lhs": float(ca[k]), "rhs": float(cb[k]),
          "satisfied": bool(ca[k] <= cb[k] + tol)}
-        for k in range(n)
+        for k in range(ca.size)
     ]
 
 
@@ -259,6 +256,7 @@ def cmd_survey(args) -> int:
     for d in args.d:
         orthogonal_count = 0
         copyable_count = 0
+        ambiguous_count = 0
         for k in range(args.samples):
             # flat, well-mixed per-sample seed derived from (seed, d, k)
             sample_seed = int(np.random.SeedSequence((seed, d, k)).generate_state(1)[0])
@@ -277,20 +275,27 @@ def cmd_survey(args) -> int:
             t = pair_operator(psi1, psi2, cfg)
             if orthogonality(t, cfg) == ORTHOGONAL:
                 orthogonal_count += 1
-            if spectral_verdict(t, cfg).copyable:
+            try:
+                copyable = spectral_verdict(t, cfg).copyable
+            except AmbiguityError:  # counted, and not copyable at this tolerance
+                ambiguous_count += 1
+                copyable = False
+            if copyable:
                 copyable_count += 1
         rows.append({
             "d": d,
             "samples": args.samples,
             "orthogonal_fraction": orthogonal_count / args.samples,
             "copyable_fraction": copyable_count / args.samples,
+            "ambiguous_fraction": ambiguous_count / args.samples,
         })
     payload = {"family": args.family, "seed": seed, "rows": rows}
-    pretty = [f"{'d':>3}  {'samples':>7}  {'orthogonal':>10}  {'copyable':>8}"]
+    pretty = [f"{'d':>3}  {'samples':>7}  {'orthogonal':>10}  {'copyable':>8}  {'ambiguous':>9}"]
     for row in rows:
         pretty.append(
             f"{row['d']:>3}  {row['samples']:>7}  "
-            f"{row['orthogonal_fraction']:>10.3f}  {row['copyable_fraction']:>8.3f}"
+            f"{row['orthogonal_fraction']:>10.3f}  {row['copyable_fraction']:>8.3f}  "
+            f"{row['ambiguous_fraction']:>9.3f}"
         )
     _emit(args, payload, pretty)
     return OK
@@ -339,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_synthesize)
 
     p = sub.add_parser("simulate", parents=[common],
-                       help="verify a protocol against a state by four-particle simulation")
+                       help="verify a protocol against a state by the four-party overlap")
     p.add_argument("protocol", help="protocol JSON file or -")
     p.add_argument("state", help="state JSON file or -")
     p.set_defaults(handler=cmd_simulate)

@@ -25,7 +25,7 @@ class NumericConfig:
     sum_tol: float = 1e-10              # one-sided slack on majorization partial sums
     max_ent_tol: float = 1e-8           # max deviation of Schmidt probs from 1/d
     fidelity_tol: float = 1e-9          # copy verification: require f >= 1 - fidelity_tol
-    synthesis_tol: float = 1e-9         # ||A (T~ x 1) A^dag - T~ x T~||_F bound
+    synthesis_tol: float = 1e-9         # ||C1 (T~ x 1) - (T~ x T~) C1||_F bound, C1 unitary
     max_dim: int = 20736                # largest dense matrix dimension (12^4)
 
     def __post_init__(self) -> None:

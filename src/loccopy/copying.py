@@ -29,7 +29,7 @@ from .config import (
     SynthesisError,
 )
 from .states import BipartiteState, assert_max_entangled, assert_unitary, unitary_of_state
-from .tensor import eig_normal, kron
+from .tensor import eig_normal, kron_matmul
 
 ORTHOGONAL = "orthogonal"
 IDENTICAL = "identical_up_to_phase"
@@ -264,21 +264,36 @@ def _synthesize_from(
             f"eigenspace of root {r} has dimension {source_dims[r]} "
             f"as source but {target_dims[r]} as target"
         )
+    # C1 = W P W^dag with W = V (x) V, whose column k + d*l is v_k (x) v_l,
+    # and P e_mu = e_permutation[mu].  P W^dag is W^dag with its rows
+    # permuted, so C1 costs one Kronecker-structured product.
     permutation = np.empty(d * d, dtype=int)
     permutation[np.argsort(source, kind="stable")] = np.argsort(target, kind="stable")
-    w = np.kron(v, v)  # column k + d*l is v_k (x) v_l in the mu convention
-    a = w[:, permutation] @ w.conj().T  # W P W^dag with P e_mu = e_permutation[mu]
+    vh = v.conj().T
+    z = np.empty((d * d, d * d), dtype=complex)
+    z[permutation] = np.kron(vh, vh)
+    c1 = kron_matmul(v, v, z, config)
+    _check_synthesized(c1, "synthesized C1", config)
 
+    # For a unitary C1, ||C1 (T~ (x) 1) - (T~ (x) T~) C1||_F equals
+    # ||C1 (T~ (x) 1) C1^dag - T~ (x) T~||_F, the defining relation.
     t_rot = np.exp(1j * report.rotation) * t
-    eye = np.eye(d)
-    residual = float(np.linalg.norm(
-        a @ kron(t_rot, eye, config) @ a.conj().T - kron(t_rot, t_rot, config)
-    ))
+    lhs = kron_matmul(t_rot.T, np.eye(d), c1.T, config).T
+    rhs = kron_matmul(t_rot, t_rot, c1, config)
+    residual = float(np.linalg.norm(lhs - rhs))
     if residual > config.synthesis_tol:
         raise SynthesisError(
             f"synthesized A fails its defining relation: residual {residual:.3e}"
         )
-    return a
+    return c1
+
+
+def _check_synthesized(op: np.ndarray, what: str, config: NumericConfig) -> None:
+    """assert_unitary on an operator synthesis built; a failure is a SynthesisError."""
+    try:
+        assert_unitary(op, config, what)
+    except PreconditionError as exc:
+        raise SynthesisError(str(exc)) from None
 
 
 def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarray:
@@ -309,14 +324,24 @@ def synthesize_protocol(
     C_1 relating A and B; then A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag and
     B = conj(C_1), with theta_1 = 0 and theta_2 = -rotation.  W is
     similar to the pair operator T = U1 U2^dag, so its trace and
-    spectrum decide orthogonality and copyability in T's place.  Each
-    state is validated once, and the result is verified by full
-    four-particle simulation before being returned.
+    spectrum decide orthogonality and copyability in T's place.
+
+    Every Kronecker factor is applied without being formed, and each
+    state is validated once.  C_1, A and B are each checked for
+    unitarity once, and the protocol is verified on both states by the
+    closed-form four-party overlap before being returned; a failed
+    check raises SynthesisError.  Raises ValueError when the d^2 x d^2
+    operators would exceed max_dim.
     """
     cfg = config or DEFAULT
     if not psi1.d == psi2.d == blank.d:
         raise ValueError(
             f"dimension mismatch: {psi1.d}, {psi2.d} and blank {blank.d}"
+        )
+    n = psi1.d * psi1.d
+    if n > cfg.max_dim:
+        raise ValueError(
+            f"protocol operators are {n} x {n}, exceeds max dimension {cfg.max_dim}"
         )
     u1 = unitary_of_state(psi1, cfg)
     u2 = unitary_of_state(psi2, cfg)
@@ -331,15 +356,21 @@ def synthesize_protocol(
     lam, v, report = _decompose(w, cfg)
     c1 = _synthesize_from(w, lam, v, report, cfg)
 
-    a_op = kron(u1, u1, cfg) @ c1 @ kron(u1, ub, cfg).conj().T
+    # A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag; the right factor goes through
+    # transposes, X (U1 (x) U_b)^dag = (conj(U1 (x) U_b) X^T)^T
+    left = kron_matmul(u1, u1, c1, cfg)
+    a_op = kron_matmul(u1.conj(), ub.conj(), left.T, cfg).T
     b_op = c1.conj()
+    _check_synthesized(a_op, "A operator", cfg)
+    _check_synthesized(b_op, "B operator", cfg)
     theta2 = -report.rotation
     theta2 = (theta2 + math.pi) % TAU - math.pi  # wrap to [-pi, pi)
     protocol = CopyProtocol(
         d=psi1.d, blank=blank, a_op=a_op, b_op=b_op, phases=(0.0, theta2)
     )
 
-    # deferred: simulator imports this module; the states are validated above
+    # deferred: simulator imports this module; states and operators are
+    # validated above
     from .simulator import _simulate
 
     for label, psi in (("psi1", psi1), ("psi2", psi2)):

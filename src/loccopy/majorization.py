@@ -26,6 +26,15 @@ def _probs(v) -> np.ndarray:
     return np.asarray(getattr(v, "probs", v), dtype=float)
 
 
+def _partial_sums(v, w) -> tuple[np.ndarray, np.ndarray]:
+    """Partial sums of v and w, each sorted descending and zero-padded
+    to the longer length; w majorizes v when the second dominates."""
+    a = np.sort(_probs(v))[::-1]
+    b = np.sort(_probs(w))[::-1]
+    n = max(a.size, b.size)
+    return np.cumsum(np.pad(a, (0, n - a.size))), np.cumsum(np.pad(b, (0, n - b.size)))
+
+
 def majorizes(w, v, config: NumericConfig | None = None) -> bool:
     """True iff w majorizes v: partial sums of w dominate, totals equal.
 
@@ -34,13 +43,7 @@ def majorizes(w, v, config: NumericConfig | None = None) -> bool:
     one-sided with slack sum_tol; totals must agree within sum_tol.
     """
     cfg = config or DEFAULT
-    a = np.sort(_probs(v))[::-1]
-    b = np.sort(_probs(w))[::-1]
-    n = max(a.size, b.size)
-    a = np.pad(a, (0, n - a.size))
-    b = np.pad(b, (0, n - b.size))
-    ca = np.cumsum(a)
-    cb = np.cumsum(b)
+    ca, cb = _partial_sums(v, w)
     if abs(ca[-1] - cb[-1]) > cfg.sum_tol:
         return False
     return bool(np.all(ca <= cb + cfg.sum_tol))

@@ -58,6 +58,37 @@ class TestMajorize:
         assert json.loads(out)["majorizes"] is True
 
 
+class TestPartialSums:
+    """The partial-sum rows, pinned to the values the CLI printed before the
+    sort-pad-cumsum moved into majorization; exact float equality."""
+
+    def test_majorize_rows_with_padding(self, capsys, tmp_path):
+        src = write_json(tmp_path, "src.json", {"probs": [0.7, 0.2, 0.1]})
+        dst = write_json(tmp_path, "dst.json", {"probs": [0.32, 0.28, 0.24, 0.085, 0.075]})
+        code, out, _ = run(capsys, ["majorize", src, dst])
+        assert code == 1
+        assert json.loads(out)["partial_sums"] == [
+            {"r": 1, "lhs": 0.7, "rhs": 0.32, "satisfied": False},
+            {"r": 2, "lhs": 0.8999999999999999, "rhs": 0.6000000000000001, "satisfied": False},
+            {"r": 3, "lhs": 0.9999999999999999, "rhs": 0.8400000000000001, "satisfied": False},
+            {"r": 4, "lhs": 0.9999999999999999, "rhs": 0.925, "satisfied": False},
+            {"r": 5, "lhs": 0.9999999999999999, "rhs": 1.0, "satisfied": True},
+        ]
+
+    def test_catalysis_tensored_rows(self, capsys, tmp_path):
+        psi = write_json(tmp_path, "psi.json", {"probs": [0.6, 0.3, 0.1]})
+        blank = write_json(tmp_path, "blank.json", {"probs": [0.5, 0.5]})
+        code, out, _ = run(capsys, ["catalysis", psi, blank])
+        assert code == 1
+        lhs = [0.3, 0.6, 0.75, 0.9, 0.9500000000000001, 1.0, 1.0, 1.0, 1.0]
+        rhs = [0.36, 0.54, 0.72, 0.8099999999999999, 0.8699999999999999,
+               0.9299999999999999, 0.96, 0.99, 1.0]
+        assert json.loads(out)["tensored_partial_sums"] == [
+            {"r": k + 1, "lhs": lhs[k], "rhs": rhs[k], "satisfied": k in (0, 8)}
+            for k in range(9)
+        ]
+
+
 class TestCatalysis:
     def test_catalytic_verdict(self, capsys, five_level_vectors):
         psi, blank = five_level_vectors
@@ -312,7 +343,28 @@ class TestSurvey:
         code, out, _ = run(capsys, ["survey", "--d", "2", "--samples", "3",
                                     "--seed", "19", "--pretty"])
         assert code == 0
-        assert "orthogonal" in out and "copyable" in out
+        assert "orthogonal" in out and "copyable" in out and "ambiguous" in out
+
+    def test_ambiguous_sample_is_counted(self, capsys, monkeypatch):
+        from loccopy import cli
+        from loccopy.config import AmbiguityError
+
+        verdict = cli.spectral_verdict
+        calls = []
+
+        def ambiguous_once(t, config=None):
+            calls.append(t)
+            if len(calls) == 2:
+                raise AmbiguityError("two eigenphase clusters are separated by only 1e-7 rad")
+            return verdict(t, config)
+
+        monkeypatch.setattr(cli, "spectral_verdict", ambiguous_once)
+        code, out, _ = run(capsys, ["survey", "--d", "2", "3",
+                                    "--samples", "4", "--seed", "16"])
+        assert code == 0
+        rows = json.loads(out)["rows"]
+        assert [(r["d"], r["copyable_fraction"], r["ambiguous_fraction"]) for r in rows] == [
+            (2, 0.75, 0.25), (3, 1.0, 0.0)]
 
 
 class TestErrorHandling:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccopy.config import AmbiguityError, NumericConfig, PreconditionError
+from loccopy.config import AmbiguityError, NumericConfig, PreconditionError, SynthesisError
 from loccopy.copying import (
     IDENTICAL,
     NEITHER,
@@ -341,6 +341,46 @@ class TestSynthesizeProtocol:
         assert protocol.phases[1] == pytest.approx(expected, abs=1e-12)
 
 
+class TestSynthesisChecks:
+    """Synthesis checks each operator it builds and sizes before it allocates."""
+
+    @pytest.fixture(params=["rescaled", "skewed"])
+    def broken_eigenbasis(self, request, monkeypatch):
+        import loccopy.copying
+
+        original = loccopy.copying.eig_normal
+
+        def broken(m, config=None):
+            lam, v = original(m, config)
+            if request.param == "rescaled":  # C1 becomes 1.01^4 times a unitary
+                return lam, 1.01 * v
+            v = v.copy()
+            v[:, 0] += 0.01 * v[:, 1]
+            return lam, v
+
+        monkeypatch.setattr(loccopy.copying, "eig_normal", broken)
+
+    def test_non_unitary_c1_raises_in_synthesize_a(self, broken_eigenbasis):
+        with pytest.raises(SynthesisError, match="C1 is not unitary"):
+            synthesize_a(copyable_unitary(6, 3, seed=1))
+
+    def test_non_unitary_c1_raises_in_synthesize_protocol(self, broken_eigenbasis):
+        psi1, psi2 = copyable_pair(4, 2, seed=2)
+        with pytest.raises(SynthesisError, match="C1 is not unitary"):
+            synthesize_protocol(psi1, psi2, max_entangled(4))
+
+    def test_operator_size_checked_before_synthesis(self, monkeypatch):
+        import loccopy.states
+        import loccopy.tensor
+
+        eig_calls = count_calls(monkeypatch, loccopy.tensor, "eig_normal")
+        state_checks = count_calls(monkeypatch, loccopy.states, "assert_max_entangled")
+        psi1, psi2 = copyable_pair(3, 3, seed=4)
+        with pytest.raises(ValueError, match="9 x 9, exceeds max dimension 8"):
+            synthesize_protocol(psi1, psi2, max_entangled(3), NumericConfig(max_dim=8))
+        assert len(eig_calls) == len(state_checks) == 0
+
+
 class TestCopyProtocolValidation:
     def test_wrong_operator_shape_rejected(self):
         with pytest.raises(ValueError, match="operators"):
@@ -387,7 +427,7 @@ def count_calls(monkeypatch, module, name):
     calls = []
 
     def wrapper(*args, **kwargs):
-        calls.append(name)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for mod in [module] + [m for key, m in sys.modules.items() if key.startswith("loccopy")]:
@@ -419,6 +459,23 @@ class TestWorkCounts:
         else:
             found["schur"] = count_calls(monkeypatch, scipy.linalg, "schur")
         return found
+
+    @pytest.mark.parametrize("d,m", [(2, 2), (6, 3), (12, 4)])
+    def test_synthesize_protocol_applies_kronecker_factors(self, monkeypatch, d, m):
+        import loccopy.simulator
+        import loccopy.states
+        import loccopy.tensor
+
+        psi1, psi2 = copyable_pair(d, m, seed=d)
+        blank = from_unitary(haar_unitary(d, seed=d + 1))
+        kron_calls = count_calls(monkeypatch, loccopy.tensor, "kron")
+        apply_local_calls = count_calls(monkeypatch, loccopy.simulator, "apply_local")
+        unitary_calls = count_calls(monkeypatch, loccopy.states, "assert_unitary")
+        synthesize_protocol(psi1, psi2, blank)
+        assert len(kron_calls) == len(apply_local_calls) == 0
+        # C1, A and B once each; the d x d one is the pair operator W
+        shapes = sorted(np.shape(args[0]) for args in unitary_calls)
+        assert shapes == [(d, d)] + [(d * d, d * d)] * 3
 
     @pytest.mark.parametrize("d,m", [(2, 2), (6, 3), (12, 4)])
     def test_synthesize_protocol(self, counts, d, m):

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from loccopy.config import TAU
 from loccopy.copying import CopyProtocol, synthesize_protocol
 from loccopy.generators import copyable_pair, haar_unitary, orthogonal_pair
 from loccopy.simulator import (
@@ -184,6 +187,41 @@ class TestRunCopy:
         psi1, psi2 = orthogonal_pair(2, seed=72)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
         assert verify_copy(protocol, psi1) == run_copy(protocol, psi1)[0]
+
+
+@st.composite
+def copyable_cases(draw):
+    d = draw(st.integers(2, 8))
+    m = draw(st.sampled_from([m for m in range(2, d + 1) if d % m == 0]))
+    return d, m, draw(st.integers(0, 2**32 - 1))
+
+
+class TestOverlapKernel:
+    """run_copy's closed-form overlap against the brute-force apply_local oracle."""
+
+    @given(copyable_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_apply_local(self, case):
+        d, m, seed = case
+        psi1, psi2 = copyable_pair(d, m, seed)
+        blank = from_unitary(haar_unitary(d, seed=(seed, 1)))
+        protocol = synthesize_protocol(psi1, psi2, blank)
+        bystander = from_unitary(haar_unitary(d, seed=(seed, 2)))
+        for psi in (psi1, psi2, bystander):
+            final = apply_local(assemble(psi, blank), protocol.a_op, protocol.b_op)
+            ip = complex(np.vdot(assemble(psi, psi).vector, final.vector))
+            fidelity, theta = run_copy(protocol, psi)
+            assert abs(fidelity - abs(ip) ** 2) < 1e-12
+            if abs(ip) > 1e-2:  # the phase of a vanishing overlap is roundoff
+                gap = abs(theta - np.angle(ip)) % TAU
+                assert min(gap, TAU - gap) < 1e-12
+
+    def test_non_unitary_operator_rejected(self):
+        psi1, psi2 = orthogonal_pair(2, seed=73)
+        protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
+        protocol.b_op = 1.01 * protocol.b_op
+        with pytest.raises(ValueError, match="B operator is not unitary"):
+            run_copy(protocol, psi1)
 
 
 class TestTranscript:
