@@ -52,7 +52,6 @@ from .simulator import (
     assemble,
     emit_locc_transcript,
     run_copy,
-    verify_copy,
 )
 from .states import (
     BipartiteState,
@@ -114,5 +113,4 @@ __all__ = [
     "synthesize_protocol",
     "traceless_unitary",
     "unitary_of_state",
-    "verify_copy",
 ]

@@ -214,6 +214,15 @@ def cmd_simulate(args) -> int:
     return OK if passes else NEGATIVE
 
 
+def _draw_delta(rng: np.random.Generator, d: int) -> float:
+    """Draw delta uniformly from (0, 2 pi / d), the open interval that
+    nonprime_counterexample accepts; a draw of exactly 0 is redrawn."""
+    delta = 0.0
+    while not 0.0 < delta < TAU / d:
+        delta = float(rng.uniform(0.0, TAU / d))
+    return delta
+
+
 def cmd_generate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     meta: dict = {"family": args.family, "seed": seed}
@@ -232,8 +241,7 @@ def cmd_generate(args) -> int:
         d = args.d1 * args.d2
         delta = args.delta
         if delta is None:
-            rng = np.random.default_rng((seed, 2))
-            delta = float(rng.uniform(0.0, TAU / d)) or TAU / (2 * d)
+            delta = _draw_delta(np.random.default_rng((seed, 2)), d)
         psi1, psi2 = generators.nonprime_counterexample(args.d1, args.d2, delta, seed)
         meta.update({"d1": args.d1, "d2": args.d2, "delta": delta})
     _write_json(serialization.pair_to_json(psi1, psi2, **meta), args.out)
@@ -267,10 +275,7 @@ def cmd_survey(args) -> int:
                 if d1 is None:
                     raise ValueError(f"nonprime family requires composite d, got {d}")
                 d2 = d // d1
-                rng = np.random.default_rng(sample_seed)
-                delta = 0.0
-                while not 0.0 < delta < TAU / d:
-                    delta = float(rng.uniform(0.0, TAU / d))
+                delta = _draw_delta(np.random.default_rng(sample_seed), d)
                 psi1, psi2 = generators.nonprime_counterexample(d1, d2, delta, sample_seed)
             t = pair_operator(psi1, psi2, cfg)
             if orthogonality(t, cfg) == ORTHOGONAL:

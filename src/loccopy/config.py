@@ -18,7 +18,7 @@ class NumericConfig:
     in a single place.
     """
 
-    unitarity_tol: float = 1e-9         # ||U^dag U - I||_F bound for unitarity checks
+    unitarity_tol: float = 1e-9         # ||U^dag U - I||_F bound; for C1 and A taken from their factors
     normality_tol: float = 1e-8         # ||M V - V diag(lam)||_F / max(1, ||M||_F) bound in eig_normal
     phase_tol: float = 1e-7             # eigenphase clustering gap cut, radians
     ortho_tol: float = 1e-9             # relative trace threshold for orthogonality

@@ -12,6 +12,11 @@ When it does, a unitary A on the doubled space with
 
 exists and can be built by pairing eigenspaces of equal eigenvalue, and
 the protocol's local unitaries follow from A by fixed conjugations.
+
+Every operator synthesis returns is d x d factors around one
+permutation, so it is built, checked for unitarity and verified by
+Kronecker-structured products at O(d^5), never by a product of two
+dense d^2 x d^2 matrices.
 """
 from __future__ import annotations
 
@@ -238,7 +243,8 @@ def _decompose(t: np.ndarray, config: NumericConfig) -> tuple[np.ndarray, np.nda
 def _synthesize_from(
     t: np.ndarray, lam: np.ndarray, v: np.ndarray, report: SpectrumReport,
     config: NumericConfig,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """C1 = (V (x) V) P (V (x) V)^dag and the permutation defining P."""
     d = t.shape[0]
     m = report.detected_m
     labels = _root_labels(lam, report)
@@ -269,11 +275,11 @@ def _synthesize_from(
     # permuted, so C1 costs one Kronecker-structured product.
     permutation = np.empty(d * d, dtype=int)
     permutation[np.argsort(source, kind="stable")] = np.argsort(target, kind="stable")
+    _check_factored_unitary(v, v, v, permutation, "synthesized C1", config)
     vh = v.conj().T
     z = np.empty((d * d, d * d), dtype=complex)
     z[permutation] = np.kron(vh, vh)
     c1 = kron_matmul(v, v, z, config)
-    _check_synthesized(c1, "synthesized C1", config)
 
     # For a unitary C1, ||C1 (T~ (x) 1) - (T~ (x) T~) C1||_F equals
     # ||C1 (T~ (x) 1) C1^dag - T~ (x) T~||_F, the defining relation.
@@ -285,15 +291,38 @@ def _synthesize_from(
         raise SynthesisError(
             f"synthesized A fails its defining relation: residual {residual:.3e}"
         )
-    return c1
+    return c1, permutation
 
 
-def _check_synthesized(op: np.ndarray, what: str, config: NumericConfig) -> None:
-    """assert_unitary on an operator synthesis built; a failure is a SynthesisError."""
-    try:
-        assert_unitary(op, config, what)
-    except PreconditionError as exc:
-        raise SynthesisError(str(exc)) from None
+def _check_factored_unitary(
+    left: np.ndarray, ra: np.ndarray, rb: np.ndarray,
+    permutation: np.ndarray, what: str, config: NumericConfig,
+) -> float:
+    """Unitarity check of X = (L (x) L) P (ra (x) rb)^dag from its factors.
+
+    With G = L^dag L, X^dag X = (ra (x) rb) P^dag (G (x) G) P (ra (x) rb)^dag,
+    and P^dag M P is M with rows and columns permuted, so
+    ||X^dag X - I||_F costs O(d^5) against O(d^6) for the dense product.
+    Returns that residual; above unitarity_tol it raises SynthesisError
+    with assert_unitary's text.
+    """
+    g = left.conj().T @ left
+    gram = np.kron(g, g)[np.ix_(permutation, permutation)]
+    gram = kron_matmul(ra, rb, gram, config)
+    gram = kron_matmul(ra.conj(), rb.conj(), gram.T, config).T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    residual = float(np.linalg.norm(gram))
+    if residual > config.unitarity_tol:
+        raise SynthesisError(f"{what} is not unitary: ||U^dag U - I|| = {residual:.3e}")
+    return residual
+
+
+def _polish(u: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step U (3I - U^dag U) / 2 toward the nearest unitary.
+
+    A deviation e of U's singular values from 1 shrinks to about 3e^2/2.
+    """
+    return u @ (1.5 * np.eye(u.shape[0]) - 0.5 * (u.conj().T @ u))
 
 
 def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarray:
@@ -307,7 +336,7 @@ def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarr
     cfg = config or DEFAULT
     t = np.asarray(t, dtype=complex)
     lam, v, report = _decompose(t, cfg)
-    return _synthesize_from(t, lam, v, report, cfg)
+    return _synthesize_from(t, lam, v, report, cfg)[0]
 
 
 def synthesize_protocol(
@@ -327,10 +356,13 @@ def synthesize_protocol(
     spectrum decide orthogonality and copyability in T's place.
 
     Every Kronecker factor is applied without being formed, and each
-    state is validated once.  C_1, A and B are each checked for
-    unitarity once, and the protocol is verified on both states by the
-    closed-form four-party overlap before being returned; a failed
-    check raises SynthesisError.  Raises ValueError when the d^2 x d^2
+    state is validated once.  C_1 and A are checked for unitarity from
+    their d x d factors, at O(d^5); B = conj(C_1) shares C_1's residual.
+    U1 and U_b take one Newton-Schulz step toward unitarity before A is
+    assembled, so a blank that passes max_ent_tol yields a unitary A.
+    The protocol is verified on both states by the closed-form
+    four-party overlap before being returned; a failed check raises
+    SynthesisError.  Raises ValueError when the d^2 x d^2
     operators would exceed max_dim.
     """
     cfg = config or DEFAULT
@@ -354,15 +386,23 @@ def synthesize_protocol(
             f"states to copy must be orthogonal, got verdict {kind!r}"
         )
     lam, v, report = _decompose(w, cfg)
-    c1 = _synthesize_from(w, lam, v, report, cfg)
+    c1, permutation = _synthesize_from(w, lam, v, report, cfg)
 
-    # A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag; the right factor goes through
-    # transposes, X (U1 (x) U_b)^dag = (conj(U1 (x) U_b) X^T)^T
-    left = kron_matmul(u1, u1, c1, cfg)
-    a_op = kron_matmul(u1.conj(), ub.conj(), left.T, cfg).T
-    b_op = c1.conj()
-    _check_synthesized(a_op, "A operator", cfg)
-    _check_synthesized(b_op, "B operator", cfg)
+    # A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag = (U1 V (x) U1 V) P (U1 V (x) U_b V)^dag.
+    # U1 and U_b inherit their states' deviation from maximal entanglement,
+    # which max_ent_tol allows to exceed unitarity_tol; they are polished
+    # only here, after W and V came from the grids as given, because a
+    # changed W would rotate V inside its degenerate eigenspaces.
+    u1, ub = _polish(u1), _polish(ub)
+    u1v = u1 @ v
+    _check_factored_unitary(u1v, u1v, ub @ v, permutation, "A operator", cfg)
+    # the right factor goes through transposes,
+    # X (U1 (x) U_b)^dag = (conj(U1 (x) U_b) X^T)^T
+    a_op = kron_matmul(u1.conj(), ub.conj(), kron_matmul(u1, u1, c1, cfg).T, cfg).T
+    # B = conj(C_1), so ||B^dag B - I||_F equals C_1's residual exactly and
+    # needs no check of its own.  C_1 is not kept, so it is conjugated in
+    # place; verification below then holds two d^2 x d^2 operators, not four.
+    b_op = np.conjugate(c1, out=c1)
     theta2 = -report.rotation
     theta2 = (theta2 + math.pi) % TAU - math.pi  # wrap to [-pi, pi)
     protocol = CopyProtocol(

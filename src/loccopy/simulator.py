@@ -119,13 +119,6 @@ def _simulate(
     return abs(ip) ** 2, float(np.angle(ip))
 
 
-def verify_copy(
-    protocol: CopyProtocol, psi: BipartiteState, config: NumericConfig | None = None
-) -> float:
-    """Fidelity of the protocol's output against the copying target."""
-    return run_copy(protocol, psi, config)[0]
-
-
 def emit_locc_transcript(protocol: CopyProtocol) -> str:
     """Human-readable LOCC transcript for a synthesized protocol.
 

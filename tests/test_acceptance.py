@@ -29,7 +29,7 @@ from loccopy.generators import (
     orthogonal_pair,
 )
 from loccopy.majorization import CATALYTIC, catalytic_copy_check, nielsen_transformable
-from loccopy.simulator import verify_copy
+from loccopy.simulator import run_copy
 from loccopy.states import SchmidtVector, from_unitary, max_entangled, overlap
 from loccopy.tensor import eig_normal, kron
 
@@ -96,8 +96,8 @@ def _universality(d, count, budget):
         assert report.copyable, f"d={d} pair {k} not copyable"
         COPYABLE_OPERATORS.append(t)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(d))
-        assert verify_copy(protocol, psi1) >= 1 - 1e-9
-        assert verify_copy(protocol, psi2) >= 1 - 1e-9
+        assert run_copy(protocol, psi1)[0] >= 1 - 1e-9
+        assert run_copy(protocol, psi2)[0] >= 1 - 1e-9
         PROTOCOLS.append((protocol, psi1, psi2))
     elapsed = time.perf_counter() - start
     assert elapsed < budget, f"d={d}: {elapsed:.2f} s over the {budget} s budget"
@@ -202,8 +202,8 @@ def test_criterion_6():
 def test_criterion_7():
     assert len(PROTOCOLS) == 400, "criteria 2 and 3 must populate the registry"
     for protocol, psi1, psi2 in PROTOCOLS:
-        assert verify_copy(protocol, psi1) >= 1 - 1e-9
-        assert verify_copy(protocol, psi2) >= 1 - 1e-9
+        assert run_copy(protocol, psi1)[0] >= 1 - 1e-9
+        assert run_copy(protocol, psi2)[0] >= 1 - 1e-9
 
     built = 0
     d6_elapsed = 0.0
@@ -218,8 +218,8 @@ def test_criterion_7():
                 assert report.copyable
                 COPYABLE_OPERATORS.append(t)
                 protocol = synthesize_protocol(psi1, psi2, max_entangled(d))
-                assert verify_copy(protocol, psi1) >= 1 - 1e-9
-                assert verify_copy(protocol, psi2) >= 1 - 1e-9
+                assert run_copy(protocol, psi1)[0] >= 1 - 1e-9
+                assert run_copy(protocol, psi2)[0] >= 1 - 1e-9
                 if d == 6:
                     d6_elapsed += time.perf_counter() - start
                 built += 1

@@ -221,6 +221,22 @@ class TestSynthesizeAndSimulate:
         assert code == 0
         assert json.loads(out)["passes"] is True
 
+    def test_nearly_maximally_entangled_blank(self, capsys, tmp_path):
+        from loccopy.generators import haar_unitary
+        from loccopy.states import BipartiteState
+
+        # Schmidt probabilities within 1e-10 of 1/d pass max_ent_tol
+        probs = np.array([0.25 + 1e-10, 0.25 - 1e-10, 0.25, 0.25])
+        grid = haar_unitary(4, seed=40) @ np.diag(np.sqrt(probs)) @ haar_unitary(4, seed=41)
+        psi1, psi2 = copyable_pair(4, m=2, seed=4)
+        pair = write_json(tmp_path, "pair.json",
+                          serialization.pair_to_json(psi1, psi2))
+        blank = write_json(tmp_path, "blank.json",
+                           serialization.state_to_json(BipartiteState(grid)))
+        code, out, err = run(capsys, ["synthesize", pair, "--blank", blank])
+        assert code == 0, err
+        assert serialization.protocol_from_json(json.loads(out)).d == 4
+
     def test_uncopyable_pair_is_negative(self, capsys, tmp_path):
         psi1, psi2 = nonprime_counterexample(2, 2, delta=0.5, seed=8)
         pair = write_json(tmp_path, "pair.json",
@@ -273,6 +289,17 @@ class TestGenerate:
         payload = json.loads(out)
         assert 0.0 < payload["delta"] < 2 * np.pi / 6
         assert payload["d1"] == 2 and payload["d2"] == 3
+
+    def test_delta_draw_of_zero_is_redrawn(self):
+        from loccopy.cli import _draw_delta
+
+        class Rng:
+            draws = [0.0, 0.5]
+
+            def uniform(self, low, high):
+                return self.draws.pop(0)
+
+        assert _draw_delta(Rng(), 6) == 0.5
 
     def test_missing_dimension_is_input_error(self, capsys):
         code, _, err = run(capsys, ["generate", "--family", "orthogonal"])

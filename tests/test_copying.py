@@ -29,10 +29,26 @@ from loccopy.generators import (
     orthogonal_pair,
     traceless_unitary,
 )
-from loccopy.states import from_unitary, max_entangled
+from loccopy.simulator import run_copy
+from loccopy.states import BipartiteState, assert_max_entangled, from_unitary, max_entangled
 from loccopy.tensor import eig_normal, kron, partial_trace_second
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def near_max_entangled(d, deviation, seed):
+    """A state whose Schmidt probabilities are 1/d, two of them moved by deviation."""
+    probs = np.full(d, 1.0 / d)
+    probs[:2] += (deviation, -deviation)
+    left, right = haar_unitary(d, seed=(seed, 1)), haar_unitary(d, seed=(seed, 2))
+    return BipartiteState(left @ np.diag(np.sqrt(probs)) @ right)
+
+
+@st.composite
+def copyable_cases(draw):
+    d = draw(st.integers(2, 8))
+    m = draw(st.sampled_from([m for m in range(2, d + 1) if d % m == 0]))
+    return d, m, draw(st.integers(0, 2**32 - 1))
 
 
 class TestPairOperator:
@@ -59,8 +75,6 @@ class TestPairOperator:
             pair_operator(max_entangled(2), max_entangled(3))
 
     def test_product_state_rejected(self):
-        from loccopy.states import BipartiteState
-
         grid = np.zeros((2, 2))
         grid[0, 0] = 1.0
         with pytest.raises(PreconditionError):
@@ -286,15 +300,13 @@ class TestSynthesizeA:
 class TestSynthesizeProtocol:
     @pytest.mark.parametrize("d", [2, 3])
     def test_orthogonal_pair_protocol(self, d):
-        from loccopy.simulator import verify_copy
-
         psi1, psi2 = orthogonal_pair(d, seed=17)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(d))
         assert protocol.d == d
         assert protocol.phases[0] == 0.0
         assert protocol.wiring == "A:(1,3) B:(2,4)"
-        assert verify_copy(protocol, psi1) >= 1 - 1e-9
-        assert verify_copy(protocol, psi2) >= 1 - 1e-9
+        assert run_copy(protocol, psi1)[0] >= 1 - 1e-9
+        assert run_copy(protocol, psi2)[0] >= 1 - 1e-9
 
     def test_operators_are_unitary(self):
         psi1, psi2 = copyable_pair(4, m=2, seed=3)
@@ -306,13 +318,11 @@ class TestSynthesizeProtocol:
             protocol.b_op @ protocol.b_op.conj().T - np.eye(n)) < 1e-9
 
     def test_haar_random_blank(self):
-        from loccopy.simulator import verify_copy
-
         psi1, psi2 = copyable_pair(3, m=3, seed=8)
         blank = from_unitary(haar_unitary(3, seed=80))
         protocol = synthesize_protocol(psi1, psi2, blank)
-        assert verify_copy(protocol, psi1) >= 1 - 1e-9
-        assert verify_copy(protocol, psi2) >= 1 - 1e-9
+        assert run_copy(protocol, psi1)[0] >= 1 - 1e-9
+        assert run_copy(protocol, psi2)[0] >= 1 - 1e-9
 
     def test_identical_pair_rejected(self):
         psi = from_unitary(haar_unitary(3, seed=30))
@@ -330,6 +340,20 @@ class TestSynthesizeProtocol:
         assert orthogonality(pair_operator(psi1, psi2)) == ORTHOGONAL
         with pytest.raises(PreconditionError, match="no copying protocol"):
             synthesize_protocol(psi1, psi2, max_entangled(4))
+
+    @pytest.mark.parametrize("d", [4, 12])
+    @pytest.mark.parametrize("deviation", [1e-10, 0.99e-8])
+    def test_nearly_maximally_entangled_blank(self, d, deviation):
+        # passes max_ent_tol, but its unitary is further from unitary than
+        # unitarity_tol allows A to be
+        blank = near_max_entangled(d, deviation, seed=d)
+        assert_max_entangled(blank)
+        psi1, psi2 = copyable_pair(d, 2, seed=d)
+        protocol = synthesize_protocol(psi1, psi2, blank)
+        assert np.linalg.norm(
+            protocol.a_op.conj().T @ protocol.a_op - np.eye(d * d)) < 1e-9
+        for psi in (psi1, psi2):
+            assert run_copy(protocol, psi)[0] >= 1 - 1e-9
 
     def test_second_phase_matches_rotation(self):
         psi1, psi2 = copyable_pair(4, m=4, seed=12)
@@ -368,6 +392,66 @@ class TestSynthesisChecks:
         psi1, psi2 = copyable_pair(4, 2, seed=2)
         with pytest.raises(SynthesisError, match="C1 is not unitary"):
             synthesize_protocol(psi1, psi2, max_entangled(4))
+
+    def test_non_unitary_blank_factor_raises(self, monkeypatch):
+        import loccopy.copying
+
+        psi1, psi2 = copyable_pair(4, 2, seed=2)
+        blank = from_unitary(haar_unitary(4, seed=20))
+        original = loccopy.copying.unitary_of_state
+
+        def scaled_blank(s, config=None):
+            u = original(s, config)
+            return 1.01 * u if s is blank else u
+
+        monkeypatch.setattr(loccopy.copying, "unitary_of_state", scaled_blank)
+        with pytest.raises(SynthesisError, match="A operator is not unitary"):
+            synthesize_protocol(psi1, psi2, blank)
+
+    @given(copyable_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_factored_residuals_match_dense(self, case):
+        import loccopy.copying
+
+        d, m, seed = case
+        psi1, psi2 = copyable_pair(d, m, seed)
+        blank = from_unitary(haar_unitary(d, seed=(seed, 1)))
+        residuals = {}
+        original = loccopy.copying._check_factored_unitary
+
+        def record(*args):
+            residuals[args[-2]] = original(*args)
+            return residuals[args[-2]]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loccopy.copying, "_check_factored_unitary", record)
+            protocol = synthesize_protocol(psi1, psi2, blank)
+        # B = conj(C1) has C1's residual
+        for what, op in (("synthesized C1", protocol.b_op), ("A operator", protocol.a_op)):
+            dense = np.linalg.norm(op.conj().T @ op - np.eye(d * d))
+            assert abs(residuals[what] - dense) < 1e-12
+
+    @given(copyable_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_factored_residual_of_non_unitary_factors(self, case):
+        from loccopy.copying import _check_factored_unitary
+
+        d, _, seed = case
+        rng = np.random.default_rng(seed)
+        left, ra, rb = (
+            haar_unitary(d, seed=(seed, k)) + 0.01 * rng.standard_normal((d, d))
+            for k in range(3)
+        )
+        permutation = rng.permutation(d * d)
+        p = np.zeros((d * d, d * d))
+        p[permutation, np.arange(d * d)] = 1.0
+        x = kron(left, left) @ p @ kron(ra, rb).conj().T
+        dense = np.linalg.norm(x.conj().T @ x - np.eye(d * d))
+        loose = NumericConfig(unitarity_tol=1e6)
+        residual = _check_factored_unitary(left, ra, rb, permutation, "X", loose)
+        assert residual == pytest.approx(dense, rel=1e-10)
+        with pytest.raises(SynthesisError, match="X is not unitary"):
+            _check_factored_unitary(left, ra, rb, permutation, "X", NumericConfig())
 
     def test_operator_size_checked_before_synthesis(self, monkeypatch):
         import loccopy.states
@@ -473,9 +557,9 @@ class TestWorkCounts:
         unitary_calls = count_calls(monkeypatch, loccopy.states, "assert_unitary")
         synthesize_protocol(psi1, psi2, blank)
         assert len(kron_calls) == len(apply_local_calls) == 0
-        # C1, A and B once each; the d x d one is the pair operator W
-        shapes = sorted(np.shape(args[0]) for args in unitary_calls)
-        assert shapes == [(d, d)] + [(d * d, d * d)] * 3
+        # C1 and A are checked from their factors; only the pair operator
+        # W is checked dense
+        assert [np.shape(args[0]) for args in unitary_calls] == [(d, d)]
 
     @pytest.mark.parametrize("d,m", [(2, 2), (6, 3), (12, 4)])
     def test_synthesize_protocol(self, counts, d, m):

@@ -12,7 +12,6 @@ from loccopy.simulator import (
     assemble,
     emit_locc_transcript,
     run_copy,
-    verify_copy,
 )
 from loccopy.states import BipartiteState, from_unitary, max_entangled, overlap
 from loccopy.tensor import kron
@@ -182,11 +181,6 @@ class TestRunCopy:
         protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
         with pytest.raises(ValueError, match="mismatch"):
             run_copy(protocol, max_entangled(3))
-
-    def test_verify_copy_returns_fidelity_only(self):
-        psi1, psi2 = orthogonal_pair(2, seed=72)
-        protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
-        assert verify_copy(protocol, psi1) == run_copy(protocol, psi1)[0]
 
 
 @st.composite
