@@ -223,22 +223,32 @@ def _draw_delta(rng: np.random.Generator, d: int) -> float:
     return delta
 
 
+def _check_dimension(d: int) -> None:
+    """Refuse a subsystem dimension above max_dim before any generator
+    allocates its d x d matrices."""
+    if d > DEFAULT.max_dim:
+        raise ValueError(f"dimension {d} exceeds max dimension {DEFAULT.max_dim}")
+
+
 def cmd_generate(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     meta: dict = {"family": args.family, "seed": seed}
     if args.family == "orthogonal":
         if args.d is None:
             raise ValueError("--d is required for the orthogonal family")
+        _check_dimension(args.d)
         psi1, psi2 = generators.orthogonal_pair(args.d, seed)
     elif args.family == "copyable":
         if args.d is None or args.m is None:
             raise ValueError("--d and --m are required for the copyable family")
+        _check_dimension(args.d)
         psi1, psi2 = generators.copyable_pair(args.d, args.m, seed)
         meta["m"] = args.m
     else:  # nonprime
         if args.d1 is None or args.d2 is None:
             raise ValueError("--d1 and --d2 are required for the nonprime family")
         d = args.d1 * args.d2
+        _check_dimension(d)
         delta = args.delta
         if delta is None:
             delta = _draw_delta(np.random.default_rng((seed, 2)), d)
@@ -260,6 +270,8 @@ def cmd_survey(args) -> int:
     seed = args.seed if args.seed is not None else _default_seed()
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
+    for d in args.d:
+        _check_dimension(d)
     rows = []
     for d in args.d:
         orthogonal_count = 0
@@ -372,7 +384,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fraction of random orthogonal pairs that are copyable, per d")
     p.add_argument("--d", type=int, nargs="+", required=True, help="dimensions to survey")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--family", choices=["orthogonal", "nonprime"], default="orthogonal")
+    p.add_argument("--family", choices=["orthogonal", "nonprime"], default="orthogonal",
+                   help="orthogonal: pair operators whose spectra are antipodal pairs plus "
+                        "at most one equilateral triple, so for d >= 5 spectra such as the "
+                        "regular pentagon (copyable, M = 5) are never drawn and "
+                        "copyable_fraction covers only this family; nonprime: the "
+                        "composite-d counterexamples (default: %(default)s)")
     p.add_argument("--seed", type=int, default=None,
                    help="random seed (default $LOCCOPY_SEED or 0)")
     p.set_defaults(handler=cmd_survey)

@@ -16,7 +16,9 @@ the protocol's local unitaries follow from A by fixed conjugations.
 Every operator synthesis returns is d x d factors around one
 permutation, so it is built, checked for unitarity and verified by
 Kronecker-structured products at O(d^5), never by a product of two
-dense d^2 x d^2 matrices.
+dense d^2 x d^2 matrices.  Those products run in three d^2 x d^2 work
+arrays that each synthesis call allocates once and passes from stage
+to stage; no array outlives the call except the returned A and B.
 """
 from __future__ import annotations
 
@@ -34,7 +36,7 @@ from .config import (
     SynthesisError,
 )
 from .states import BipartiteState, assert_max_entangled, assert_unitary, unitary_of_state
-from .tensor import eig_normal, kron_matmul
+from .tensor import _kron_matmul_into, _permuted_kron, _work_buffers, eig_normal
 
 ORTHOGONAL = "orthogonal"
 IDENTICAL = "identical_up_to_phase"
@@ -242,10 +244,14 @@ def _decompose(t: np.ndarray, config: NumericConfig) -> tuple[np.ndarray, np.nda
 
 def _synthesize_from(
     t: np.ndarray, lam: np.ndarray, v: np.ndarray, report: SpectrumReport,
-    config: NumericConfig,
+    config: NumericConfig, buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """C1 = (V (x) V) P (V (x) V)^dag and the permutation defining P."""
+    """C1 = (V (x) V) P (V (x) V)^dag and the permutation defining P.
+
+    buffers are three d^2 x d^2 work arrays; C1 is a new array.
+    """
     d = t.shape[0]
+    n = d * d
     m = report.detected_m
     labels = _root_labels(lam, report)
     if np.any(np.bincount(labels, minlength=m) != d // m):
@@ -271,22 +277,20 @@ def _synthesize_from(
             f"as source but {target_dims[r]} as target"
         )
     # C1 = W P W^dag with W = V (x) V, whose column k + d*l is v_k (x) v_l,
-    # and P e_mu = e_permutation[mu].  P W^dag is W^dag with its rows
-    # permuted, so C1 costs one Kronecker-structured product.
-    permutation = np.empty(d * d, dtype=int)
+    # and P e_mu = e_permutation[mu].
+    permutation = np.empty(n, dtype=int)
     permutation[np.argsort(source, kind="stable")] = np.argsort(target, kind="stable")
-    _check_factored_unitary(v, v, v, permutation, "synthesized C1", config)
-    vh = v.conj().T
-    z = np.empty((d * d, d * d), dtype=complex)
-    z[permutation] = np.kron(vh, vh)
-    c1 = kron_matmul(v, v, z, config)
+    c1 = _factored_operator(v, v, v, permutation, "synthesized C1", config, buffers)
 
     # For a unitary C1, ||C1 (T~ (x) 1) - (T~ (x) T~) C1||_F equals
     # ||C1 (T~ (x) 1) C1^dag - T~ (x) T~||_F, the defining relation.
+    # Column mu = i + d*l of C1 (T~ (x) 1) sums T~[i', i] over column
+    # i' + d*l of C1, which is one product with C1's rows cut into d-blocks.
+    x, y, z = buffers
     t_rot = np.exp(1j * report.rotation) * t
-    lhs = kron_matmul(t_rot.T, np.eye(d), c1.T, config).T
-    rhs = kron_matmul(t_rot, t_rot, c1, config)
-    residual = float(np.linalg.norm(lhs - rhs))
+    lhs = np.matmul(c1.reshape(n * d, d), t_rot, out=x.reshape(n * d, d)).reshape(n, n)
+    rhs = _kron_matmul_into(t_rot, t_rot, c1, y, z)
+    residual = float(np.linalg.norm(np.subtract(lhs, rhs, out=lhs)))
     if residual > config.synthesis_tol:
         raise SynthesisError(
             f"synthesized A fails its defining relation: residual {residual:.3e}"
@@ -294,22 +298,46 @@ def _synthesize_from(
     return c1, permutation
 
 
+def _factored_operator(
+    left: np.ndarray, ra: np.ndarray, rb: np.ndarray,
+    permutation: np.ndarray, what: str, config: NumericConfig,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> np.ndarray:
+    """X = (L (x) L) P (ra (x) rb)^dag as a new array, checked for
+    unitarity from its factors before it is formed.
+
+    P e_mu = e_permutation[mu].  The check leaves Q = P (ra (x) rb)^dag,
+    a row-permuted Kronecker product, in buffers[0], so X = (L (x) L) Q
+    costs one Kronecker-structured product.
+    """
+    _check_factored_unitary(left, ra, rb, permutation, what, config, buffers=buffers)
+    q, work, _ = buffers
+    return _kron_matmul_into(left, left, q, np.empty_like(q), work)
+
+
 def _check_factored_unitary(
     left: np.ndarray, ra: np.ndarray, rb: np.ndarray,
     permutation: np.ndarray, what: str, config: NumericConfig,
+    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Unitarity check of X = (L (x) L) P (ra (x) rb)^dag from its factors.
 
-    With G = L^dag L, X^dag X = (ra (x) rb) P^dag (G (x) G) P (ra (x) rb)^dag,
-    and P^dag M P is M with rows and columns permuted, so
-    ||X^dag X - I||_F costs O(d^5) against O(d^6) for the dense product.
-    Returns that residual; above unitarity_tol it raises SynthesisError
-    with assert_unitary's text.
+    With G = L^dag L and Q = P (ra (x) rb)^dag,
+    X^dag X = (ra (x) rb) P^dag [(G (x) G) Q].  Q is a row-permuted
+    Kronecker product and P^dag permutes rows, so ||X^dag X - I||_F
+    costs two Kronecker-structured products, O(d^5) against O(d^6) for
+    the dense product.  The work runs in buffers, three d^2 x d^2
+    arrays (new ones when None), and Q is left in buffers[0].  Returns
+    that residual; above unitarity_tol it raises SynthesisError with
+    assert_unitary's text.
     """
+    q, y, z = buffers if buffers is not None else _work_buffers(permutation.size)
     g = left.conj().T @ left
-    gram = np.kron(g, g)[np.ix_(permutation, permutation)]
-    gram = kron_matmul(ra, rb, gram, config)
-    gram = kron_matmul(ra.conj(), rb.conj(), gram.T, config).T
+    _permuted_kron(ra.conj().T, rb.conj().T, np.argsort(permutation), q)
+    _kron_matmul_into(g, g, q, y, z)
+    # a permutation never clips; mode="raise" would copy through a temporary
+    np.take(y, permutation, axis=0, out=z, mode="clip")
+    gram = _kron_matmul_into(ra, rb, z, z, y)
     gram[np.diag_indices_from(gram)] -= 1.0
     residual = float(np.linalg.norm(gram))
     if residual > config.unitarity_tol:
@@ -336,7 +364,7 @@ def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarr
     cfg = config or DEFAULT
     t = np.asarray(t, dtype=complex)
     lam, v, report = _decompose(t, cfg)
-    return _synthesize_from(t, lam, v, report, cfg)[0]
+    return _synthesize_from(t, lam, v, report, cfg, _work_buffers(t.shape[0] ** 2))[0]
 
 
 def synthesize_protocol(
@@ -364,6 +392,11 @@ def synthesize_protocol(
     four-party overlap before being returned; a failed check raises
     SynthesisError.  Raises ValueError when the d^2 x d^2
     operators would exceed max_dim.
+
+    The d^2 x d^2 work of synthesis, checks and verification runs in
+    three work arrays allocated once per call; besides them the call
+    allocates only the returned A and B.  It makes nine passes of the
+    Kronecker kernel and four products with a single d x d factor.
     """
     cfg = config or DEFAULT
     if not psi1.d == psi2.d == blank.d:
@@ -386,7 +419,8 @@ def synthesize_protocol(
             f"states to copy must be orthogonal, got verdict {kind!r}"
         )
     lam, v, report = _decompose(w, cfg)
-    c1, permutation = _synthesize_from(w, lam, v, report, cfg)
+    buffers = _work_buffers(n)
+    c1, permutation = _synthesize_from(w, lam, v, report, cfg, buffers)
 
     # A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag = (U1 V (x) U1 V) P (U1 V (x) U_b V)^dag.
     # U1 and U_b inherit their states' deviation from maximal entanglement,
@@ -395,10 +429,7 @@ def synthesize_protocol(
     # changed W would rotate V inside its degenerate eigenspaces.
     u1, ub = _polish(u1), _polish(ub)
     u1v = u1 @ v
-    _check_factored_unitary(u1v, u1v, ub @ v, permutation, "A operator", cfg)
-    # the right factor goes through transposes,
-    # X (U1 (x) U_b)^dag = (conj(U1 (x) U_b) X^T)^T
-    a_op = kron_matmul(u1.conj(), ub.conj(), kron_matmul(u1, u1, c1, cfg).T, cfg).T
+    a_op = _factored_operator(u1v, u1v, ub @ v, permutation, "A operator", cfg, buffers)
     # B = conj(C_1), so ||B^dag B - I||_F equals C_1's residual exactly and
     # needs no check of its own.  C_1 is not kept, so it is conjugated in
     # place; verification below then holds two d^2 x d^2 operators, not four.
@@ -413,8 +444,8 @@ def synthesize_protocol(
     # validated above
     from .simulator import _simulate
 
-    for label, psi in (("psi1", psi1), ("psi2", psi2)):
-        fidelity, _ = _simulate(protocol, psi, cfg)
+    results = _simulate(protocol, (psi1, psi2), buffers)
+    for label, (fidelity, _) in zip(("psi1", "psi2"), results):
         if fidelity < 1.0 - cfg.fidelity_tol:
             raise SynthesisError(
                 f"synthesized protocol failed verification on {label}: "

@@ -54,7 +54,14 @@ def _traceless_spectrum(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def traceless_unitary(d: int, seed: int) -> np.ndarray:
-    """Random unitary with exactly vanishing trace (orthogonal-pair planter)."""
+    """Random unitary with exactly vanishing trace (orthogonal-pair planter).
+
+    The spectrum is not drawn from all traceless spectra: it is made of
+    antipodal pairs plus at most one equilateral triple (for odd d),
+    each rotated independently, in a Haar-random eigenbasis.  For d >= 5
+    spectra such as the regular pentagon, the 5th roots of unity
+    (copyable with M = 5), are therefore never drawn.
+    """
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     rng = np.random.default_rng(seed)
@@ -108,7 +115,10 @@ def orthogonal_pair(d: int, seed: int) -> tuple[BipartiteState, BipartiteState]:
     """Random orthogonal pair of maximally entangled states.
 
     Plants traceless_unitary(d, seed) as the pair operator, so the
-    overlap vanishes exactly up to roundoff.
+    overlap vanishes exactly up to roundoff.  Its spectrum is antipodal
+    pairs plus at most one equilateral triple, so this family covers
+    only part of the orthogonal pairs: for d >= 5 it never yields, for
+    example, the regular-pentagon spectrum, which is copyable with M = 5.
     """
     return _pair_from_planted(traceless_unitary(d, seed), seed)
 

@@ -17,6 +17,13 @@ def _complex_to_pair(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
+    """[re, im] pairs of values in row-major order, as _complex_to_pair gives
+    them one by one; one tolist call instead of a Python loop."""
+    flat = np.asarray(values, dtype=complex).ravel(order="C")
+    return np.stack((flat.real, flat.imag), axis=-1).tolist()
+
+
 def _pairs_to_array(pairs, what: str) -> np.ndarray:
     try:
         arr = np.asarray(pairs, dtype=float)
@@ -36,7 +43,7 @@ def _require(obj: dict, key: str, what: str):
 def state_to_json(s: BipartiteState) -> dict:
     return {
         "d": s.d,
-        "amplitudes": [_complex_to_pair(z) for z in s.vector()],
+        "amplitudes": _complex_to_pairs(s.vector()),
     }
 
 
@@ -61,10 +68,6 @@ def schmidt_from_json(obj: dict) -> SchmidtVector:
     raise ValueError("Schmidt vector needs a 'probs' or 'coeffs' array")
 
 
-def _matrix_to_json(m: np.ndarray) -> list[list[float]]:
-    return [_complex_to_pair(z) for z in np.asarray(m).ravel(order="C")]
-
-
 def _matrix_from_json(pairs, n: int, what: str) -> np.ndarray:
     flat = _pairs_to_array(pairs, what)
     if flat.size != n * n:
@@ -76,8 +79,8 @@ def protocol_to_json(p: CopyProtocol) -> dict:
     return {
         "d": p.d,
         "blank": state_to_json(p.blank),
-        "A": _matrix_to_json(p.a_op),
-        "B": _matrix_to_json(p.b_op),
+        "A": _complex_to_pairs(p.a_op),
+        "B": _complex_to_pairs(p.b_op),
         "phases": [float(x) for x in p.phases],
         "wiring": p.wiring,
     }

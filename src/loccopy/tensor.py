@@ -50,7 +50,8 @@ def kron_matmul(
     O(d^5) against O(d^6) for the dense product.  A product on the
     right goes through transposes: m @ kron(a, b) equals
     kron_matmul(a.T, b.T, m.T).T.  max_dim is enforced on the shape of
-    kron(a, b), exactly as kron does.
+    kron(a, b), exactly as kron does.  Returns a new array; inside the
+    package the same kernel writes into caller-owned buffers.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -58,10 +59,46 @@ def kron_matmul(
     rows, cols = _check_kron_shape(a, b, config or DEFAULT)
     if m.shape[0] != cols:
         raise ValueError(f"kron of {a.shape} and {b.shape} cannot multiply shape {m.shape}")
-    da, db = a.shape[1], b.shape[1]
-    grid = np.matmul(a, m.reshape(db, da, -1))  # (d_b, rows of a, k)
-    out = b @ grid.reshape(db, -1)
-    return out.reshape((rows,) + m.shape[1:])
+    tail = m.shape[1:]
+    work = np.empty((b.shape[1] * a.shape[0],) + tail, dtype=np.result_type(a, m))
+    out = np.empty((rows,) + tail, dtype=np.result_type(b, work))
+    return _kron_matmul_into(a, b, m, out, work)
+
+
+def _kron_matmul_into(
+    a: np.ndarray, b: np.ndarray, m: np.ndarray, out: np.ndarray, work: np.ndarray
+) -> np.ndarray:
+    """Write kron(a, b) @ m into out and return out; shapes are not checked.
+
+    The stage-1 product, a applied to the middle axis of m reshaped to
+    (d_b, d_a, k), goes to work, which must not share memory with m or
+    out.  out may be m itself, because m is read only in stage 1.  out
+    and work are C-contiguous, so their reshapes are views.
+    """
+    if not (out.flags.c_contiguous and work.flags.c_contiguous):
+        raise ValueError("out and work must be C-contiguous")
+    db = b.shape[1]
+    np.matmul(a, m.reshape(db, a.shape[1], -1), out=work.reshape(db, a.shape[0], -1))
+    np.matmul(b, work.reshape(db, -1), out=out.reshape(b.shape[0], -1))
+    return out
+
+
+def _permuted_kron(a: np.ndarray, b: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write kron(a, b)[rows] into out and return out, at O(d^4).
+
+    Row mu = i + d_a*k of kron(a, b) is the outer product of row k of b
+    and row i of a, so the selected rows are formed directly, with the
+    products kron itself would compute.  out is C-contiguous.
+    """
+    hi, lo = np.divmod(rows, a.shape[0])
+    np.multiply(b[hi][:, :, None], a[lo][:, None, :],
+                out=out.reshape(rows.size, b.shape[1], a.shape[1]))
+    return out
+
+
+def _work_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Three n x n complex work arrays, owned by one call and reused through it."""
+    return tuple(np.empty((n, n), dtype=complex) for _ in range(3))
 
 
 def partial_trace_second(m: np.ndarray, d1: int, d2: int) -> np.ndarray:

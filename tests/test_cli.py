@@ -301,6 +301,25 @@ class TestGenerate:
 
         assert _draw_delta(Rng(), 6) == 0.5
 
+    @pytest.mark.parametrize("family_args", [
+        ["--family", "orthogonal", "--d", "20737"],
+        ["--family", "copyable", "--d", "20737", "--m", "7"],
+        ["--family", "nonprime", "--d1", "2", "--d2", "10369"],
+    ])
+    def test_oversized_dimension_rejected_before_generation(
+            self, capsys, monkeypatch, family_args):
+        from loccopy import generators
+
+        def refuse(*args):
+            raise AssertionError("generator called")
+
+        for name in ("orthogonal_pair", "copyable_pair", "nonprime_counterexample"):
+            monkeypatch.setattr(generators, name, refuse)
+        code, out, err = run(capsys, ["generate"] + family_args)
+        assert code == 2
+        assert out == ""
+        assert "exceeds max dimension 20736" in err
+
     def test_missing_dimension_is_input_error(self, capsys):
         code, _, err = run(capsys, ["generate", "--family", "orthogonal"])
         assert code == 2
@@ -365,6 +384,22 @@ class TestSurvey:
                                     "--samples", "2"])
         assert code == 2
         assert "composite" in err
+
+    @pytest.mark.parametrize("family", ["orthogonal", "nonprime"])
+    def test_oversized_dimension_rejected_before_sampling(self, capsys, monkeypatch, family):
+        from loccopy import generators
+
+        def refuse(*args):
+            raise AssertionError("generator called")
+
+        for name in ("orthogonal_pair", "nonprime_counterexample"):
+            monkeypatch.setattr(generators, name, refuse)
+        # the small dimension listed first is not sampled either
+        code, out, err = run(capsys, ["survey", "--d", "4", "20737", "--family", family,
+                                      "--samples", "2"])
+        assert code == 2
+        assert out == ""
+        assert "dimension 20737 exceeds max dimension 20736" in err
 
     def test_pretty_table(self, capsys):
         code, out, _ = run(capsys, ["survey", "--d", "2", "--samples", "3",

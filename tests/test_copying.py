@@ -30,7 +30,13 @@ from loccopy.generators import (
     traceless_unitary,
 )
 from loccopy.simulator import run_copy
-from loccopy.states import BipartiteState, assert_max_entangled, from_unitary, max_entangled
+from loccopy.states import (
+    BipartiteState,
+    assert_max_entangled,
+    from_unitary,
+    max_entangled,
+    unitary_of_state,
+)
 from loccopy.tensor import eig_normal, kron, partial_trace_second
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -45,8 +51,8 @@ def near_max_entangled(d, deviation, seed):
 
 
 @st.composite
-def copyable_cases(draw):
-    d = draw(st.integers(2, 8))
+def copyable_cases(draw, max_d=8):
+    d = draw(st.integers(2, max_d))
     m = draw(st.sampled_from([m for m in range(2, d + 1) if d % m == 0]))
     return d, m, draw(st.integers(0, 2**32 - 1))
 
@@ -324,6 +330,18 @@ class TestSynthesizeProtocol:
         assert run_copy(protocol, psi1)[0] >= 1 - 1e-9
         assert run_copy(protocol, psi2)[0] >= 1 - 1e-9
 
+    @given(copyable_cases(max_d=6))
+    @settings(max_examples=30, deadline=None)
+    def test_operators_match_dense_construction(self, case):
+        # A = (U1 (x) U1) C1 (U1 (x) U_b)^dag with C1 = conj(B), from dense krons
+        d, m, seed = case
+        psi1, psi2 = copyable_pair(d, m, seed)
+        blank = from_unitary(haar_unitary(d, seed=(seed, 1)))
+        protocol = synthesize_protocol(psi1, psi2, blank)
+        u1, ub = unitary_of_state(psi1), unitary_of_state(blank)
+        dense = kron(u1, u1) @ protocol.b_op.conj() @ kron(u1, ub).conj().T
+        assert np.max(np.abs(protocol.a_op - dense)) < 1e-12
+
     def test_identical_pair_rejected(self):
         psi = from_unitary(haar_unitary(3, seed=30))
         with pytest.raises(PreconditionError, match="orthogonal"):
@@ -419,8 +437,8 @@ class TestSynthesisChecks:
         residuals = {}
         original = loccopy.copying._check_factored_unitary
 
-        def record(*args):
-            residuals[args[-2]] = original(*args)
+        def record(*args, **kwargs):
+            residuals[args[-2]] = original(*args, **kwargs)
             return residuals[args[-2]]
 
         with pytest.MonkeyPatch.context() as mp:
@@ -555,11 +573,32 @@ class TestWorkCounts:
         kron_calls = count_calls(monkeypatch, loccopy.tensor, "kron")
         apply_local_calls = count_calls(monkeypatch, loccopy.simulator, "apply_local")
         unitary_calls = count_calls(monkeypatch, loccopy.states, "assert_unitary")
+        kernel_calls = count_calls(monkeypatch, loccopy.tensor, "_kron_matmul_into")
+        public_calls = count_calls(monkeypatch, loccopy.tensor, "kron_matmul")
         synthesize_protocol(psi1, psi2, blank)
-        assert len(kron_calls) == len(apply_local_calls) == 0
+        assert len(kron_calls) == len(apply_local_calls) == len(public_calls) == 0
+        # Kronecker-kernel passes: two for each factored unitarity check
+        # (C1, A), one to form each of C1 and A, one for the defining
+        # relation, one per verified state
+        assert len(kernel_calls) == 9
         # C1 and A are checked from their factors; only the pair operator
         # W is checked dense
         assert [np.shape(args[0]) for args in unitary_calls] == [(d, d)]
+
+    def test_synthesize_protocol_peak_memory(self):
+        import tracemalloc
+
+        psi1, psi2 = copyable_pair(16, 4, seed=16)
+        blank = from_unitary(haar_unitary(16, seed=17))
+        synthesize_protocol(psi1, psi2, blank)
+        tracemalloc.start()
+        try:
+            synthesize_protocol(psi1, psi2, blank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one 256 x 256 complex array is 1 MiB: three work arrays, A and B
+        assert peak <= 5.2 * 2**20
 
     @pytest.mark.parametrize("d,m", [(2, 2), (6, 3), (12, 4)])
     def test_synthesize_protocol(self, counts, d, m):

@@ -68,7 +68,28 @@ class TestSchmidtJson:
             schmidt_from_json({"values": [1.0]})
 
 
+def per_entry_pairs(values):
+    """The [re, im] encoding built one complex entry at a time."""
+    return [[float(z.real), float(z.imag)] for z in np.asarray(values).ravel(order="C")]
+
+
 class TestProtocolJson:
+    def test_text_matches_per_entry_encoder(self):
+        psi1, psi2 = copyable_pair(6, 3, seed=21)
+        blank = from_unitary(haar_unitary(6, seed=22))
+        protocol = synthesize_protocol(psi1, psi2, blank)
+        expected = {
+            "d": 6,
+            "blank": {"d": 6, "amplitudes": per_entry_pairs(blank.vector())},
+            "A": per_entry_pairs(protocol.a_op),
+            "B": per_entry_pairs(protocol.b_op),
+            "phases": [float(x) for x in protocol.phases],
+            "wiring": protocol.wiring,
+        }
+        assert json.dumps(protocol_to_json(protocol)) == json.dumps(expected)
+        state = {"d": 6, "amplitudes": per_entry_pairs(psi1.vector())}
+        assert json.dumps(state_to_json(psi1)) == json.dumps(state)
+
     def test_round_trip_preserves_behavior(self):
         from loccopy.simulator import run_copy
 

@@ -3,7 +3,15 @@ import pytest
 
 from loccopy.config import NumericConfig, PreconditionError
 from loccopy.generators import haar_unitary
-from loccopy.tensor import eig_normal, kron, kron_matmul, partial_trace_second, permute_factors
+from loccopy.tensor import (
+    _kron_matmul_into,
+    _permuted_kron,
+    eig_normal,
+    kron,
+    kron_matmul,
+    partial_trace_second,
+    permute_factors,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -66,6 +74,26 @@ class TestKronMatmul:
     def test_mismatched_operand_rejected(self):
         with pytest.raises(ValueError, match="cannot multiply"):
             kron_matmul(np.eye(2), np.eye(3), np.eye(5))
+
+    def test_into_buffers_in_place(self):
+        rng = np.random.default_rng(8)
+        a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
+        m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
+        buf, work = m.copy(), np.empty_like(m)
+        assert _kron_matmul_into(a, b, buf, buf, work) is buf
+        assert np.array_equal(buf, kron_matmul(a, b, m))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            _kron_matmul_into(a, b, m, np.empty_like(m).T, work)
+
+
+class TestPermutedKron:
+    def test_selects_rows_of_kron(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        rows = rng.permutation(6)
+        out = _permuted_kron(a, b, rows, np.empty((6, 6), dtype=complex))
+        assert np.array_equal(out, kron(a, b)[rows])
 
 
 class TestPartialTraceSecond:
