@@ -13,12 +13,14 @@ When it does, a unitary A on the doubled space with
 exists and can be built by pairing eigenspaces of equal eigenvalue, and
 the protocol's local unitaries follow from A by fixed conjugations.
 
-Every operator synthesis returns is d x d factors around one
-permutation, so it is built, checked for unitarity and verified by
-Kronecker-structured products at O(d^5), never by a product of two
-dense d^2 x d^2 matrices.  Those products run in three d^2 x d^2 work
-arrays that each synthesis call allocates once and passes from stage
-to stage; no array outlives the call except the returned A and B.
+Synthesis takes the qudit-CNOT pairing: A = sum_s X^s (x) Pi_s, with
+Pi_s the projector onto T~'s eigenspace for the root w^s and X the
+shift from each root's eigenspace to the previous root's.  The
+protocol's A and B are then each a sum of M Kronecker products of
+d x d factors, and every check and the verification run on those
+factors at O(M d^3 + M^2 d^2): unitarity by a certified bound, the
+defining relation and the four-party overlap exactly.  The only
+d^2 x d^2 work is assembling the returned A and B, at O(M d^4).
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ from .config import (
     SynthesisError,
 )
 from .states import BipartiteState, assert_max_entangled, assert_unitary, unitary_of_state
-from .tensor import _kron_matmul_into, _permuted_kron, _work_buffers, eig_normal
+from .tensor import _kron_sum, eig_normal
 
 ORTHOGONAL = "orthogonal"
 IDENTICAL = "identical_up_to_phase"
@@ -244,105 +246,141 @@ def _decompose(t: np.ndarray, config: NumericConfig) -> tuple[np.ndarray, np.nda
 
 def _synthesize_from(
     t: np.ndarray, lam: np.ndarray, v: np.ndarray, report: SpectrumReport,
-    config: NumericConfig, buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> tuple[np.ndarray, np.ndarray]:
-    """C1 = (V (x) V) P (V (x) V)^dag and the permutation defining P.
+    config: NumericConfig,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The controlled shift C1 = sum_s X^s (x) Pi_s for T~, checked from
+    its factors.
 
-    buffers are three d^2 x d^2 work arrays; C1 is a new array.
+    Returns V with its columns grouped by root (root 0 first, d/M
+    columns each) and the stacks of X^s and Pi_s, s = 0..M-1.
     """
     d = t.shape[0]
-    n = d * d
     m = report.detected_m
     labels = _root_labels(lam, report)
-    if np.any(np.bincount(labels, minlength=m) != d // m):
+    dims = np.bincount(labels, minlength=m)
+    if np.any(dims != d // m):
         raise SynthesisError(
-            f"eigenspace dimensions {np.bincount(labels, minlength=m)} "
-            f"disagree with equal degeneracy {d}//{m}"
+            f"eigenspace dimensions {dims} disagree with equal degeneracy {d}//{m}"
         )
-
-    # Eigenvectors of T~ (x) 1 and of T~ (x) T~ are both v_k (x) v_l at
-    # flat index mu = k + d*l, with eigenvalues lambda_{labels[k]} and
-    # lambda_{(labels[k] + labels[l]) mod M}.  The spectral condition
-    # makes the eigenvalue multiplicities match, so a basis permutation
-    # pairing equal eigenvalues, taken in mu order within each root,
-    # conjugates one operator into the other.
-    source = np.tile(labels, d)
-    target = ((labels[None, :] + labels[:, None]) % m).ravel()  # row l, column k: mu
-    source_dims = np.bincount(source, minlength=m)
-    target_dims = np.bincount(target, minlength=m)
-    if np.any(source_dims != target_dims):
-        r = int(np.flatnonzero(source_dims != target_dims)[0])
-        raise SynthesisError(
-            f"eigenspace of root {r} has dimension {source_dims[r]} "
-            f"as source but {target_dims[r]} as target"
-        )
-    # C1 = W P W^dag with W = V (x) V, whose column k + d*l is v_k (x) v_l,
-    # and P e_mu = e_permutation[mu].
-    permutation = np.empty(n, dtype=int)
-    permutation[np.argsort(source, kind="stable")] = np.argsort(target, kind="stable")
-    c1 = _factored_operator(v, v, v, permutation, "synthesized C1", config, buffers)
-
-    # For a unitary C1, ||C1 (T~ (x) 1) - (T~ (x) T~) C1||_F equals
-    # ||C1 (T~ (x) 1) C1^dag - T~ (x) T~||_F, the defining relation.
-    # Column mu = i + d*l of C1 (T~ (x) 1) sums T~[i', i] over column
-    # i' + d*l of C1, which is one product with C1's rows cut into d-blocks.
-    x, y, z = buffers
-    t_rot = np.exp(1j * report.rotation) * t
-    lhs = np.matmul(c1.reshape(n * d, d), t_rot, out=x.reshape(n * d, d)).reshape(n, n)
-    rhs = _kron_matmul_into(t_rot, t_rot, c1, y, z)
-    residual = float(np.linalg.norm(np.subtract(lhs, rhs, out=lhs)))
+    v = v[:, np.argsort(labels, kind="stable")]
+    _check_unitary(v, v, "synthesized C1", config)
+    shifts, projectors = _shift_factors(v, v, m)
+    residual = _relation_residual(shifts, projectors, np.exp(1j * report.rotation) * t)
     if residual > config.synthesis_tol:
         raise SynthesisError(
             f"synthesized A fails its defining relation: residual {residual:.3e}"
         )
-    return c1, permutation
+    return v, shifts, projectors
 
 
-def _factored_operator(
-    left: np.ndarray, ra: np.ndarray, rb: np.ndarray,
-    permutation: np.ndarray, what: str, config: NumericConfig,
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """X = (L (x) L) P (ra (x) rb)^dag as a new array, checked for
-    unitarity from its factors before it is formed.
+def _shift_factors(left: np.ndarray, right: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 2M d x d factors of X = (L (x) L) P (L (x) R)^dag = sum_s x_s (x) y_s,
+    P the controlled shift, as two (M, d, d) stacks.
 
-    P e_mu = e_permutation[mu].  The check leaves Q = P (ra (x) rb)^dag,
-    a row-permuted Kronecker product, in buffers[0], so X = (L (x) L) Q
-    costs one Kronecker-structured product.
+    The columns of L and R come in M blocks of k = d/M, block s for
+    root s.  x_s = roll(L, s*k, axis=1) L^dag and y_s = L_s R_s^dag, with
+    L_s the s-th block of L.  For L = R = V, x_s = X^s maps root r to
+    root r - s, y_s = Pi_s projects onto root s, and X is C1.
     """
-    _check_factored_unitary(left, ra, rb, permutation, what, config, buffers=buffers)
-    q, work, _ = buffers
-    return _kron_matmul_into(left, left, q, np.empty_like(q), work)
+    d = left.shape[0]
+    k = d // m
+    # roll(L, s*k, axis=1)[:, j] is L[:, j - s*k]
+    columns = (np.arange(d) - k * np.arange(m)[:, None]) % d
+    shifts = left[:, columns].transpose(1, 0, 2) @ left.conj().T
+    blocks = left.reshape(d, m, k).transpose(1, 0, 2)
+    projectors = blocks @ right.reshape(d, m, k).conj().transpose(1, 2, 0)
+    return shifts, projectors
 
 
-def _check_factored_unitary(
-    left: np.ndarray, ra: np.ndarray, rb: np.ndarray,
-    permutation: np.ndarray, what: str, config: NumericConfig,
-    buffers: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
-) -> float:
-    """Unitarity check of X = (L (x) L) P (ra (x) rb)^dag from its factors.
+def _gram_defect(f: np.ndarray) -> np.ndarray:
+    """E = F^dag F - I, with I subtracted from the Gram matrix entrywise."""
+    e = f.conj().T @ f
+    e[np.diag_indices_from(e)] -= 1.0
+    return e
 
-    With G = L^dag L and Q = P (ra (x) rb)^dag,
-    X^dag X = (ra (x) rb) P^dag [(G (x) G) Q].  Q is a row-permuted
-    Kronecker product and P^dag permutes rows, so ||X^dag X - I||_F
-    costs two Kronecker-structured products, O(d^5) against O(d^6) for
-    the dense product.  The work runs in buffers, three d^2 x d^2
-    arrays (new ones when None), and Q is left in buffers[0].  Returns
-    that residual; above unitarity_tol it raises SynthesisError with
-    assert_unitary's text.
+
+def _kron_gram_residual(e_left: np.ndarray, e_right: np.ndarray) -> float:
+    """||G_l (x) G_r - I||_F for G = I + E, from the defects E, at O(d^2).
+
+    G_l (x) G_r - I = E_l (x) G_r + I (x) E_r, whose squared norm is
+    ||E_l||^2 ||G_r||^2 + d ||E_r||^2 + 2 tr(E_l) tr(G_r E_r): every
+    term is of the order of the residual itself, so no O(1) quantity
+    cancels, as it would in ||G_l (x) G_r||^2 - 2 Re tr(G_l (x) G_r) + d^2.
     """
-    q, y, z = buffers if buffers is not None else _work_buffers(permutation.size)
-    g = left.conj().T @ left
-    _permuted_kron(ra.conj().T, rb.conj().T, np.argsort(permutation), q)
-    _kron_matmul_into(g, g, q, y, z)
-    # a permutation never clips; mode="raise" would copy through a temporary
-    np.take(y, permutation, axis=0, out=z, mode="clip")
-    gram = _kron_matmul_into(ra, rb, z, z, y)
-    gram[np.diag_indices_from(gram)] -= 1.0
-    residual = float(np.linalg.norm(gram))
-    if residual > config.unitarity_tol:
-        raise SynthesisError(f"{what} is not unitary: ||U^dag U - I|| = {residual:.3e}")
-    return residual
+    g_right = e_right + np.eye(e_right.shape[0])
+    squared = (np.vdot(e_left, e_left).real * np.vdot(g_right, g_right).real
+               + e_left.shape[0] * np.vdot(e_right, e_right).real
+               + 2.0 * np.trace(e_left).real * np.vdot(g_right, e_right).real)
+    return math.sqrt(max(squared, 0.0))
+
+
+def _check_unitary(left: np.ndarray, right: np.ndarray, what: str, config: NumericConfig) -> float:
+    """Certified bound on ||X^dag X - I||_F for X = (L (x) L) P (L (x) R)^dag,
+    P any permutation, from the d x d factors.
+
+    With K1 = L (x) L, K2 = L (x) R and E1 = K1^dag K1 - I,
+    X^dag X - I = (K2 K2^dag - I) + K2 P^dag E1 P K2^dag.  K2 K2^dag and
+    K2^dag K2 share their spectrum, so with e = ||K^dag K - I||_F the
+    residual is at most e2 + (1 + e2) e1, and each e is exact by
+    _kron_gram_residual.  Returns the bound; above unitarity_tol it
+    raises SynthesisError.  A bound within the tolerance puts the dense
+    residual within it too, up to the roundoff of a dense product, so
+    the check is no looser than a dense one.
+    """
+    e_left = _gram_defect(left)
+    e1 = _kron_gram_residual(e_left, e_left)
+    e2 = _kron_gram_residual(e_left, _gram_defect(right))
+    bound = e2 + (1.0 + e2) * e1
+    if bound > config.unitarity_tol:
+        raise SynthesisError(f"{what} is not unitary: ||U^dag U - I|| <= {bound:.3e}")
+    return bound
+
+
+def _relation_residual(shifts: np.ndarray, projectors: np.ndarray, t_rot: np.ndarray) -> float:
+    """||C1 (T~ (x) 1) - (T~ (x) T~) C1||_F for C1 = sum_s X^s (x) Pi_s, at
+    O(M d^3 + M^2 d^2).
+
+    The difference is sum_s D_s (x) Pi_s - (T~ X^s) (x) R_s with
+    D_s = X^s T~ - w^s T~ X^s and R_s = T~ Pi_s - w^s Pi_s (w = e^{2 pi i/M}),
+    so its norm is taken on the small D_s and R_s, not on the two O(1)
+    sides, by ||sum_j a_j (x) b_j||_F^2 = sum_{j,k} <a_j, a_k> <b_j, b_k>.
+    """
+    m = shifts.shape[0]
+    roots = np.exp(1j * TAU / m * np.arange(m))[:, None, None]
+    t_shifts = t_rot @ shifts
+    first = np.concatenate((shifts @ t_rot - roots * t_shifts, t_shifts)).reshape(2 * m, -1)
+    second = np.concatenate(
+        (projectors, roots * projectors - t_rot @ projectors)).reshape(2 * m, -1)
+    squared = np.sum((first.conj() @ first.T) * (second.conj() @ second.T)).real
+    return math.sqrt(max(squared, 0.0))
+
+
+def _factored_overlaps(
+    a_factors: tuple[np.ndarray, np.ndarray], b_factors: tuple[np.ndarray, np.ndarray],
+    blank: BipartiteState, states: tuple[BipartiteState, ...],
+) -> list[tuple[float, float]]:
+    """(fidelity, theta) of A^13 B^24 on each of states, as run_copy
+    returns them, with A = sum_s a_s (x) a'_s and B = sum_t b_t (x) b'_t
+    given by their (M, d, d) factor stacks (a, a') and (b, b').
+
+    (a (x) b) maps the grid c of a two-particle state to a c b^T, so
+    <psi psi| A^13 B^24 |psi blank> = sum_{s,t} <psi|a_s (x) b_t|psi>
+    <psi|a'_s (x) b'_t|blank>, and <psi|a (x) b|phi> = sum((c^dag a g) * b)
+    for phi's grid g.  O(M d^3 + M^2 d^2) per state.
+    """
+    a, a_blank = a_factors
+    b, b_blank = b_factors
+    flat_b = b.reshape(b.shape[0], -1).T
+    flat_b_blank = b_blank.reshape(b_blank.shape[0], -1).T
+    a_blank = a_blank @ blank.grid
+    results = []
+    for psi in states:
+        c_dag = psi.grid.conj().T
+        to_psi = (c_dag @ a @ psi.grid).reshape(a.shape[0], -1) @ flat_b
+        to_blank = (c_dag @ a_blank).reshape(a.shape[0], -1) @ flat_b_blank
+        ip = complex(np.sum(to_psi * to_blank))
+        results.append((abs(ip) ** 2, float(np.angle(ip))))
+    return results
 
 
 def _polish(u: np.ndarray) -> np.ndarray:
@@ -356,15 +394,18 @@ def _polish(u: np.ndarray) -> np.ndarray:
 def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarray:
     """Build a unitary A with A (T~ (x) 1) A^dag = T~ (x) T~.
 
-    T~ is t rotated per spectral_verdict.  A maps the eigenspace of
-    T~ (x) 1 for each root of unity onto the eigenspace of T~ (x) T~ for
-    the same root (A P_r A^dag = Q_r).  Deterministic for a given t.
-    Raises PreconditionError when the spectral condition fails.
+    T~ is t rotated per spectral_verdict.  A is the controlled shift
+    sum_s X^s (x) Pi_s: Pi_s projects onto T~'s eigenspace for the root
+    w^s, and X maps the eigenspace for each root w^r onto the one for
+    w^(r-1), so that X^s T~ X^-s = w^s T~.  It is checked for unitarity
+    and against its defining relation from these d x d factors before
+    it is assembled.  Deterministic for a given t.  Raises
+    PreconditionError when the spectral condition fails.
     """
     cfg = config or DEFAULT
     t = np.asarray(t, dtype=complex)
     lam, v, report = _decompose(t, cfg)
-    return _synthesize_from(t, lam, v, report, cfg, _work_buffers(t.shape[0] ** 2))[0]
+    return _kron_sum(*_synthesize_from(t, lam, v, report, cfg)[1:])
 
 
 def synthesize_protocol(
@@ -377,26 +418,24 @@ def synthesize_protocol(
 
     Requires psi1 and psi2 orthogonal, all three states maximally
     entangled, and the pair operator copyable.  The abstract eigenspace
-    problem is solved for W = U2^dag U1, whose solution is the operator
-    C_1 relating A and B; then A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag and
-    B = conj(C_1), with theta_1 = 0 and theta_2 = -rotation.  W is
-    similar to the pair operator T = U1 U2^dag, so its trace and
-    spectrum decide orthogonality and copyability in T's place.
+    problem is solved for W = U2^dag U1, whose solution is the
+    controlled shift C_1 = sum_s X^s (x) Pi_s of synthesize_a; then
+    A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag and B = conj(C_1), with
+    theta_1 = 0 and theta_2 = -rotation.  W is similar to the pair
+    operator T = U1 U2^dag, so its trace and spectrum decide
+    orthogonality and copyability in T's place.
 
-    Every Kronecker factor is applied without being formed, and each
-    state is validated once.  C_1 and A are checked for unitarity from
-    their d x d factors, at O(d^5); B = conj(C_1) shares C_1's residual.
-    U1 and U_b take one Newton-Schulz step toward unitarity before A is
-    assembled, so a blank that passes max_ent_tol yields a unitary A.
-    The protocol is verified on both states by the closed-form
-    four-party overlap before being returned; a failed check raises
-    SynthesisError.  Raises ValueError when the d^2 x d^2
-    operators would exceed max_dim.
-
-    The d^2 x d^2 work of synthesis, checks and verification runs in
-    three work arrays allocated once per call; besides them the call
-    allocates only the returned A and B.  It makes nine passes of the
-    Kronecker kernel and four products with a single d x d factor.
+    Each state is validated once, and its unitary takes one
+    Newton-Schulz step toward unitarity before W is formed, so states
+    that pass max_ent_tol yield a unitary W and A.  A and B are each a
+    sum of M Kronecker products of d x d factors.  From those factors
+    alone, C_1 and A are checked for unitarity by a certified bound
+    (B = conj(C_1) shares C_1's residual), C_1 against its defining
+    relation, and the protocol by the four-party overlap on both
+    states; a failed check raises SynthesisError.  Only then are the
+    d^2 x d^2 operators A and B assembled, at O(M d^4); no other
+    d^2 x d^2 array is formed.  Raises ValueError when they would
+    exceed max_dim.
     """
     cfg = config or DEFAULT
     if not psi1.d == psi2.d == blank.d:
@@ -408,9 +447,9 @@ def synthesize_protocol(
         raise ValueError(
             f"protocol operators are {n} x {n}, exceeds max dimension {cfg.max_dim}"
         )
-    u1 = unitary_of_state(psi1, cfg)
-    u2 = unitary_of_state(psi2, cfg)
-    ub = unitary_of_state(blank, cfg)
+    # U1, U2 and U_b inherit their states' deviation from maximal
+    # entanglement, which max_ent_tol allows to exceed unitarity_tol.
+    u1, u2, ub = (_polish(unitary_of_state(s, cfg)) for s in (psi1, psi2, blank))
 
     w = u2.conj().T @ u1
     kind = orthogonality(w, cfg)
@@ -419,36 +458,23 @@ def synthesize_protocol(
             f"states to copy must be orthogonal, got verdict {kind!r}"
         )
     lam, v, report = _decompose(w, cfg)
-    buffers = _work_buffers(n)
-    c1, permutation = _synthesize_from(w, lam, v, report, cfg, buffers)
+    v, shifts, projectors = _synthesize_from(w, lam, v, report, cfg)
 
-    # A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag = (U1 V (x) U1 V) P (U1 V (x) U_b V)^dag.
-    # U1 and U_b inherit their states' deviation from maximal entanglement,
-    # which max_ent_tol allows to exceed unitarity_tol; they are polished
-    # only here, after W and V came from the grids as given, because a
-    # changed W would rotate V inside its degenerate eigenspaces.
-    u1, ub = _polish(u1), _polish(ub)
-    u1v = u1 @ v
-    a_op = _factored_operator(u1v, u1v, ub @ v, permutation, "A operator", cfg, buffers)
-    # B = conj(C_1), so ||B^dag B - I||_F equals C_1's residual exactly and
-    # needs no check of its own.  C_1 is not kept, so it is conjugated in
-    # place; verification below then holds two d^2 x d^2 operators, not four.
-    b_op = np.conjugate(c1, out=c1)
-    theta2 = -report.rotation
-    theta2 = (theta2 + math.pi) % TAU - math.pi  # wrap to [-pi, pi)
-    protocol = CopyProtocol(
-        d=psi1.d, blank=blank, a_op=a_op, b_op=b_op, phases=(0.0, theta2)
-    )
-
-    # deferred: simulator imports this module; states and operators are
-    # validated above
-    from .simulator import _simulate
-
-    results = _simulate(protocol, (psi1, psi2), buffers)
-    for label, (fidelity, _) in zip(("psi1", "psi2"), results):
+    # A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag = (U1 V (x) U1 V) P (U1 V (x) U_b V)^dag
+    u1v, ubv = u1 @ v, ub @ v
+    _check_unitary(u1v, ubv, "A operator", cfg)
+    a_factors = _shift_factors(u1v, ubv, report.detected_m)
+    b_factors = (shifts.conj(), projectors.conj())
+    overlaps = _factored_overlaps(a_factors, b_factors, blank, (psi1, psi2))
+    for label, (fidelity, _) in zip(("psi1", "psi2"), overlaps):
         if fidelity < 1.0 - cfg.fidelity_tol:
             raise SynthesisError(
                 f"synthesized protocol failed verification on {label}: "
                 f"fidelity {fidelity!r}"
             )
-    return protocol
+    theta2 = -report.rotation
+    theta2 = (theta2 + math.pi) % TAU - math.pi  # wrap to [-pi, pi)
+    return CopyProtocol(
+        d=psi1.d, blank=blank, a_op=_kron_sum(*a_factors), b_op=_kron_sum(*b_factors),
+        phases=(0.0, theta2),
+    )

@@ -83,16 +83,21 @@ def _kron_matmul_into(
     return out
 
 
-def _permuted_kron(a: np.ndarray, b: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write kron(a, b)[rows] into out and return out, at O(d^4).
+def _kron_sum(first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """sum_s kron(first[s], second[s]) as a new array, for two (M, d, d)
+    stacks of factors, at O(M d^4).
 
-    Row mu = i + d_a*k of kron(a, b) is the outer product of row k of b
-    and row i of a, so the selected rows are formed directly, with the
-    products kron itself would compute.  out is C-contiguous.
+    Row i + d*p, column j + d*q of the sum is
+    sum_s second[s, p, q] first[s, i, j].  For each p that is one product
+    of inner dimension M, whose d^3 result is written straight into the
+    rows i + d*p, so no d^2 x d^2 temporary is formed.
     """
-    hi, lo = np.divmod(rows, a.shape[0])
-    np.multiply(b[hi][:, :, None], a[lo][:, None, :],
-                out=out.reshape(rows.size, b.shape[1], a.shape[1]))
+    m, d, _ = first.shape
+    out = np.empty((d * d, d * d), dtype=np.result_type(first, second))
+    blocks = out.reshape(d, d, d, d)  # [p, i, q, j]
+    flat = first.reshape(m, d * d)
+    for p in range(d):
+        blocks[p] = (second[:, p, :].T @ flat).reshape(d, d, d).transpose(1, 0, 2)
     return out
 
 

@@ -237,6 +237,20 @@ class TestSynthesizeAndSimulate:
         assert code == 0, err
         assert serialization.protocol_from_json(json.loads(out)).d == 4
 
+    def test_nearly_maximally_entangled_pair(self, capsys, tmp_path):
+        from loccopy.states import BipartiteState
+
+        # Schmidt probabilities within 1e-9 of 1/d pass max_ent_tol
+        psi1, psi2 = copyable_pair(4, m=2, seed=3)
+        left, sv, right = np.linalg.svd(psi1.grid)
+        probs = sv**2 + np.array([1e-9, -1e-9, 0.0, 0.0])
+        psi1 = BipartiteState(left @ np.diag(np.sqrt(probs)) @ right)
+        pair = write_json(tmp_path, "pair.json",
+                          serialization.pair_to_json(psi1, psi2))
+        code, out, err = run(capsys, ["synthesize", pair])
+        assert code == 0, err
+        assert serialization.protocol_from_json(json.loads(out)).d == 4
+
     def test_uncopyable_pair_is_negative(self, capsys, tmp_path):
         psi1, psi2 = nonprime_counterexample(2, 2, delta=0.5, seed=8)
         pair = write_json(tmp_path, "pair.json",

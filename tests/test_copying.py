@@ -50,6 +50,14 @@ def near_max_entangled(d, deviation, seed):
     return BipartiteState(left @ np.diag(np.sqrt(probs)) @ right)
 
 
+def moved_schmidt(state, deviation):
+    """state with two Schmidt probabilities moved by deviation, same Schmidt bases."""
+    left, sv, right = np.linalg.svd(state.grid)
+    probs = sv**2
+    probs[:2] += (deviation, -deviation)
+    return BipartiteState(left @ np.diag(np.sqrt(probs)) @ right)
+
+
 @st.composite
 def copyable_cases(draw, max_d=8):
     d = draw(st.integers(2, max_d))
@@ -373,6 +381,32 @@ class TestSynthesizeProtocol:
         for psi in (psi1, psi2):
             assert run_copy(protocol, psi)[0] >= 1 - 1e-9
 
+    @pytest.mark.parametrize("d,deviation", [(4, 1e-9), (12, 5e-9)])
+    def test_nearly_maximally_entangled_states_to_copy(self, d, deviation):
+        # passes max_ent_tol, but W = U2^dag U1 from the grids as given is
+        # further from unitary than unitarity_tol allows
+        psi1, psi2 = copyable_pair(d, 2, seed=3)
+        psi1 = moved_schmidt(psi1, deviation)
+        assert_max_entangled(psi1)
+        protocol = synthesize_protocol(psi1, psi2, max_entangled(d))
+        for psi in (psi1, psi2):
+            assert run_copy(protocol, psi)[0] >= 1 - 1e-9
+
+    @pytest.mark.parametrize("m", [2, 32])
+    def test_dimension_32(self, m):
+        psi1, psi2 = copyable_pair(32, m, seed=32)
+        blank = from_unitary(haar_unitary(32, seed=33))
+        protocol = synthesize_protocol(psi1, psi2, blank)
+        for psi, theta in zip((psi1, psi2), protocol.phases):
+            # the (1,3) pair indexes rows and (2,4) columns, first factor
+            # fastest, so |psi blank> is kron(blank, psi) and A^13 B^24 maps
+            # X to A X B^T
+            target = np.kron(psi.grid, psi.grid)
+            ip = np.vdot(target, protocol.a_op @ np.kron(blank.grid, psi.grid) @ protocol.b_op.T)
+            assert abs(ip) ** 2 >= 1 - 1e-9
+            gap = abs(np.angle(ip) - theta) % TAU
+            assert min(gap, TAU - gap) < 1e-8
+
     def test_second_phase_matches_rotation(self):
         psi1, psi2 = copyable_pair(4, m=4, seed=12)
         u1 = np.sqrt(4) * psi1.grid
@@ -426,51 +460,6 @@ class TestSynthesisChecks:
         with pytest.raises(SynthesisError, match="A operator is not unitary"):
             synthesize_protocol(psi1, psi2, blank)
 
-    @given(copyable_cases())
-    @settings(max_examples=30, deadline=None)
-    def test_factored_residuals_match_dense(self, case):
-        import loccopy.copying
-
-        d, m, seed = case
-        psi1, psi2 = copyable_pair(d, m, seed)
-        blank = from_unitary(haar_unitary(d, seed=(seed, 1)))
-        residuals = {}
-        original = loccopy.copying._check_factored_unitary
-
-        def record(*args, **kwargs):
-            residuals[args[-2]] = original(*args, **kwargs)
-            return residuals[args[-2]]
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(loccopy.copying, "_check_factored_unitary", record)
-            protocol = synthesize_protocol(psi1, psi2, blank)
-        # B = conj(C1) has C1's residual
-        for what, op in (("synthesized C1", protocol.b_op), ("A operator", protocol.a_op)):
-            dense = np.linalg.norm(op.conj().T @ op - np.eye(d * d))
-            assert abs(residuals[what] - dense) < 1e-12
-
-    @given(copyable_cases())
-    @settings(max_examples=30, deadline=None)
-    def test_factored_residual_of_non_unitary_factors(self, case):
-        from loccopy.copying import _check_factored_unitary
-
-        d, _, seed = case
-        rng = np.random.default_rng(seed)
-        left, ra, rb = (
-            haar_unitary(d, seed=(seed, k)) + 0.01 * rng.standard_normal((d, d))
-            for k in range(3)
-        )
-        permutation = rng.permutation(d * d)
-        p = np.zeros((d * d, d * d))
-        p[permutation, np.arange(d * d)] = 1.0
-        x = kron(left, left) @ p @ kron(ra, rb).conj().T
-        dense = np.linalg.norm(x.conj().T @ x - np.eye(d * d))
-        loose = NumericConfig(unitarity_tol=1e6)
-        residual = _check_factored_unitary(left, ra, rb, permutation, "X", loose)
-        assert residual == pytest.approx(dense, rel=1e-10)
-        with pytest.raises(SynthesisError, match="X is not unitary"):
-            _check_factored_unitary(left, ra, rb, permutation, "X", NumericConfig())
-
     def test_operator_size_checked_before_synthesis(self, monkeypatch):
         import loccopy.states
         import loccopy.tensor
@@ -481,6 +470,133 @@ class TestSynthesisChecks:
         with pytest.raises(ValueError, match="9 x 9, exceeds max dimension 8"):
             synthesize_protocol(psi1, psi2, max_entangled(3), NumericConfig(max_dim=8))
         assert len(eig_calls) == len(state_checks) == 0
+
+
+class TestFactoredChecks:
+    """The checks synthesis runs on d x d factors, against dense d^2 x d^2 references."""
+
+    @given(copyable_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_kron_gram_residual_matches_dense(self, case):
+        from loccopy.copying import _gram_defect, _kron_gram_residual
+
+        d, _, seed = case
+        rng = np.random.default_rng(seed)
+        left, right = (haar_unitary(d, seed=(seed, k)) + 0.01 * rng.standard_normal((d, d))
+                       for k in range(2))
+        dense = np.linalg.norm(
+            kron(left.conj().T @ left, right.conj().T @ right) - np.eye(d * d))
+        residual = _kron_gram_residual(_gram_defect(left), _gram_defect(right))
+        assert residual == pytest.approx(dense, rel=1e-12)
+
+    @given(copyable_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_unitarity_bound_covers_dense_residual(self, case):
+        import loccopy.copying
+
+        d, m, seed = case
+        psi1, psi2 = copyable_pair(d, m, seed)
+        blank = from_unitary(haar_unitary(d, seed=(seed, 1)))
+        bounds = {}
+        original = loccopy.copying._check_unitary
+
+        def record(left, right, what, config):
+            bounds[what] = original(left, right, what, config)
+            return bounds[what]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loccopy.copying, "_check_unitary", record)
+            protocol = synthesize_protocol(psi1, psi2, blank)
+        n = d * d
+        # the bound holds in exact arithmetic; assembling an operator and
+        # its dense Gram product add roundoff of order n * eps
+        slack = n * np.finfo(float).eps
+        # B = conj(C1) has C1's residual
+        for what, op in (("synthesized C1", protocol.b_op), ("A operator", protocol.a_op)):
+            dense = np.linalg.norm(op.conj().T @ op - np.eye(n))
+            assert dense <= bounds[what] + slack
+
+    @given(copyable_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_unitarity_bound_of_perturbed_factors(self, case):
+        from loccopy.copying import _check_unitary, _shift_factors
+        from loccopy.tensor import _kron_sum
+
+        d, m, seed = case
+        k = d // m
+        rng = np.random.default_rng(seed)
+        left, right = (haar_unitary(d, seed=(seed, j)) + 0.01 * rng.standard_normal((d, d))
+                       for j in range(2))
+        # P shifts the first factor's index by s*k when the second lies in block s
+        p = sum(kron(np.roll(np.eye(d), s * k, axis=1), np.diag(np.arange(d) // k == s))
+                for s in range(m))
+        x = kron(left, left) @ p @ kron(left, right).conj().T
+        assert np.max(np.abs(_kron_sum(*_shift_factors(left, right, m)) - x)) < 1e-12
+        dense = np.linalg.norm(x.conj().T @ x - np.eye(d * d))
+        bound = _check_unitary(left, right, "X", NumericConfig(unitarity_tol=1e6))
+        assert dense <= bound <= 4.0 * dense
+        with pytest.raises(SynthesisError, match="X is not unitary"):
+            _check_unitary(left, right, "X", NumericConfig())
+
+    @given(copyable_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_relation_residual_matches_dense(self, case):
+        import loccopy.copying
+        from loccopy.copying import _relation_residual
+
+        d, m, seed = case
+        t = copyable_unitary(d, m, seed=seed)
+        factors = []
+        original = loccopy.copying._kron_sum
+
+        def record(first, second):
+            factors.append((first, second))
+            return original(first, second)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loccopy.copying, "_kron_sum", record)
+            c1 = synthesize_a(t)
+        [(shifts, projectors)] = factors
+        t_rot = np.exp(1j * spectral_verdict(t).rotation) * t
+        rng = np.random.default_rng(seed)
+        eye = np.eye(d)
+        # the factored form is exact for any T~, so a perturbed one gives
+        # a residual well above roundoff
+        for t_rel in (t_rot, t_rot + 1e-3 * rng.standard_normal((d, d))):
+            dense = np.linalg.norm(c1 @ kron(t_rel, eye) - kron(t_rel, t_rel) @ c1)
+            residual = _relation_residual(shifts, projectors, t_rel)
+            assert abs(residual - dense) < 1e-12 + 1e-10 * dense
+
+    @given(copyable_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_factored_overlap_matches_apply_local(self, case):
+        import loccopy.copying
+        from loccopy.copying import _factored_overlaps
+        from loccopy.simulator import apply_local, assemble
+
+        d, m, seed = case
+        psi1, psi2 = copyable_pair(d, m, seed)
+        blank = from_unitary(haar_unitary(d, seed=(seed, 1)))
+        factors = []
+        original = loccopy.copying._factored_overlaps
+
+        def record(a_factors, b_factors, blank, states):
+            factors.append((a_factors, b_factors))
+            return original(a_factors, b_factors, blank, states)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loccopy.copying, "_factored_overlaps", record)
+            protocol = synthesize_protocol(psi1, psi2, blank)
+        [(a_factors, b_factors)] = factors
+        states = (psi1, psi2, from_unitary(haar_unitary(d, seed=(seed, 2))))
+        overlaps = _factored_overlaps(a_factors, b_factors, blank, states)
+        for psi, (fidelity, theta) in zip(states, overlaps):
+            final = apply_local(assemble(psi, blank), protocol.a_op, protocol.b_op)
+            ip = complex(np.vdot(assemble(psi, psi).vector, final.vector))
+            assert abs(fidelity - abs(ip) ** 2) < 1e-12
+            if abs(ip) > 1e-2:  # the phase of a vanishing overlap is roundoff
+                gap = abs(theta - np.angle(ip)) % TAU
+                assert min(gap, TAU - gap) < 1e-12
 
 
 class TestCopyProtocolValidation:
@@ -576,11 +692,9 @@ class TestWorkCounts:
         kernel_calls = count_calls(monkeypatch, loccopy.tensor, "_kron_matmul_into")
         public_calls = count_calls(monkeypatch, loccopy.tensor, "kron_matmul")
         synthesize_protocol(psi1, psi2, blank)
-        assert len(kron_calls) == len(apply_local_calls) == len(public_calls) == 0
-        # Kronecker-kernel passes: two for each factored unitarity check
-        # (C1, A), one to form each of C1 and A, one for the defining
-        # relation, one per verified state
-        assert len(kernel_calls) == 9
+        # every check and the verification run on d x d factors
+        assert len(kron_calls) == len(apply_local_calls) == 0
+        assert len(kernel_calls) == len(public_calls) == 0
         # C1 and A are checked from their factors; only the pair operator
         # W is checked dense
         assert [np.shape(args[0]) for args in unitary_calls] == [(d, d)]
@@ -597,7 +711,7 @@ class TestWorkCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one 256 x 256 complex array is 1 MiB: three work arrays, A and B
+        # one 256 x 256 complex array is 1 MiB: A and B
         assert peak <= 5.2 * 2**20
 
     @pytest.mark.parametrize("d,m", [(2, 2), (6, 3), (12, 4)])

@@ -5,7 +5,7 @@ from loccopy.config import NumericConfig, PreconditionError
 from loccopy.generators import haar_unitary
 from loccopy.tensor import (
     _kron_matmul_into,
-    _permuted_kron,
+    _kron_sum,
     eig_normal,
     kron,
     kron_matmul,
@@ -86,14 +86,14 @@ class TestKronMatmul:
             _kron_matmul_into(a, b, m, np.empty_like(m).T, work)
 
 
-class TestPermutedKron:
-    def test_selects_rows_of_kron(self):
-        rng = np.random.default_rng(9)
-        a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        b = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rows = rng.permutation(6)
-        out = _permuted_kron(a, b, rows, np.empty((6, 6), dtype=complex))
-        assert np.array_equal(out, kron(a, b)[rows])
+class TestKronSum:
+    @pytest.mark.parametrize("m,d", [(1, 2), (3, 3), (4, 6)])
+    def test_matches_sum_of_krons(self, m, d):
+        rng = np.random.default_rng(m + d)
+        first, second = (rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))
+                         for _ in range(2))
+        expected = sum(kron(first[s], second[s]) for s in range(m))
+        assert np.max(np.abs(_kron_sum(first, second) - expected)) < 1e-12
 
 
 class TestPartialTraceSecond:
