@@ -31,6 +31,7 @@ from .config import (
 )
 from .copying import (
     ORTHOGONAL,
+    _pair_unitaries,
     orthogonality,
     pair_operator,
     spectral_verdict,
@@ -157,7 +158,9 @@ def cmd_catalysis(args) -> int:
 def cmd_check_pair(args) -> int:
     cfg = _config_from(args)
     psi1, psi2 = _load_pair(args.states)
-    t = pair_operator(psi1, psi2, cfg)
+    # the pair operator of the polished unitaries, as synthesize takes them
+    u1, u2 = _pair_unitaries(psi1, psi2, cfg)
+    t = u1 @ u2.conj().T
     kind = orthogonality(t, cfg)
     report = spectral_verdict(t, cfg)
     payload = {"d": psi1.d, "orthogonality": kind}

@@ -17,10 +17,11 @@ Synthesis takes the qudit-CNOT pairing: A = sum_s X^s (x) Pi_s, with
 Pi_s the projector onto T~'s eigenspace for the root w^s and X the
 shift from each root's eigenspace to the previous root's.  The
 protocol's A and B are then each a sum of M Kronecker products of
-d x d factors, and every check and the verification run on those
-factors at O(M d^3 + M^2 d^2): unitarity by a certified bound, the
-defining relation and the four-party overlap exactly.  The only
-d^2 x d^2 work is assembling the returned A and B, at O(M d^4).
+d x d factors.  The checks of the construction run on those factors
+at O(M d^3 + M^2 d^2): unitarity by a certified bound and the defining
+relation exactly.  The d^2 x d^2 work is assembling the returned A and
+B, at O(M d^4), and verifying them by the four-party overlap on both
+states, at O(d^5) in three work arrays.
 """
 from __future__ import annotations
 
@@ -355,40 +356,28 @@ def _relation_residual(shifts: np.ndarray, projectors: np.ndarray, t_rot: np.nda
     return math.sqrt(max(squared, 0.0))
 
 
-def _factored_overlaps(
-    a_factors: tuple[np.ndarray, np.ndarray], b_factors: tuple[np.ndarray, np.ndarray],
-    blank: BipartiteState, states: tuple[BipartiteState, ...],
-) -> list[tuple[float, float]]:
-    """(fidelity, theta) of A^13 B^24 on each of states, as run_copy
-    returns them, with A = sum_s a_s (x) a'_s and B = sum_t b_t (x) b'_t
-    given by their (M, d, d) factor stacks (a, a') and (b, b').
-
-    (a (x) b) maps the grid c of a two-particle state to a c b^T, so
-    <psi psi| A^13 B^24 |psi blank> = sum_{s,t} <psi|a_s (x) b_t|psi>
-    <psi|a'_s (x) b'_t|blank>, and <psi|a (x) b|phi> = sum((c^dag a g) * b)
-    for phi's grid g.  O(M d^3 + M^2 d^2) per state.
-    """
-    a, a_blank = a_factors
-    b, b_blank = b_factors
-    flat_b = b.reshape(b.shape[0], -1).T
-    flat_b_blank = b_blank.reshape(b_blank.shape[0], -1).T
-    a_blank = a_blank @ blank.grid
-    results = []
-    for psi in states:
-        c_dag = psi.grid.conj().T
-        to_psi = (c_dag @ a @ psi.grid).reshape(a.shape[0], -1) @ flat_b
-        to_blank = (c_dag @ a_blank).reshape(a.shape[0], -1) @ flat_b_blank
-        ip = complex(np.sum(to_psi * to_blank))
-        results.append((abs(ip) ** 2, float(np.angle(ip))))
-    return results
-
-
 def _polish(u: np.ndarray) -> np.ndarray:
     """One Newton-Schulz step U (3I - U^dag U) / 2 toward the nearest unitary.
 
     A deviation e of U's singular values from 1 shrinks to about 3e^2/2.
     """
     return u @ (1.5 * np.eye(u.shape[0]) - 0.5 * (u.conj().T @ u))
+
+
+def _pair_unitaries(
+    psi1: BipartiteState, psi2: BipartiteState, config: NumericConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """U1 and U2 of two maximally entangled states, each polished once.
+
+    A state's U inherits its deviation from maximal entanglement, which
+    max_ent_tol allows to exceed unitarity_tol; after one _polish step
+    U, and the pair operator or W made from it, is unitary to roundoff.
+    synthesize_protocol and the check-pair command both take their
+    unitaries from here, so they give one answer on the same states.
+    """
+    if psi1.d != psi2.d:
+        raise ValueError(f"dimension mismatch: {psi1.d} vs {psi2.d}")
+    return _polish(unitary_of_state(psi1, config)), _polish(unitary_of_state(psi2, config))
 
 
 def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarray:
@@ -426,16 +415,17 @@ def synthesize_protocol(
     orthogonality and copyability in T's place.
 
     Each state is validated once, and its unitary takes one
-    Newton-Schulz step toward unitarity before W is formed, so states
-    that pass max_ent_tol yield a unitary W and A.  A and B are each a
-    sum of M Kronecker products of d x d factors.  From those factors
-    alone, C_1 and A are checked for unitarity by a certified bound
-    (B = conj(C_1) shares C_1's residual), C_1 against its defining
-    relation, and the protocol by the four-party overlap on both
-    states; a failed check raises SynthesisError.  Only then are the
-    d^2 x d^2 operators A and B assembled, at O(M d^4); no other
-    d^2 x d^2 array is formed.  Raises ValueError when they would
-    exceed max_dim.
+    Newton-Schulz step toward unitarity before W is formed
+    (_pair_unitaries, shared with check-pair), so states that pass
+    max_ent_tol yield a unitary W and A.  A and B are each a sum of M
+    Kronecker products of d x d factors.  From those factors alone, C_1
+    and A are checked for unitarity by a certified bound (B = conj(C_1)
+    shares C_1's residual) and C_1 against its defining relation.  Only
+    then are the d^2 x d^2 operators A and B assembled, at O(M d^4), and
+    the returned A and B verified on both states by the closed-form
+    four-party overlap of run_copy, at O(d^5) in three d^2 x d^2 work
+    arrays.  A failed check raises SynthesisError.  Raises ValueError
+    when the operators would exceed max_dim.
     """
     cfg = config or DEFAULT
     if not psi1.d == psi2.d == blank.d:
@@ -447,9 +437,8 @@ def synthesize_protocol(
         raise ValueError(
             f"protocol operators are {n} x {n}, exceeds max dimension {cfg.max_dim}"
         )
-    # U1, U2 and U_b inherit their states' deviation from maximal
-    # entanglement, which max_ent_tol allows to exceed unitarity_tol.
-    u1, u2, ub = (_polish(unitary_of_state(s, cfg)) for s in (psi1, psi2, blank))
+    u1, u2 = _pair_unitaries(psi1, psi2, cfg)
+    ub = _polish(unitary_of_state(blank, cfg))
 
     w = u2.conj().T @ u1
     kind = orthogonality(w, cfg)
@@ -465,16 +454,21 @@ def synthesize_protocol(
     _check_unitary(u1v, ubv, "A operator", cfg)
     a_factors = _shift_factors(u1v, ubv, report.detected_m)
     b_factors = (shifts.conj(), projectors.conj())
-    overlaps = _factored_overlaps(a_factors, b_factors, blank, (psi1, psi2))
-    for label, (fidelity, _) in zip(("psi1", "psi2"), overlaps):
+    theta2 = -report.rotation
+    theta2 = (theta2 + math.pi) % TAU - math.pi  # wrap to [-pi, pi)
+    protocol = CopyProtocol(
+        d=psi1.d, blank=blank, a_op=_kron_sum(*a_factors), b_op=_kron_sum(*b_factors),
+        phases=(0.0, theta2),
+    )
+
+    # deferred: simulator imports this module; states and operators are
+    # validated above
+    from .simulator import _simulate
+
+    for label, (fidelity, _) in zip(("psi1", "psi2"), _simulate(protocol, (psi1, psi2))):
         if fidelity < 1.0 - cfg.fidelity_tol:
             raise SynthesisError(
                 f"synthesized protocol failed verification on {label}: "
                 f"fidelity {fidelity!r}"
             )
-    theta2 = -report.rotation
-    theta2 = (theta2 + math.pi) % TAU - math.pi  # wrap to [-pi, pi)
-    return CopyProtocol(
-        d=psi1.d, blank=blank, a_op=_kron_sum(*a_factors), b_op=_kron_sum(*b_factors),
-        phases=(0.0, theta2),
-    )
+    return protocol

@@ -5,14 +5,15 @@ blank on (3,4).  Protocol operators act across that split, A on (1,3)
 and B on (2,4).  run_copy evaluates <psi psi| A^13 B^24 |psi blank> in
 closed form on the dense A and B of any protocol, a loaded one
 included, applying the Kronecker products of the amplitude grids
-without forming them.  Synthesis verifies its protocol before A and B
-are assembled, by the same overlap taken on their d x d factors
-(copying._factored_overlaps).  apply_local, which re-wires the factor
-order through the (1,3,2,4) permutation and back, builds the whole
-four-particle output and stays as the brute-force oracle.
+without forming them.  Synthesis verifies the A and B it returns on
+both of its states with one call of the same routine, _simulate.
+apply_local, which re-wires the factor order through the (1,3,2,4)
+permutation and back, builds the whole four-particle output and stays
+as the brute-force oracle.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .config import DEFAULT, NORM_TOL, NumericConfig
 from .copying import CopyProtocol
 from .states import BipartiteState, assert_max_entangled, assert_unitary
-from .tensor import _kron_matmul_into, _work_buffers, permute_factors
+from .tensor import _kron_matmul_into, permute_factors
 
 WIRING = (1, 3, 2, 4)  # self-inverse factor permutation pairing A and B slots
 
@@ -102,33 +103,39 @@ def run_copy(
     assert_max_entangled(psi, cfg)
     assert_unitary(protocol.a_op, cfg, "A operator")
     assert_unitary(protocol.b_op, cfg, "B operator")
-    return _simulate(protocol, psi)
+    return _simulate(protocol, (psi,))[0]
 
 
-def _simulate(protocol: CopyProtocol, psi: BipartiteState) -> tuple[float, float]:
-    """run_copy on inputs already validated: psi maximally entangled of
-    dimension d, A and B unitary.
+def _simulate(
+    protocol: CopyProtocol, states: Sequence[BipartiteState]
+) -> list[tuple[float, float]]:
+    """run_copy on each of states, on inputs already validated: every state
+    maximally entangled of dimension d, A and B unitary.
 
     With the (1,3) particle pair indexing rows and (2,4) columns, first
     factor fastest, |psi^12>|b^34> is the d^2 x d^2 matrix X = kron(psi, b)
     of amplitude grids, |psi^12>|psi^34> is Y = kron(psi, psi), and
     A^13 B^24 maps X to A X B^T.  The overlap is therefore
     sum(conj(Y) * (A X B^T)) = sum((A X) * (conj(Y) B)), at O(d^5).
-    A X = (A kron(1, b)) kron(psi, 1), so psi's factor is one product
-    with A kron(1, b) cut into rows of d.  The work runs in three
-    d^2 x d^2 arrays.
+    A X = (A kron(1, b)) kron(psi, 1), so the blank's factor is applied
+    to A once for all states, and psi's as one product with A kron(1, b)
+    cut into rows of d.  The work runs in three d^2 x d^2 arrays,
+    allocated once and reused for every state.
     """
     d = protocol.d
     n = d * d
-    x, y, z = _work_buffers(n)
-    c = psi.grid
+    x, y, z = (np.empty((n, n), dtype=complex) for _ in range(3))
     # column i + d*l of A kron(1, b) sums b[k, l] over column i + d*k of A
     ab = np.matmul(protocol.blank.grid.T, protocol.a_op.reshape(n, d, d),
                    out=x.reshape(n, d, d))
-    yb = _kron_matmul_into(c.conj(), c.conj(), protocol.b_op, y, z)   # conj(Y) B
-    ax = np.matmul(ab.reshape(n * d, d), c, out=z.reshape(n * d, d))  # A X
-    ip = complex(np.dot(ax.ravel(), yb.ravel()))
-    return abs(ip) ** 2, float(np.angle(ip))
+    results = []
+    for psi in states:
+        c = psi.grid
+        yb = _kron_matmul_into(c.conj(), c.conj(), protocol.b_op, y, z)   # conj(Y) B
+        ax = np.matmul(ab.reshape(n * d, d), c, out=z.reshape(n * d, d))  # A X
+        ip = complex(np.dot(ax.ravel(), yb.ravel()))
+        results.append((abs(ip) ** 2, float(np.angle(ip))))
+    return results
 
 
 def emit_locc_transcript(protocol: CopyProtocol) -> str:

@@ -101,11 +101,6 @@ def _kron_sum(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return out
 
 
-def _work_buffers(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three n x n complex work arrays, owned by one call and reused through it."""
-    return tuple(np.empty((n, n), dtype=complex) for _ in range(3))
-
-
 def partial_trace_second(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
     """Trace out the second factor of an operator on a d1*d2 dimensional space.
 

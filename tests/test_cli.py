@@ -237,19 +237,28 @@ class TestSynthesizeAndSimulate:
         assert code == 0, err
         assert serialization.protocol_from_json(json.loads(out)).d == 4
 
-    def test_nearly_maximally_entangled_pair(self, capsys, tmp_path):
+    @pytest.mark.parametrize("d,deviation", [(4, 1e-9), (12, 5e-9)])
+    def test_nearly_maximally_entangled_pair(self, capsys, tmp_path, d, deviation):
         from loccopy.states import BipartiteState
 
-        # Schmidt probabilities within 1e-9 of 1/d pass max_ent_tol
-        psi1, psi2 = copyable_pair(4, m=2, seed=3)
+        # Schmidt probabilities within 1e-9 of 1/d pass max_ent_tol;
+        # check-pair and synthesize polish the unitaries alike, so both
+        # accept the pair
+        psi1, psi2 = copyable_pair(d, m=2, seed=3)
         left, sv, right = np.linalg.svd(psi1.grid)
-        probs = sv**2 + np.array([1e-9, -1e-9, 0.0, 0.0])
+        probs = sv**2
+        probs[:2] += (deviation, -deviation)
         psi1 = BipartiteState(left @ np.diag(np.sqrt(probs)) @ right)
         pair = write_json(tmp_path, "pair.json",
                           serialization.pair_to_json(psi1, psi2))
+        code, out, err = run(capsys, ["check-pair", pair])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["orthogonality"], payload["copyable"], payload["detected_m"]) == (
+            "orthogonal", True, 2)
         code, out, err = run(capsys, ["synthesize", pair])
         assert code == 0, err
-        assert serialization.protocol_from_json(json.loads(out)).d == 4
+        assert serialization.protocol_from_json(json.loads(out)).d == d
 
     def test_uncopyable_pair_is_negative(self, capsys, tmp_path):
         psi1, psi2 = nonprime_counterexample(2, 2, delta=0.5, seed=8)

@@ -460,6 +460,24 @@ class TestSynthesisChecks:
         with pytest.raises(SynthesisError, match="A operator is not unitary"):
             synthesize_protocol(psi1, psi2, blank)
 
+    def test_verification_runs_on_returned_operators(self, monkeypatch):
+        import loccopy.copying
+
+        original = loccopy.copying._kron_sum
+        assembled = []
+
+        def transposed_b(first, second):
+            # the second assembly is B; its transpose is unitary, but does
+            # not copy
+            op = original(first, second)
+            assembled.append(op)
+            return op.T.copy() if len(assembled) == 2 else op
+
+        monkeypatch.setattr(loccopy.copying, "_kron_sum", transposed_b)
+        psi1, psi2 = copyable_pair(4, 2, seed=2)
+        with pytest.raises(SynthesisError, match="failed verification on psi1"):
+            synthesize_protocol(psi1, psi2, from_unitary(haar_unitary(4, seed=20)))
+
     def test_operator_size_checked_before_synthesis(self, monkeypatch):
         import loccopy.states
         import loccopy.tensor
@@ -567,38 +585,6 @@ class TestFactoredChecks:
             residual = _relation_residual(shifts, projectors, t_rel)
             assert abs(residual - dense) < 1e-12 + 1e-10 * dense
 
-    @given(copyable_cases())
-    @settings(max_examples=30, deadline=None)
-    def test_factored_overlap_matches_apply_local(self, case):
-        import loccopy.copying
-        from loccopy.copying import _factored_overlaps
-        from loccopy.simulator import apply_local, assemble
-
-        d, m, seed = case
-        psi1, psi2 = copyable_pair(d, m, seed)
-        blank = from_unitary(haar_unitary(d, seed=(seed, 1)))
-        factors = []
-        original = loccopy.copying._factored_overlaps
-
-        def record(a_factors, b_factors, blank, states):
-            factors.append((a_factors, b_factors))
-            return original(a_factors, b_factors, blank, states)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(loccopy.copying, "_factored_overlaps", record)
-            protocol = synthesize_protocol(psi1, psi2, blank)
-        [(a_factors, b_factors)] = factors
-        states = (psi1, psi2, from_unitary(haar_unitary(d, seed=(seed, 2))))
-        overlaps = _factored_overlaps(a_factors, b_factors, blank, states)
-        for psi, (fidelity, theta) in zip(states, overlaps):
-            final = apply_local(assemble(psi, blank), protocol.a_op, protocol.b_op)
-            ip = complex(np.vdot(assemble(psi, psi).vector, final.vector))
-            assert abs(fidelity - abs(ip) ** 2) < 1e-12
-            if abs(ip) > 1e-2:  # the phase of a vanishing overlap is roundoff
-                gap = abs(theta - np.angle(ip)) % TAU
-                assert min(gap, TAU - gap) < 1e-12
-
-
 class TestCopyProtocolValidation:
     def test_wrong_operator_shape_rejected(self):
         with pytest.raises(ValueError, match="operators"):
@@ -692,9 +678,10 @@ class TestWorkCounts:
         kernel_calls = count_calls(monkeypatch, loccopy.tensor, "_kron_matmul_into")
         public_calls = count_calls(monkeypatch, loccopy.tensor, "kron_matmul")
         synthesize_protocol(psi1, psi2, blank)
-        # every check and the verification run on d x d factors
-        assert len(kron_calls) == len(apply_local_calls) == 0
-        assert len(kernel_calls) == len(public_calls) == 0
+        # the checks of C1 and A run on d x d factors; the verification of
+        # the returned A and B makes one Kronecker pass per state
+        assert len(kron_calls) == len(apply_local_calls) == len(public_calls) == 0
+        assert len(kernel_calls) == 2
         # C1 and A are checked from their factors; only the pair operator
         # W is checked dense
         assert [np.shape(args[0]) for args in unitary_calls] == [(d, d)]
@@ -711,7 +698,8 @@ class TestWorkCounts:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # one 256 x 256 complex array is 1 MiB: A and B
+        # one 256 x 256 complex array is 1 MiB: A, B and the three work
+        # arrays of the verification
         assert peak <= 5.2 * 2**20
 
     @pytest.mark.parametrize("d,m", [(2, 2), (6, 3), (12, 4)])
