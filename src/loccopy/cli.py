@@ -31,7 +31,6 @@ from .config import (
 )
 from .copying import (
     ORTHOGONAL,
-    _pair_unitaries,
     orthogonality,
     pair_operator,
     spectral_verdict,
@@ -158,9 +157,7 @@ def cmd_catalysis(args) -> int:
 def cmd_check_pair(args) -> int:
     cfg = _config_from(args)
     psi1, psi2 = _load_pair(args.states)
-    # the pair operator of the polished unitaries, as synthesize takes them
-    u1, u2 = _pair_unitaries(psi1, psi2, cfg)
-    t = u1 @ u2.conj().T
+    t = pair_operator(psi1, psi2, cfg)
     kind = orthogonality(t, cfg)
     report = spectral_verdict(t, cfg)
     payload = {"d": psi1.d, "orthogonality": kind}

@@ -38,7 +38,7 @@ from .config import (
     PreconditionError,
     SynthesisError,
 )
-from .states import BipartiteState, assert_max_entangled, assert_unitary, unitary_of_state
+from .states import BipartiteState, _gram_defect, assert_unitary, unitary_of_state
 from .tensor import _kron_sum, eig_normal
 
 ORTHOGONAL = "orthogonal"
@@ -88,19 +88,20 @@ class CopyProtocol:
 def pair_operator(
     psi1: BipartiteState, psi2: BipartiteState, config: NumericConfig | None = None
 ) -> np.ndarray:
-    """T = D * PT_2(|psi1><psi2|), equal to U1 U2^dag; unitary.
+    """T = D * PT_2(|psi1><psi2|) = U1 U2^dag, from the polished unitaries.
 
     Tracing out the second factor of |psi1><psi2| contracts the two
     amplitude grids over their second index, so T = D * C1 C2^dag.
     Both inputs must be maximally entangled; that is exactly the
     condition under which the partial trace is proportional to a unitary.
+    T is formed from U1 and U2 as unitary_of_state polishes them
+    (_pair_unitaries): it differs from D * C1 C2^dag by about the
+    states' deviation from maximal entanglement, and is unitary to
+    roundoff for every pair that passes max_ent_tol, so spectral_verdict
+    accepts the pairs that synthesize_protocol accepts.
     """
-    cfg = config or DEFAULT
-    if psi1.d != psi2.d:
-        raise ValueError(f"dimension mismatch: {psi1.d} vs {psi2.d}")
-    assert_max_entangled(psi1, cfg)
-    assert_max_entangled(psi2, cfg)
-    return psi1.d * psi1.grid @ psi2.grid.conj().T
+    u1, u2 = _pair_unitaries(psi1, psi2, config or DEFAULT)
+    return u1 @ u2.conj().T
 
 
 def orthogonality(t: np.ndarray, config: NumericConfig | None = None) -> str:
@@ -121,57 +122,73 @@ def orthogonality(t: np.ndarray, config: NumericConfig | None = None) -> str:
     return NEITHER
 
 
-def _cluster_phases(phases: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Group phases (radians, [0, 2pi)) into clusters cut at gaps > tol.
-
-    The first and last groups merge when they meet across the 0/2pi seam.
-    Returns (circular mean per cluster, cluster index per phase); cluster 0
-    holds the smallest phase.
-    """
-    order = np.argsort(phases)
-    sp = phases[order]
-    sorted_labels = np.concatenate(([0], np.cumsum(np.diff(sp) > tol)))
-    count = int(sorted_labels[-1]) + 1
-    if count > 1 and (sp[0] + TAU - sp[-1]) <= tol:
-        count -= 1
-        sorted_labels[sorted_labels == count] = 0
-    labels = np.empty_like(sorted_labels)
-    labels[order] = sorted_labels
-    z = np.exp(1j * phases)
-    sums = (np.bincount(labels, weights=z.real, minlength=count)
-            + 1j * np.bincount(labels, weights=z.imag, minlength=count))
-    return np.angle(sums) % TAU, labels
-
-
 def _verdict(lam: np.ndarray, trace: complex, config: NumericConfig) -> SpectrumReport:
-    """The spectral verdict on the eigenvalues lam of a unitary pair operator."""
-    d = lam.size
-    phases = np.angle(lam) % TAU
-    reps, labels = _cluster_phases(phases, config.phase_tol)
-    m = reps.size
-    multiplicities = np.bincount(labels, minlength=m)
+    """The spectral verdict on the eigenvalues lam of a unitary pair operator.
 
-    by_phase = np.argsort(reps, kind="stable")
+    Three array operations give the phases in [0, 2pi), their sort order
+    and the points e^{i phase}, and a fourth the M cluster angles; the
+    rest is one plain-Python pass over those d values and the M
+    clusters, which for the d of a verdict costs less than the per-call
+    overhead of further array operations.  The sorted phases are cut
+    into clusters at gaps > phase_tol, and the first and last clusters
+    merge when they meet across the 0/2pi seam; cluster 0 holds the
+    smallest phase.  Each cluster is represented by
+    the circular mean of its phases, accumulated in eigenvalue order.
+    Two representatives within 2 phase_tol raise AmbiguityError.
+    Otherwise the rotation puts cluster 0 at 0, and the pair is copyable
+    iff the rotated representatives lie within phase_tol of the M-th
+    roots of unity (M the number of clusters) and every multiplicity
+    is D/M.
+    """
+    tol = config.phase_tol
+    phases = np.angle(lam) % TAU
+    order = np.argsort(phases)
+    points = np.exp(1j * phases).tolist()
+    values = phases.tolist()
+    d = len(values)
+
+    sorted_idx = order.tolist()
+    labels = [0] * d
+    m = 0
+    previous = values[sorted_idx[0]]
+    for i in sorted_idx[1:]:
+        if values[i] - previous > tol:
+            m += 1
+        labels[i] = m
+        previous = values[i]
+    m += 1
+    if m > 1 and values[sorted_idx[0]] + TAU - previous <= tol:
+        m -= 1
+        labels = [0 if label == m else label for label in labels]
+
+    real, imag, multiplicities = [0.0] * m, [0.0] * m, [0] * m
+    for label, z in zip(labels, points):
+        real[label] += z.real
+        imag[label] += z.imag
+        multiplicities[label] += 1
+    # numpy's arctan2, not math.atan2, which can differ in the last ulp
+    reps = (np.arctan2(imag, real) % TAU).tolist()
+
+    by_phase = sorted(range(m), key=reps.__getitem__)
     if m > 1:
-        sorted_reps = reps[by_phase]
-        smallest = float(np.min(np.diff(sorted_reps, append=sorted_reps[0] + TAU)))
-        if smallest <= 2.0 * config.phase_tol:
+        ordered = [reps[k] for k in by_phase]
+        smallest = min(b - a for a, b in zip(ordered, ordered[1:] + [ordered[0] + TAU]))
+        if smallest <= 2.0 * tol:
             raise AmbiguityError(
                 f"two eigenphase clusters are separated by only {smallest:.3e} rad, "
-                f"between phase_tol {config.phase_tol:.1e} and twice that; "
+                f"between phase_tol {tol:.1e} and twice that; "
                 "the clustering is ambiguous at this tolerance"
             )
 
-    rotation = float((-reps[0]) % TAU)  # cluster 0 holds the smallest phase
-    rotated = (reps + rotation) % TAU
-    by_rotated = np.argsort(rotated, kind="stable")
-    offset = np.abs(rotated[by_rotated] - TAU * np.arange(m) / m) % TAU
-    aligned = bool(np.all(np.minimum(offset, TAU - offset) <= config.phase_tol))
-    copyable = aligned and d % m == 0 and bool(np.all(multiplicities == d // m))
+    rotation = -reps[0] % TAU  # cluster 0 holds the smallest phase
+    rotated = sorted((r + rotation) % TAU for r in reps)
+    offsets = (abs(r - TAU * k / m) % TAU for k, r in enumerate(rotated))
+    aligned = all(min(offset, TAU - offset) <= tol for offset in offsets)
+    copyable = aligned and d % m == 0 and all(c == d // m for c in multiplicities)
 
     return SpectrumReport(
-        eigenphases=np.sort(phases),
-        clusters=tuple(zip(reps[by_phase].tolist(), multiplicities[by_phase].tolist())),
+        eigenphases=phases[order],
+        clusters=tuple((reps[k], multiplicities[k]) for k in by_phase),
         rotation=rotation,
         detected_m=m if copyable else None,
         copyable=copyable,
@@ -293,13 +310,6 @@ def _shift_factors(left: np.ndarray, right: np.ndarray, m: int) -> tuple[np.ndar
     return shifts, projectors
 
 
-def _gram_defect(f: np.ndarray) -> np.ndarray:
-    """E = F^dag F - I, with I subtracted from the Gram matrix entrywise."""
-    e = f.conj().T @ f
-    e[np.diag_indices_from(e)] -= 1.0
-    return e
-
-
 def _kron_gram_residual(e_left: np.ndarray, e_right: np.ndarray) -> float:
     """||G_l (x) G_r - I||_F for G = I + E, from the defects E, at O(d^2).
 
@@ -356,28 +366,22 @@ def _relation_residual(shifts: np.ndarray, projectors: np.ndarray, t_rot: np.nda
     return math.sqrt(max(squared, 0.0))
 
 
-def _polish(u: np.ndarray) -> np.ndarray:
-    """One Newton-Schulz step U (3I - U^dag U) / 2 toward the nearest unitary.
-
-    A deviation e of U's singular values from 1 shrinks to about 3e^2/2.
-    """
-    return u @ (1.5 * np.eye(u.shape[0]) - 0.5 * (u.conj().T @ u))
-
-
 def _pair_unitaries(
     psi1: BipartiteState, psi2: BipartiteState, config: NumericConfig
 ) -> tuple[np.ndarray, np.ndarray]:
-    """U1 and U2 of two maximally entangled states, each polished once.
+    """U1 and U2 of two maximally entangled states, each validated and
+    polished once by unitary_of_state.
 
     A state's U inherits its deviation from maximal entanglement, which
-    max_ent_tol allows to exceed unitarity_tol; after one _polish step
-    U, and the pair operator or W made from it, is unitary to roundoff.
-    synthesize_protocol and the check-pair command both take their
-    unitaries from here, so they give one answer on the same states.
+    max_ent_tol allows to exceed unitarity_tol; after the polish U, and
+    the pair operator T or W made from it, is unitary to roundoff.
+    pair_operator (and through it check-pair and survey) and
+    synthesize_protocol take their unitaries from here, so they give one
+    answer on the same states.
     """
     if psi1.d != psi2.d:
         raise ValueError(f"dimension mismatch: {psi1.d} vs {psi2.d}")
-    return _polish(unitary_of_state(psi1, config)), _polish(unitary_of_state(psi2, config))
+    return unitary_of_state(psi1, config), unitary_of_state(psi2, config)
 
 
 def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarray:
@@ -414,17 +418,17 @@ def synthesize_protocol(
     operator T = U1 U2^dag, so its trace and spectrum decide
     orthogonality and copyability in T's place.
 
-    Each state is validated once, and its unitary takes one
-    Newton-Schulz step toward unitarity before W is formed
-    (_pair_unitaries, shared with check-pair), so states that pass
-    max_ent_tol yield a unitary W and A.  A and B are each a sum of M
-    Kronecker products of d x d factors.  From those factors alone, C_1
-    and A are checked for unitarity by a certified bound (B = conj(C_1)
-    shares C_1's residual) and C_1 against its defining relation.  Only
-    then are the d^2 x d^2 operators A and B assembled, at O(M d^4), and
-    the returned A and B verified on both states by the closed-form
-    four-party overlap of run_copy, at O(d^5) in three d^2 x d^2 work
-    arrays.  A failed check raises SynthesisError.  Raises ValueError
+    Each state is validated once, from one Gram matrix that also gives
+    its unitary one Newton-Schulz step toward unitarity before W is
+    formed (unitary_of_state; _pair_unitaries is shared with
+    pair_operator), so states that pass max_ent_tol yield a unitary W
+    and A.  A and B are each a sum of M Kronecker products of d x d
+    factors.  From those factors alone, C_1 and A are checked for
+    unitarity by a certified bound (B = conj(C_1) shares C_1's
+    residual) and C_1 against its defining relation.  Only then are the
+    d^2 x d^2 operators A and B assembled, at O(M d^4), and the returned
+    A and B verified on both states by the closed-form four-party
+    overlap of run_copy, at O(d^5) in three d^2 x d^2 work arrays.  A failed check raises SynthesisError.  Raises ValueError
     when the operators would exceed max_dim.
     """
     cfg = config or DEFAULT
@@ -438,7 +442,7 @@ def synthesize_protocol(
             f"protocol operators are {n} x {n}, exceeds max dimension {cfg.max_dim}"
         )
     u1, u2 = _pair_unitaries(psi1, psi2, cfg)
-    ub = _polish(unitary_of_state(blank, cfg))
+    ub = unitary_of_state(blank, cfg)
 
     w = u2.conj().T @ u1
     kind = orthogonality(w, cfg)

@@ -8,6 +8,7 @@ representations convert via from_unitary and unitary_of_state.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,32 +80,73 @@ def unitary_of_state(s: BipartiteState, config: NumericConfig | None = None) -> 
     """Recover U with from_unitary(U) == s; inverse of from_unitary.
 
     Requires s maximally entangled: its Schmidt probabilities must all
-    equal 1/d within max_ent_tol.
+    equal 1/d within max_ent_tol (see assert_max_entangled).  U is
+    sqrt(d) C after one Newton-Schulz step U (3I - U^dag U) / 2 toward
+    the nearest unitary, taken as U - U E / 2 from the defect E that the
+    validation forms anyway.  A deviation e of U's singular values from
+    1 shrinks to about 3e^2/2, so U is unitary to roundoff although
+    max_ent_tol allows e to exceed unitarity_tol; for a state made by
+    from_unitary, U is returned to roundoff.
     """
-    cfg = config or DEFAULT
-    assert_max_entangled(s, cfg)
-    return s.grid * np.sqrt(s.d)
+    u, e = _max_entangled_defect(s, config or DEFAULT)
+    return u - 0.5 * (u @ e)
 
 
 def assert_max_entangled(s: BipartiteState, config: NumericConfig | None = None) -> None:
-    cfg = config or DEFAULT
-    probs = np.linalg.svd(s.grid, compute_uv=False) ** 2
-    spread = float(np.max(np.abs(probs - 1.0 / s.d)))
-    if spread > cfg.max_ent_tol:
-        raise PreconditionError(
-            f"state is not maximally entangled: Schmidt probs deviate from 1/{s.d} "
-            f"by up to {spread:.3e}"
-        )
+    """Raise PreconditionError unless every Schmidt probability of s is
+    1/d within max_ent_tol.
+
+    The Schmidt probabilities p_i are the eigenvalues of C^dag C, so
+    E = d C^dag C - I has the eigenvalues d p_i - 1 and spectral norm
+    d max|p_i - 1/d|.  The spectral norm is at most the Frobenius norm,
+    so ||E||_F <= d max_ent_tol certifies the state from one d x d Gram
+    matrix.  Above that bound, which deviations spread over many p_i can
+    exceed while each stays within max_ent_tol, the exact spread is
+    taken from an SVD, with the same threshold.
+    """
+    _max_entangled_defect(s, config or DEFAULT)
+
+
+def _max_entangled_defect(s: BipartiteState, config: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
+    """U = sqrt(d) C and E = U^dag U - I of a validated maximally entangled s.
+
+    The one validation of a state: assert_max_entangled and
+    unitary_of_state both go through it, and the latter reuses E.
+    """
+    u = s.grid * math.sqrt(s.d)
+    e = _gram_defect(u)
+    bound = s.d * config.max_ent_tol
+    if np.vdot(e, e).real > bound * bound:
+        probs = np.linalg.svd(s.grid, compute_uv=False) ** 2
+        spread = float(np.max(np.abs(probs - 1.0 / s.d)))
+        if spread > config.max_ent_tol:
+            raise PreconditionError(
+                f"state is not maximally entangled: Schmidt probs deviate from 1/{s.d} "
+                f"by up to {spread:.3e}"
+            )
+    return u, e
 
 
 def assert_unitary(u: np.ndarray, config: NumericConfig | None = None, what: str = "matrix") -> None:
+    """Raise PreconditionError unless ||U^dag U - I||_F <= unitarity_tol."""
     cfg = config or DEFAULT
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{what} must be square, got shape {u.shape}")
-    residual = float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])))
+    e = _gram_defect(u)
+    residual = math.sqrt(np.vdot(e, e).real)
     if residual > cfg.unitarity_tol:
         raise PreconditionError(f"{what} is not unitary: ||U^dag U - I|| = {residual:.3e}")
+
+
+def _gram_defect(f: np.ndarray) -> np.ndarray:
+    """E = F^dag F - I, with I subtracted from the Gram matrix entrywise
+    (as an integer, so that an integer F keeps its dtype)."""
+    e = f.conj().T @ f
+    # a strided view of the diagonal, far cheaper than fancy indexing;
+    # matmul returns a new C-contiguous array, so reshape does not copy
+    e.reshape(-1)[:: e.shape[0] + 1] -= 1
+    return e
 
 
 def schmidt(s: BipartiteState) -> tuple[SchmidtVector, np.ndarray, np.ndarray]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccopy.config import AmbiguityError, NumericConfig, PreconditionError, SynthesisError
+from loccopy.config import DEFAULT, AmbiguityError, NumericConfig, PreconditionError, SynthesisError
 from loccopy.copying import (
     IDENTICAL,
     NEITHER,
@@ -93,6 +93,17 @@ class TestPairOperator:
         grid[0, 0] = 1.0
         with pytest.raises(PreconditionError):
             pair_operator(BipartiteState(grid), max_entangled(2))
+
+    @pytest.mark.parametrize("d,deviation", [(4, 1e-9), (12, 5e-9)])
+    def test_nearly_maximally_entangled_pair(self, d, deviation):
+        # passes max_ent_tol, but D C1 C2^dag from the grids as given is
+        # further from unitary than unitarity_tol allows; T from the
+        # polished unitaries gets the verdict check-pair gives
+        psi1, psi2 = copyable_pair(d, 2, seed=3)
+        psi1 = moved_schmidt(psi1, deviation)
+        t = pair_operator(psi1, psi2)
+        report = spectral_verdict(t)
+        assert (orthogonality(t), report.copyable, report.detected_m) == (ORTHOGONAL, True, 2)
 
 
 class TestPairOperatorFormula:
@@ -209,6 +220,65 @@ class TestSpectralVerdict:
     def test_non_unitary_rejected(self):
         with pytest.raises(PreconditionError, match="unitary"):
             spectral_verdict(np.ones((3, 3)))
+
+
+@st.composite
+def planted_spectra(draw, max_d=12):
+    """Multiplicities (each >= 1) of the M >= 2 roots of unity, a rotation
+    and a seed for the Haar basis."""
+    m = draw(st.integers(2, max_d))
+    mult = draw(st.lists(st.integers(1, max_d // m), min_size=m, max_size=m))
+    rotation = draw(st.floats(0.0, TAU, exclude_max=True))
+    return mult, rotation, draw(st.integers(0, 2**32 - 1))
+
+
+def planted_operator(phases, seed):
+    """The unitary with the given eigenphases in a Haar-random eigenbasis."""
+    v = haar_unitary(len(phases), seed=seed)
+    return (v * np.exp(1j * np.asarray(phases))) @ v.conj().T
+
+
+class TestVerdictProperties:
+    """The verdict on planted spectra, against degeneracy_form_check."""
+
+    @given(planted_spectra())
+    @settings(max_examples=100, deadline=None)
+    def test_copyable_iff_degeneracy_form(self, case):
+        mult, rotation, seed = case
+        m, d = len(mult), sum(mult)
+        roots = (TAU * np.arange(m) / m + rotation) % TAU
+        report = spectral_verdict(planted_operator(np.repeat(roots, mult), seed))
+        assert report.copyable == degeneracy_form_check(mult, m, d)
+        assert report.detected_m == (m if report.copyable else None)
+        assert len(report.clusters) == m
+        for rep, count in report.clusters:  # matched to the nearest planted root
+            gap = np.abs(rep - roots) % TAU
+            assert count == mult[int(np.argmin(np.minimum(gap, TAU - gap)))]
+
+    @given(planted_spectra(), st.floats(1e-12, 0.25 * DEFAULT.phase_tol))
+    @settings(max_examples=50, deadline=None)
+    def test_cluster_straddling_seam_merges(self, case, eps):
+        mult, _, seed = case
+        mult = [mult[0] + 1] + mult[1:]
+        m, d = len(mult), sum(mult)
+        phases = np.repeat(TAU * np.arange(m) / m, mult)
+        phases[:mult[0]] += eps * (-1.0) ** np.arange(mult[0])  # both sides of 0
+        report = spectral_verdict(planted_operator(phases, seed))
+        assert report.eigenphases[0] < eps + 1e-12 and report.eigenphases[-1] > TAU - 2 * eps
+        assert len(report.clusters) == m
+        assert report.copyable == degeneracy_form_check(mult, m, d)
+        seam = [count for rep, count in report.clusters if min(rep, TAU - rep) < eps]
+        assert seam == [mult[0]]
+
+    @given(planted_spectra())
+    @settings(max_examples=50, deadline=None)
+    def test_clusters_one_and_a_half_tol_apart_are_ambiguous(self, case):
+        mult, rotation, seed = case
+        m = len(mult)
+        roots = TAU * np.arange(m) / m + rotation
+        phases = np.append(np.repeat(roots, mult), roots[0] + 1.5 * DEFAULT.phase_tol)
+        with pytest.raises(AmbiguityError, match="ambiguous"):
+            spectral_verdict(planted_operator(phases, seed))
 
 
 def spectra_multiset_oracle(multiplicities, m, d):
@@ -483,7 +553,7 @@ class TestSynthesisChecks:
         import loccopy.tensor
 
         eig_calls = count_calls(monkeypatch, loccopy.tensor, "eig_normal")
-        state_checks = count_calls(monkeypatch, loccopy.states, "assert_max_entangled")
+        state_checks = count_calls(monkeypatch, loccopy.states, "_max_entangled_defect")
         psi1, psi2 = copyable_pair(3, 3, seed=4)
         with pytest.raises(ValueError, match="9 x 9, exceeds max dimension 8"):
             synthesize_protocol(psi1, psi2, max_entangled(3), NumericConfig(max_dim=8))
@@ -650,8 +720,7 @@ class TestWorkCounts:
 
         found = {
             "eig_normal": count_calls(monkeypatch, loccopy.tensor, "eig_normal"),
-            "assert_max_entangled": count_calls(
-                monkeypatch, loccopy.states, "assert_max_entangled"),
+            "state_checks": count_calls(monkeypatch, loccopy.states, "_max_entangled_defect"),
             "svd": count_calls(monkeypatch, np.linalg, "svd"),
             "eigvals": count_calls(monkeypatch, np.linalg, "eigvals"),
             "schur": [],
@@ -707,14 +776,23 @@ class TestWorkCounts:
         psi1, psi2 = copyable_pair(d, m, seed=d)
         blank = from_unitary(haar_unitary(d, seed=d + 1))
         synthesize_protocol(psi1, psi2, blank)
+        # each state is certified from its Gram matrix, with no SVD
         assert {k: len(v) for k, v in counts.items()} == {
-            "eig_normal": 1, "assert_max_entangled": 3, "svd": 3, "eigvals": 0, "schur": 0,
+            "eig_normal": 1, "state_checks": 3, "svd": 0, "eigvals": 0, "schur": 0,
         }
 
     def test_spectral_verdict_reads_eigenvalues_only(self, counts):
         spectral_verdict(copyable_unitary(12, 3, seed=4))
         assert {k: len(v) for k, v in counts.items()} == {
-            "eig_normal": 0, "assert_max_entangled": 0, "svd": 0, "eigvals": 1, "schur": 0,
+            "eig_normal": 0, "state_checks": 0, "svd": 0, "eigvals": 1, "schur": 0,
+        }
+
+    def test_decide_pair(self, counts):
+        t = pair_operator(*copyable_pair(12, 3, seed=4))
+        orthogonality(t)
+        assert spectral_verdict(t).copyable
+        assert {k: len(v) for k, v in counts.items()} == {
+            "eig_normal": 0, "state_checks": 2, "svd": 0, "eigvals": 1, "schur": 0,
         }
 
     def test_synthesize_a(self, counts):

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from loccopy.config import PreconditionError
+from loccopy.config import DEFAULT, PreconditionError
 from loccopy.generators import haar_unitary
 from loccopy.states import (
     BipartiteState,
     SchmidtVector,
+    assert_max_entangled,
+    assert_unitary,
     from_unitary,
     max_entangled,
     overlap,
@@ -85,6 +87,61 @@ class TestUnitaryParameterization:
     def test_non_unitary_input_rejected(self):
         with pytest.raises(PreconditionError, match="unitary"):
             from_unitary(np.ones((2, 2)))
+
+    def test_integer_unitary_accepted(self):
+        assert_unitary(np.array([[0, 1], [1, 0]]))
+
+    @pytest.mark.parametrize("d", [4, 12])
+    def test_nearly_maximally_entangled_state_gives_unitary(self, d):
+        # passes max_ent_tol, but sqrt(d) C is further from unitary than
+        # unitarity_tol allows
+        probs = np.full(d, 1.0 / d)
+        probs[:2] += (0.99 * DEFAULT.max_ent_tol, -0.99 * DEFAULT.max_ent_tol)
+        assert_unitary(unitary_of_state(schmidt_state(probs, seed=d)))
+
+
+def schmidt_state(probs, seed):
+    """A state with the given Schmidt probabilities in Haar-random bases."""
+    d = len(probs)
+    left, right = haar_unitary(d, seed=(seed, 1)), haar_unitary(d, seed=(seed, 2))
+    return BipartiteState(left @ np.diag(np.sqrt(probs)) @ right)
+
+
+class TestMaxEntangledCheck:
+    """||d C^dag C - I||_F <= d max_ent_tol certifies a state; above it one SVD decides."""
+
+    @pytest.fixture
+    def svd_calls(self, monkeypatch):
+        original = np.linalg.svd
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        return calls
+
+    def test_certified_state_needs_no_svd(self, svd_calls):
+        assert_max_entangled(from_unitary(haar_unitary(16, seed=16)))
+        assert svd_calls == []
+
+    def test_spread_within_tol_beyond_certificate_uses_one_svd(self, svd_calls):
+        # every probability 0.6 tol off 1/d: ||E||_F = 2.4 d tol, spread 0.6 tol
+        tol = DEFAULT.max_ent_tol
+        state = schmidt_state(1.0 / 16 + 0.6 * tol * (-1.0) ** np.arange(16), seed=1)
+        defect = 16 * state.grid.conj().T @ state.grid - np.eye(16)
+        assert np.linalg.norm(defect) > 2 * 16 * tol
+        assert_max_entangled(state)
+        assert len(svd_calls) == 1
+
+    def test_spread_beyond_tol_raises(self, svd_calls):
+        probs = np.full(16, 1.0 / 16)
+        probs[:2] += (2 * DEFAULT.max_ent_tol, -2 * DEFAULT.max_ent_tol)
+        with pytest.raises(PreconditionError,
+                           match=r"deviate from 1/16 by up to (1\.99\de|2\.00\de)-08"):
+            assert_max_entangled(schmidt_state(probs, seed=2))
+        assert len(svd_calls) == 1
 
 
 class TestSchmidt:
