@@ -20,13 +20,16 @@ protocol's A and B are then each a sum of M Kronecker products of
 d x d factors.  The checks of the construction run on those factors
 at O(M d^3 + M^2 d^2): unitarity by a certified bound and the defining
 relation exactly.  The d^2 x d^2 work is assembling the returned A and
-B, at O(M d^4), and verifying them by the four-party overlap on both
-states, at O(d^5) in three work arrays.
+B, at O(M d^4), and verifying them on both states by the four-party
+overlap of simulator._simulate, at O(d^5) in three work arrays.  Each
+state is validated once, by states.unitary_of_state, which pair_operator
+and synthesize_protocol call directly.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -72,7 +75,7 @@ class CopyProtocol:
     a_op: np.ndarray
     b_op: np.ndarray
     phases: tuple[float, float]
-    wiring: str = "A:(1,3) B:(2,4)"
+    wiring: ClassVar[str] = "A:(1,3) B:(2,4)"  # the one wiring; not a field
 
     def __post_init__(self) -> None:
         n = self.d * self.d
@@ -94,14 +97,17 @@ def pair_operator(
     amplitude grids over their second index, so T = D * C1 C2^dag.
     Both inputs must be maximally entangled; that is exactly the
     condition under which the partial trace is proportional to a unitary.
-    T is formed from U1 and U2 as unitary_of_state polishes them
-    (_pair_unitaries): it differs from D * C1 C2^dag by about the
-    states' deviation from maximal entanglement, and is unitary to
-    roundoff for every pair that passes max_ent_tol, so spectral_verdict
-    accepts the pairs that synthesize_protocol accepts.
+    T is formed from U1 and U2 as unitary_of_state validates and
+    polishes them, as synthesize_protocol forms W: it differs from
+    D * C1 C2^dag by about the states' deviation from maximal
+    entanglement, and is unitary to roundoff for every pair that passes
+    max_ent_tol, so spectral_verdict accepts the pairs that
+    synthesize_protocol accepts.
     """
-    u1, u2 = _pair_unitaries(psi1, psi2, config or DEFAULT)
-    return u1 @ u2.conj().T
+    cfg = config or DEFAULT
+    if psi1.d != psi2.d:
+        raise ValueError(f"dimension mismatch: {psi1.d} vs {psi2.d}")
+    return unitary_of_state(psi1, cfg) @ unitary_of_state(psi2, cfg).conj().T
 
 
 def orthogonality(t: np.ndarray, config: NumericConfig | None = None) -> str:
@@ -342,7 +348,7 @@ def _check_unitary(left: np.ndarray, right: np.ndarray, what: str, config: Numer
     e1 = _kron_gram_residual(e_left, e_left)
     e2 = _kron_gram_residual(e_left, _gram_defect(right))
     bound = e2 + (1.0 + e2) * e1
-    if bound > config.unitarity_tol:
+    if not bound <= config.unitarity_tol:
         raise SynthesisError(f"{what} is not unitary: ||U^dag U - I|| <= {bound:.3e}")
     return bound
 
@@ -364,24 +370,6 @@ def _relation_residual(shifts: np.ndarray, projectors: np.ndarray, t_rot: np.nda
         (projectors, roots * projectors - t_rot @ projectors)).reshape(2 * m, -1)
     squared = np.sum((first.conj() @ first.T) * (second.conj() @ second.T)).real
     return math.sqrt(max(squared, 0.0))
-
-
-def _pair_unitaries(
-    psi1: BipartiteState, psi2: BipartiteState, config: NumericConfig
-) -> tuple[np.ndarray, np.ndarray]:
-    """U1 and U2 of two maximally entangled states, each validated and
-    polished once by unitary_of_state.
-
-    A state's U inherits its deviation from maximal entanglement, which
-    max_ent_tol allows to exceed unitarity_tol; after the polish U, and
-    the pair operator T or W made from it, is unitary to roundoff.
-    pair_operator (and through it check-pair and survey) and
-    synthesize_protocol take their unitaries from here, so they give one
-    answer on the same states.
-    """
-    if psi1.d != psi2.d:
-        raise ValueError(f"dimension mismatch: {psi1.d} vs {psi2.d}")
-    return unitary_of_state(psi1, config), unitary_of_state(psi2, config)
 
 
 def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarray:
@@ -418,18 +406,19 @@ def synthesize_protocol(
     operator T = U1 U2^dag, so its trace and spectrum decide
     orthogonality and copyability in T's place.
 
-    Each state is validated once, from one Gram matrix that also gives
-    its unitary one Newton-Schulz step toward unitarity before W is
-    formed (unitary_of_state; _pair_unitaries is shared with
-    pair_operator), so states that pass max_ent_tol yield a unitary W
-    and A.  A and B are each a sum of M Kronecker products of d x d
-    factors.  From those factors alone, C_1 and A are checked for
-    unitarity by a certified bound (B = conj(C_1) shares C_1's
-    residual) and C_1 against its defining relation.  Only then are the
-    d^2 x d^2 operators A and B assembled, at O(M d^4), and the returned
-    A and B verified on both states by the closed-form four-party
-    overlap of run_copy, at O(d^5) in three d^2 x d^2 work arrays.  A failed check raises SynthesisError.  Raises ValueError
-    when the operators would exceed max_dim.
+    Each state is validated once by unitary_of_state, as pair_operator
+    validates its two, from one Gram matrix that also gives its unitary
+    one Newton-Schulz step toward unitarity before W is formed, so
+    states that pass max_ent_tol yield a unitary W and A.  A and B are
+    each a sum of M Kronecker products of d x d factors.  From those
+    factors alone, C_1 and A are checked for unitarity by a certified
+    bound (B = conj(C_1) shares C_1's residual) and C_1 against its
+    defining relation.  Only then are the d^2 x d^2 operators A and B
+    assembled, at O(M d^4), and the returned A and B verified on both
+    states by the closed-form four-party overlap of run_copy
+    (simulator._simulate), at O(d^5) in three d^2 x d^2 work arrays.
+    A failed check raises SynthesisError.  Raises ValueError when the
+    operators would exceed max_dim.
     """
     cfg = config or DEFAULT
     if not psi1.d == psi2.d == blank.d:
@@ -441,8 +430,7 @@ def synthesize_protocol(
         raise ValueError(
             f"protocol operators are {n} x {n}, exceeds max dimension {cfg.max_dim}"
         )
-    u1, u2 = _pair_unitaries(psi1, psi2, cfg)
-    ub = unitary_of_state(blank, cfg)
+    u1, u2, ub = (unitary_of_state(s, cfg) for s in (psi1, psi2, blank))
 
     w = u2.conj().T @ u1
     kind = orthogonality(w, cfg)

@@ -3,7 +3,10 @@
 Complex data is serialized as [re, im] pairs.  State amplitudes are
 listed in the flat mu = i + d*(j-1) order; matrices are row-major over
 the same basis.  All loaders validate structure and raise ValueError
-with the offending key named.
+with the offending key named: a value that is not a JSON object, a
+missing key, a "d" that is not an integer, and a protocol's "phases"
+that are not two numbers or "wiring" that is not the one
+CopyProtocol.wiring.
 """
 from __future__ import annotations
 
@@ -34,10 +37,17 @@ def _pairs_to_array(pairs, what: str) -> np.ndarray:
     return arr[:, 0] + 1j * arr[:, 1]
 
 
-def _require(obj: dict, key: str, what: str):
+def _require(obj: dict, key: str, what: str, kind: type | None = None):
+    """obj[key], raising ValueError when obj is not a JSON object, key is
+    missing, or the value is not of type kind (when given)."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     if key not in obj:
         raise ValueError(f"{what} is missing required key {key!r}")
-    return obj[key]
+    value = obj[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ValueError(f"{what} key {key!r} must be {kind.__name__}, got {value!r}")
+    return value
 
 
 def state_to_json(s: BipartiteState) -> dict:
@@ -48,7 +58,7 @@ def state_to_json(s: BipartiteState) -> dict:
 
 
 def state_from_json(obj: dict) -> BipartiteState:
-    d = int(_require(obj, "d", "state"))
+    d = _require(obj, "d", "state", int)
     flat = _pairs_to_array(_require(obj, "amplitudes", "state"), "state amplitudes")
     if flat.size != d * d:
         raise ValueError(f"state amplitudes have length {flat.size}, expected d*d = {d * d}")
@@ -60,11 +70,15 @@ def schmidt_to_json(v: SchmidtVector) -> dict:
 
 
 def schmidt_from_json(obj: dict) -> SchmidtVector:
-    if "probs" in obj:
-        return SchmidtVector(np.asarray(obj["probs"], dtype=float))
-    if "coeffs" in obj:
-        coeffs = np.asarray(obj["coeffs"], dtype=float)
-        return SchmidtVector(coeffs**2)
+    if not isinstance(obj, dict):
+        raise ValueError(f"Schmidt vector must be a JSON object, got {type(obj).__name__}")
+    for key, power in (("probs", 1), ("coeffs", 2)):
+        if key in obj:
+            try:
+                values = np.asarray(obj[key], dtype=float)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"Schmidt vector {key!r} must be numbers: {exc}") from None
+            return SchmidtVector(values**power)
     raise ValueError("Schmidt vector needs a 'probs' or 'coeffs' array")
 
 
@@ -87,21 +101,27 @@ def protocol_to_json(p: CopyProtocol) -> dict:
 
 
 def protocol_from_json(obj: dict) -> CopyProtocol:
-    d = int(_require(obj, "d", "protocol"))
+    d = _require(obj, "d", "protocol", int)
     n = d * d
     blank = state_from_json(_require(obj, "blank", "protocol"))
     a_op = _matrix_from_json(_require(obj, "A", "protocol"), n, "protocol matrix A")
     b_op = _matrix_from_json(_require(obj, "B", "protocol"), n, "protocol matrix B")
-    phases = _require(obj, "phases", "protocol")
+    phases = _require(obj, "phases", "protocol", list)
     if len(phases) != 2:
         raise ValueError(f"protocol phases must have 2 entries, got {len(phases)}")
+    if not all(isinstance(x, (int, float)) for x in phases):
+        raise ValueError(f"protocol phases must be numbers, got {phases!r}")
+    wiring = obj.get("wiring", CopyProtocol.wiring)
+    if wiring != CopyProtocol.wiring:
+        raise ValueError(
+            f"protocol wiring {wiring!r} is not supported; only {CopyProtocol.wiring!r}"
+        )
     return CopyProtocol(
         d=d,
         blank=blank,
         a_op=a_op,
         b_op=b_op,
         phases=(float(phases[0]), float(phases[1])),
-        wiring=str(obj.get("wiring", "A:(1,3) B:(2,4)")),
     )
 
 

@@ -2,14 +2,15 @@
 
 Particles are ordered (1,2,3,4): the state to copy lives on (1,2), the
 blank on (3,4).  Protocol operators act across that split, A on (1,3)
-and B on (2,4).  run_copy evaluates <psi psi| A^13 B^24 |psi blank> in
-closed form on the dense A and B of any protocol, a loaded one
-included, applying the Kronecker products of the amplitude grids
-without forming them.  Synthesis verifies the A and B it returns on
-both of its states with one call of the same routine, _simulate.
-apply_local, which re-wires the factor order through the (1,3,2,4)
-permutation and back, builds the whole four-particle output and stays
-as the brute-force oracle.
+and B on (2,4), the one wiring CopyProtocol.wiring names.  run_copy
+evaluates <psi psi| A^13 B^24 |psi blank> in closed form on the dense A
+and B of any protocol, a loaded one included: _simulate applies the
+Kronecker products of the amplitude grids, without forming them, by
+np.matmul calls that write into three reused d^2 x d^2 arrays.  Synthesis
+verifies the A and B it returns on both of its states with one call of
+the same routine.  apply_local, which re-wires the factor order through
+the (1,3,2,4) permutation and back, builds the whole four-particle
+output and stays as the brute-force oracle.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import numpy as np
 from .config import DEFAULT, NORM_TOL, NumericConfig
 from .copying import CopyProtocol
 from .states import BipartiteState, assert_max_entangled, assert_unitary
-from .tensor import _kron_matmul_into, permute_factors
+from .tensor import permute_factors
 
 WIRING = (1, 3, 2, 4)  # self-inverse factor permutation pairing A and B slots
 
@@ -119,8 +120,11 @@ def _simulate(
     sum(conj(Y) * (A X B^T)) = sum((A X) * (conj(Y) B)), at O(d^5).
     A X = (A kron(1, b)) kron(psi, 1), so the blank's factor is applied
     to A once for all states, and psi's as one product with A kron(1, b)
-    cut into rows of d.  The work runs in three d^2 x d^2 arrays,
-    allocated once and reused for every state.
+    cut into rows of d.  conj(Y) B = kron(c, c) B with c = conj(psi) takes
+    two products: row i + d*j of B is index (i, j), so B reshapes to
+    (d, d, d^2), and c acts on its middle axis, then on its first.  The
+    work runs in three d^2 x d^2 arrays, allocated once and reused for
+    every state.
     """
     d = protocol.d
     n = d * d
@@ -131,7 +135,9 @@ def _simulate(
     results = []
     for psi in states:
         c = psi.grid
-        yb = _kron_matmul_into(c.conj(), c.conj(), protocol.b_op, y, z)   # conj(Y) B
+        cc = c.conj()
+        np.matmul(cc, protocol.b_op.reshape(d, d, n), out=z.reshape(d, d, n))
+        yb = np.matmul(cc, z.reshape(d, d * n), out=y.reshape(d, d * n))  # conj(Y) B
         ax = np.matmul(ab.reshape(n * d, d), c, out=z.reshape(n * d, d))  # A X
         ip = complex(np.dot(ax.ravel(), yb.ravel()))
         results.append((abs(ip) ** 2, float(np.angle(ip))))

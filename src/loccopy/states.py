@@ -53,6 +53,8 @@ class SchmidtVector:
         p = np.asarray(self.probs, dtype=float)
         if p.ndim != 1 or p.size == 0:
             raise ValueError(f"probs must be a nonempty 1-d array, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("probs must be finite")
         if np.any(p < -NORM_TOL):
             raise ValueError(f"probs must be non-negative, got min {p.min()!r}")
         total = float(p.sum())
@@ -128,14 +130,15 @@ def _max_entangled_defect(s: BipartiteState, config: NumericConfig) -> tuple[np.
 
 
 def assert_unitary(u: np.ndarray, config: NumericConfig | None = None, what: str = "matrix") -> None:
-    """Raise PreconditionError unless ||U^dag U - I||_F <= unitarity_tol."""
+    """Raise PreconditionError unless ||U^dag U - I||_F <= unitarity_tol;
+    a NaN residual fails."""
     cfg = config or DEFAULT
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{what} must be square, got shape {u.shape}")
     e = _gram_defect(u)
     residual = math.sqrt(np.vdot(e, e).real)
-    if residual > cfg.unitarity_tol:
+    if not residual <= cfg.unitarity_tol:
         raise PreconditionError(f"{what} is not unitary: ||U^dag U - I|| = {residual:.3e}")
 
 

@@ -24,63 +24,14 @@ def kron(a: np.ndarray, b: np.ndarray, config: NumericConfig | None = None) -> n
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    _check_kron_shape(a, b, config or DEFAULT)
-    return np.kron(b, a)
-
-
-def _check_kron_shape(a: np.ndarray, b: np.ndarray, cfg: NumericConfig) -> tuple[int, int]:
-    """Raise ValueError when kron(a, b) would exceed max_dim; return its shape."""
+    cfg = config or DEFAULT
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
     if max(rows, cols) > cfg.max_dim:
         raise ValueError(
             f"kron result is {rows} x {cols}, exceeds max dimension {cfg.max_dim}"
         )
-    return rows, cols
-
-
-def kron_matmul(
-    a: np.ndarray, b: np.ndarray, m: np.ndarray, config: NumericConfig | None = None
-) -> np.ndarray:
-    """kron(a, b) @ m without forming kron(a, b).
-
-    Row mu = i + d_a*j of m is index (i, j) of the two factors, so m
-    reshapes to (d_b, d_a, k); a then acts on the middle axis and b on
-    the first.  For square d x d factors and k = d^2 columns this costs
-    O(d^5) against O(d^6) for the dense product.  A product on the
-    right goes through transposes: m @ kron(a, b) equals
-    kron_matmul(a.T, b.T, m.T).T.  max_dim is enforced on the shape of
-    kron(a, b), exactly as kron does.  Returns a new array; inside the
-    package the same kernel writes into caller-owned buffers.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    m = np.asarray(m)
-    rows, cols = _check_kron_shape(a, b, config or DEFAULT)
-    if m.shape[0] != cols:
-        raise ValueError(f"kron of {a.shape} and {b.shape} cannot multiply shape {m.shape}")
-    tail = m.shape[1:]
-    work = np.empty((b.shape[1] * a.shape[0],) + tail, dtype=np.result_type(a, m))
-    out = np.empty((rows,) + tail, dtype=np.result_type(b, work))
-    return _kron_matmul_into(a, b, m, out, work)
-
-
-def _kron_matmul_into(
-    a: np.ndarray, b: np.ndarray, m: np.ndarray, out: np.ndarray, work: np.ndarray
-) -> np.ndarray:
-    """Write kron(a, b) @ m into out and return out; shapes are not checked.
-
-    The stage-1 product, a applied to the middle axis of m reshaped to
-    (d_b, d_a, k), goes to work, which must not share memory with m or
-    out.  out may be m itself, because m is read only in stage 1.  out
-    and work are C-contiguous, so their reshapes are views.
-    """
-    if not (out.flags.c_contiguous and work.flags.c_contiguous):
-        raise ValueError("out and work must be C-contiguous")
-    db = b.shape[1]
-    np.matmul(a, m.reshape(db, a.shape[1], -1), out=work.reshape(db, a.shape[0], -1))
-    np.matmul(b, work.reshape(db, -1), out=out.reshape(b.shape[0], -1))
-    return out
+    return np.kron(b, a)
 
 
 def _kron_sum(first: np.ndarray, second: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ import pytest
 
 from loccopy import serialization
 from loccopy.cli import main
+from loccopy.copying import synthesize_protocol
 from loccopy.generators import copyable_pair, nonprime_counterexample, orthogonal_pair
 from loccopy.states import max_entangled
 
@@ -498,6 +499,50 @@ class TestErrorHandling:
         assert code == 3
         assert out == ""
         assert "internal error: synthesized A fails" in err
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("check-pair", None, 5),
+        ("check-pair", "psi1", 5),
+        ("simulate", "d", None),
+        ("simulate", "phases", 5),
+        ("simulate", "wiring", "A:(1,2) B:(3,4)"),
+    ])
+    def test_malformed_input_is_input_error(self, capsys, tmp_path, command, key, value):
+        psi1, psi2 = orthogonal_pair(2, seed=3)
+        if command == "check-pair":
+            obj, rest = serialization.pair_to_json(psi1, psi2), []
+        else:
+            obj = serialization.protocol_to_json(
+                synthesize_protocol(psi1, psi2, max_entangled(2)))
+            rest = [write_json(tmp_path, "state.json", serialization.state_to_json(psi1))]
+        if key is None:
+            obj = value
+        else:
+            obj[key] = value
+        code, out, err = run(capsys, [command, write_json(tmp_path, "in.json", obj), *rest])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+
+    def test_nan_operator_is_input_error(self, capsys, tmp_path):
+        psi1, psi2 = orthogonal_pair(2, seed=3)
+        obj = serialization.protocol_to_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
+        obj["A"][0] = [float("nan"), 0.0]
+        state = write_json(tmp_path, "state.json", serialization.state_to_json(psi1))
+        code, out, err = run(capsys, ["simulate", write_json(tmp_path, "p.json", obj), state])
+        assert code == 2
+        assert out == ""
+        assert "A operator is not unitary" in err
+
+    @pytest.mark.parametrize("command", ["majorize", "catalysis"])
+    def test_nan_probabilities_are_input_error(self, capsys, tmp_path, command):
+        bad = write_json(tmp_path, "bad.json", {"probs": [float("nan"), 1.0]})
+        good = write_json(tmp_path, "good.json", {"probs": [0.5, 0.5]})
+        code, out, err = run(capsys, [command, bad, good])
+        assert code == 2
+        assert out == ""
+        assert "finite" in err
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -67,6 +67,16 @@ class TestSchmidtJson:
         with pytest.raises(ValueError, match="probs.*coeffs|coeffs.*probs"):
             schmidt_from_json({"values": [1.0]})
 
+    @pytest.mark.parametrize("obj", [5, "probs", [0.5, 0.5]])
+    def test_non_object_rejected(self, obj):
+        with pytest.raises(ValueError, match="JSON object"):
+            schmidt_from_json(obj)
+
+    @pytest.mark.parametrize("key", ["probs", "coeffs"])
+    def test_non_numeric_values_rejected(self, key):
+        with pytest.raises(ValueError, match=key):
+            schmidt_from_json({key: {"a": 1}})
+
 
 def per_entry_pairs(values):
     """The [re, im] encoding built one complex entry at a time."""
@@ -121,6 +131,13 @@ class TestProtocolJson:
         del obj["wiring"]
         assert protocol_from_json(obj).wiring == "A:(1,3) B:(2,4)"
 
+    def test_other_wiring_rejected(self):
+        psi1, psi2 = orthogonal_pair(2, seed=7)
+        obj = protocol_to_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
+        obj["wiring"] = "A:(1,2) B:(3,4)"
+        with pytest.raises(ValueError, match="wiring"):
+            protocol_from_json(obj)
+
     def test_missing_matrix_rejected(self):
         psi1, psi2 = orthogonal_pair(2, seed=8)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
@@ -135,6 +152,17 @@ class TestProtocolJson:
         obj = protocol_to_json(protocol)
         obj["phases"] = [0.0]
         with pytest.raises(ValueError, match="phases"):
+            protocol_from_json(obj)
+
+    @pytest.mark.parametrize("key,value", [
+        ("d", None), ("d", "2"), ("d", 2.5), ("phases", 5), ("phases", [0.0, "1"]),
+        ("phases", [0.0, None]),
+    ])
+    def test_malformed_field_rejected(self, key, value):
+        psi1, psi2 = orthogonal_pair(2, seed=9)
+        obj = protocol_to_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
+        obj[key] = value
+        with pytest.raises(ValueError, match=key):
             protocol_from_json(obj)
 
 
@@ -159,6 +187,13 @@ class TestReportJson:
 
 
 class TestPairJson:
+    def test_non_object_rejected(self):
+        psi1, _ = orthogonal_pair(2, seed=12)
+        with pytest.raises(ValueError, match="state pair must be a JSON object"):
+            pair_from_json(5)
+        with pytest.raises(ValueError, match="state must be a JSON object"):
+            pair_from_json({"psi1": 5, "psi2": state_to_json(psi1)})
+
     def test_round_trip_with_metadata(self):
         psi1, psi2 = orthogonal_pair(3, seed=11)
         obj = pair_to_json(psi1, psi2, family="traceless", seed=11)

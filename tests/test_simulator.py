@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loccopy.config import TAU
@@ -194,6 +194,8 @@ class TestOverlapKernel:
     """run_copy's closed-form overlap against the brute-force apply_local oracle."""
 
     @given(copyable_cases())
+    @example((12, 4, 12))
+    @example((16, 4, 16))
     @settings(max_examples=40, deadline=None)
     def test_matches_apply_local(self, case):
         d, m, seed = case

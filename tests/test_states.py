@@ -62,6 +62,11 @@ class TestSchmidtVector:
         with pytest.raises(ValueError, match="non-negative"):
             SchmidtVector([1.2, -0.2])
 
+    @pytest.mark.parametrize("probs", [[np.nan, 1.0], [np.inf, 0.0]])
+    def test_nonfinite_rejected(self, probs):
+        with pytest.raises(ValueError, match="finite"):
+            SchmidtVector(probs)
+
 
 class TestUnitaryParameterization:
     def test_identity_gives_reference_state(self):
@@ -87,6 +92,10 @@ class TestUnitaryParameterization:
     def test_non_unitary_input_rejected(self):
         with pytest.raises(PreconditionError, match="unitary"):
             from_unitary(np.ones((2, 2)))
+
+    def test_nan_matrix_rejected(self):
+        with pytest.raises(PreconditionError, match="not unitary"):
+            assert_unitary(np.full((2, 2), np.nan))
 
     def test_integer_unitary_accepted(self):
         assert_unitary(np.array([[0, 1], [1, 0]]))

@@ -4,11 +4,9 @@ import pytest
 from loccopy.config import NumericConfig, PreconditionError
 from loccopy.generators import haar_unitary
 from loccopy.tensor import (
-    _kron_matmul_into,
     _kron_sum,
     eig_normal,
     kron,
-    kron_matmul,
     partial_trace_second,
     permute_factors,
 )
@@ -43,47 +41,7 @@ class TestKron:
         cfg = NumericConfig(max_dim=8)
         with pytest.raises(ValueError, match="max dimension"):
             kron(np.eye(4), np.eye(4), cfg)
-
-
-class TestKronMatmul:
-    @pytest.mark.parametrize("shapes", [((2, 3), (4, 5)), ((3, 2), (1, 4)), ((3, 3), (3, 3))])
-    @pytest.mark.parametrize("k", [1, 7])
-    def test_matches_dense_product(self, shapes, k):
-        (p, q), (r, s) = shapes
-        rng = np.random.default_rng(k)
-        a = rng.standard_normal((p, q)) + 1j * rng.standard_normal((p, q))
-        b = rng.standard_normal((r, s)) + 1j * rng.standard_normal((r, s))
-        m = rng.standard_normal((q * s, k)) + 1j * rng.standard_normal((q * s, k))
-        out = kron_matmul(a, b, m)
-        assert out.shape == (p * r, k)
-        assert np.max(np.abs(out - kron(a, b) @ m)) < 1e-12
-        assert np.max(np.abs(kron_matmul(a, b, m[:, 0]) - kron(a, b) @ m[:, 0])) < 1e-12
-
-    def test_right_product_through_transposes(self):
-        rng = np.random.default_rng(5)
-        a, b = rng.standard_normal((2, 3)), rng.standard_normal((4, 5))
-        m = rng.standard_normal((6, 8))
-        assert np.allclose(kron_matmul(a.T, b.T, m.T).T, m @ kron(a, b), atol=1e-12)
-
-    def test_oversized_result_rejected(self):
-        cfg = NumericConfig(max_dim=8)
-        with pytest.raises(ValueError, match="max dimension"):
-            kron_matmul(np.eye(3), np.eye(3), np.eye(9), cfg)
-        assert kron_matmul(np.eye(2), np.eye(4), np.eye(8), cfg).shape == (8, 8)
-
-    def test_mismatched_operand_rejected(self):
-        with pytest.raises(ValueError, match="cannot multiply"):
-            kron_matmul(np.eye(2), np.eye(3), np.eye(5))
-
-    def test_into_buffers_in_place(self):
-        rng = np.random.default_rng(8)
-        a, b = (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2))
-        m = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
-        buf, work = m.copy(), np.empty_like(m)
-        assert _kron_matmul_into(a, b, buf, buf, work) is buf
-        assert np.array_equal(buf, kron_matmul(a, b, m))
-        with pytest.raises(ValueError, match="C-contiguous"):
-            _kron_matmul_into(a, b, m, np.empty_like(m).T, work)
+        assert kron(np.eye(2), np.eye(4), cfg).shape == (8, 8)
 
 
 class TestKronSum:
