@@ -2,12 +2,19 @@
 
 Subcommands: majorize, catalysis, check-pair, synthesize, simulate,
 generate, survey.  Output is a single JSON object on stdout (or a human
-table with --pretty).  Exit codes: 0 for success or an affirmative
-verdict, 1 for a negative verdict, 2 for input errors, 3 for an
-internal error (a synthesized protocol failed its own verification;
-see SynthesisError).  File arguments
-accept "-" for stdin.  The default seed comes from $LOCCOPY_SEED when
-set, else 0.
+table with --pretty, which generate lacks).  Exit codes: 0 for success
+or an affirmative verdict, 1 for a negative verdict, 2 for input errors,
+3 for an internal error (a synthesized protocol failed its own
+verification; see SynthesisError).  File arguments accept "-" for
+stdin; check-pair and synthesize read one pair file or two state files
+and refuse more.  The default seed comes from $LOCCOPY_SEED when set,
+else 0.
+
+Each subcommand takes a flag only for the tolerances it reads
+(_TOLERANCE_FLAGS): sum for majorize and catalysis; unitarity, max-ent,
+ortho and phase for check-pair and survey; those and fidelity for
+synthesize; unitarity, max-ent and fidelity for simulate; none for
+generate.  Any other flag is an argparse error, exit code 2.
 """
 from __future__ import annotations
 
@@ -45,15 +52,19 @@ NEGATIVE = 1
 INPUT_ERROR = 2
 INTERNAL_ERROR = 3
 
-_TOLERANCE_FLAGS = (
-    "unitarity_tol",
-    "phase_tol",
-    "ortho_tol",
-    "sum_tol",
-    "max_ent_tol",
-    "fidelity_tol",
-    "synthesis_tol",
-)
+_VERDICT_TOLS = ("unitarity_tol", "max_ent_tol", "ortho_tol", "phase_tol")
+
+# The tolerances each subcommand reads, and so the only ones it accepts
+# as flags.
+_TOLERANCE_FLAGS = {
+    "majorize": ("sum_tol",),
+    "catalysis": ("sum_tol",),
+    "check-pair": _VERDICT_TOLS,
+    "synthesize": _VERDICT_TOLS + ("fidelity_tol",),
+    "simulate": ("unitarity_tol", "max_ent_tol", "fidelity_tol"),
+    "generate": (),
+    "survey": _VERDICT_TOLS,
+}
 
 
 def _load_json(path: str) -> dict:
@@ -87,8 +98,8 @@ def _emit(args, payload: dict, pretty_lines: list[str]) -> None:
 def _config_from(args) -> NumericConfig:
     overrides = {
         name: getattr(args, name)
-        for name in _TOLERANCE_FLAGS
-        if getattr(args, name, None) is not None
+        for name in _TOLERANCE_FLAGS[args.command]
+        if getattr(args, name) is not None
     }
     return dataclasses.replace(DEFAULT, **overrides)
 
@@ -98,6 +109,10 @@ def _default_seed() -> int:
 
 
 def _load_pair(paths: list[str]):
+    if len(paths) > 2:
+        raise ValueError(
+            f"expected one pair file or two state files, got {len(paths)} files"
+        )
     if len(paths) == 1:
         return serialization.pair_from_json(_load_json(paths[0]))
     psi1 = serialization.state_from_json(_load_json(paths[0]))
@@ -318,41 +333,47 @@ def cmd_survey(args) -> int:
     return OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--pretty", action="store_true",
-                        help="human-readable table instead of JSON")
-    for name in _TOLERANCE_FLAGS:
-        common.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                            type=float, default=None, metavar="X",
-                            help=f"override {name} (default {getattr(DEFAULT, name):g})")
+def _add_parser(sub, command: str, help: str, pretty: bool = True) -> argparse.ArgumentParser:
+    """A subcommand's parser with --pretty and the flags of the tolerances
+    it reads."""
+    p = sub.add_parser(command, help=help)
+    if pretty:
+        p.add_argument("--pretty", action="store_true",
+                       help="human-readable table instead of JSON")
+    for name in _TOLERANCE_FLAGS[command]:
+        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
+                       type=float, default=None, metavar="X",
+                       help=f"override {name} (default {getattr(DEFAULT, name):g})")
+    return p
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="loccopy",
         description="LOCC copying of orthogonal maximally entangled states",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("majorize", parents=[common],
-                       help="does dst majorize src (Nielsen: src -> dst possible)?")
+    p = _add_parser(sub, "majorize",
+                    help="does dst majorize src (Nielsen: src -> dst possible)?")
     p.add_argument("src", help="Schmidt JSON file or -")
     p.add_argument("dst", help="Schmidt JSON file or -")
     p.set_defaults(handler=cmd_majorize)
 
-    p = sub.add_parser("catalysis", parents=[common],
-                       help="classify copying psi onto blank: direct, catalytic, impossible")
+    p = _add_parser(sub, "catalysis",
+                    help="classify copying psi onto blank: direct, catalytic, impossible")
     p.add_argument("psi", help="Schmidt JSON file or -")
     p.add_argument("blank", help="Schmidt JSON file or -")
     p.set_defaults(handler=cmd_catalysis)
 
-    p = sub.add_parser("check-pair", parents=[common],
-                       help="orthogonality and spectral copyability of a state pair")
+    p = _add_parser(sub, "check-pair",
+                    help="orthogonality and spectral copyability of a state pair")
     p.add_argument("states", nargs="+",
                    help="one pair JSON file, or two state JSON files ('-' for stdin)")
     p.set_defaults(handler=cmd_check_pair)
 
-    p = sub.add_parser("synthesize", parents=[common],
-                       help="build the copying protocol for an orthogonal pair")
+    p = _add_parser(sub, "synthesize",
+                    help="build the copying protocol for an orthogonal pair")
     p.add_argument("states", nargs="+",
                    help="one pair JSON file, or two state JSON files ('-' for stdin)")
     p.add_argument("--blank", default=None,
@@ -360,13 +381,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write protocol JSON here (default stdout)")
     p.set_defaults(handler=cmd_synthesize)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="verify a protocol against a state by the four-party overlap")
+    p = _add_parser(sub, "simulate",
+                    help="verify a protocol against a state by the four-party overlap")
     p.add_argument("protocol", help="protocol JSON file or -")
     p.add_argument("state", help="state JSON file or -")
     p.set_defaults(handler=cmd_simulate)
 
-    p = sub.add_parser("generate", parents=[common], help="generate a test state pair")
+    p = _add_parser(sub, "generate", help="generate a test state pair", pretty=False)
     p.add_argument("--family", required=True,
                    choices=["orthogonal", "copyable", "nonprime"])
     p.add_argument("--d", type=int, default=None, help="subsystem dimension")
@@ -380,8 +401,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="write pair JSON here (default stdout)")
     p.set_defaults(handler=cmd_generate)
 
-    p = sub.add_parser("survey", parents=[common],
-                       help="fraction of random orthogonal pairs that are copyable, per d")
+    p = _add_parser(sub, "survey",
+                    help="fraction of random orthogonal pairs that are copyable, per d")
     p.add_argument("--d", type=int, nargs="+", required=True, help="dimensions to survey")
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--family", choices=["orthogonal", "nonprime"], default="orthogonal",

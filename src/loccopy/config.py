@@ -18,14 +18,13 @@ class NumericConfig:
     in a single place.
     """
 
-    unitarity_tol: float = 1e-9         # ||U^dag U - I||_F bound; for C1 and A a certified bound from their factors
+    unitarity_tol: float = 1e-9         # ||U^dag U - I||_F bound, certified from factors for C1 and A; also C1's relation residual
     normality_tol: float = 1e-8         # ||M V - V diag(lam)||_F / max(1, ||M||_F) bound in eig_normal
     phase_tol: float = 1e-7             # eigenphase clustering gap cut, radians
     ortho_tol: float = 1e-9             # relative trace threshold for orthogonality
     sum_tol: float = 1e-10              # one-sided slack on majorization partial sums
     max_ent_tol: float = 1e-8           # max deviation of Schmidt probs from 1/d
     fidelity_tol: float = 1e-9          # copy verification: require f >= 1 - fidelity_tol
-    synthesis_tol: float = 1e-9         # ||C1 (T~ x 1) - (T~ x T~) C1||_F bound, from C1's factors
     max_dim: int = 20736                # largest dense matrix dimension (12^4)
 
     def __post_init__(self) -> None:

@@ -15,15 +15,21 @@ the protocol's local unitaries follow from A by fixed conjugations.
 
 Synthesis takes the qudit-CNOT pairing: A = sum_s X^s (x) Pi_s, with
 Pi_s the projector onto T~'s eigenspace for the root w^s and X the
-shift from each root's eigenspace to the previous root's.  The
-protocol's A and B are then each a sum of M Kronecker products of
+shift from each root's eigenspace to the previous root's.  Which root
+an eigenvalue belongs to is decided once, by the verdict's clustering
+at phase_tol, and synthesis reuses those labels.  A satisfies the
+defining relation to roundoff for the snapped operator
+T^ = sum_s w^s Pi_s, against which it is checked, and for T~ itself to
+within T~'s distance from T^, which the verdict bounds by phase_tol.
+The protocol's A and B are then each a sum of M Kronecker products of
 d x d factors.  The checks of the construction run on those factors
 at O(M d^3 + M^2 d^2): unitarity by a certified bound and the defining
-relation exactly.  The d^2 x d^2 work is assembling the returned A and
-B, at O(M d^4), and verifying them on both states by the four-party
-overlap of simulator._simulate, at O(d^5) in three work arrays.  Each
-state is validated once, by states.unitary_of_state, which pair_operator
-and synthesize_protocol call directly.
+relation for T^ exactly, both judged by unitarity_tol.  The d^2 x d^2
+work is assembling the returned A and B, at O(M d^4), and verifying
+them on both states by the four-party overlap of simulator._simulate,
+at O(d^5) in three work arrays.  Each state is validated once, by
+states.unitary_of_state, which pair_operator and synthesize_protocol
+call directly.
 """
 from __future__ import annotations
 
@@ -128,8 +134,11 @@ def orthogonality(t: np.ndarray, config: NumericConfig | None = None) -> str:
     return NEITHER
 
 
-def _verdict(lam: np.ndarray, trace: complex, config: NumericConfig) -> SpectrumReport:
-    """The spectral verdict on the eigenvalues lam of a unitary pair operator.
+def _verdict(
+    lam: np.ndarray, trace: complex, config: NumericConfig
+) -> tuple[SpectrumReport, list[int]]:
+    """The spectral verdict on the eigenvalues lam of a unitary pair
+    operator, and the cluster label of each eigenvalue.
 
     Three array operations give the phases in [0, 2pi), their sort order
     and the points e^{i phase}, and a fourth the M cluster angles; the
@@ -144,7 +153,9 @@ def _verdict(lam: np.ndarray, trace: complex, config: NumericConfig) -> Spectrum
     Otherwise the rotation puts cluster 0 at 0, and the pair is copyable
     iff the rotated representatives lie within phase_tol of the M-th
     roots of unity (M the number of clusters) and every multiplicity
-    is D/M.
+    is D/M.  Clusters are numbered in ascending phase order from cluster
+    0, so for a copyable report cluster k is the root w^k: the labels
+    are the root indices by which synthesis pairs eigenspaces.
     """
     tol = config.phase_tol
     phases = np.angle(lam) % TAU
@@ -192,7 +203,7 @@ def _verdict(lam: np.ndarray, trace: complex, config: NumericConfig) -> Spectrum
     aligned = all(min(offset, TAU - offset) <= tol for offset in offsets)
     copyable = aligned and d % m == 0 and all(c == d // m for c in multiplicities)
 
-    return SpectrumReport(
+    report = SpectrumReport(
         eigenphases=phases[order],
         clusters=tuple((reps[k], multiplicities[k]) for k in by_phase),
         rotation=rotation,
@@ -200,6 +211,7 @@ def _verdict(lam: np.ndarray, trace: complex, config: NumericConfig) -> Spectrum
         copyable=copyable,
         trace=complex(trace),
     )
+    return report, labels
 
 
 def spectral_verdict(t: np.ndarray, config: NumericConfig | None = None) -> SpectrumReport:
@@ -214,7 +226,7 @@ def spectral_verdict(t: np.ndarray, config: NumericConfig | None = None) -> Spec
     cfg = config or DEFAULT
     t = np.asarray(t, dtype=complex)
     assert_unitary(t, cfg, "pair operator")
-    return _verdict(np.linalg.eigvals(t), np.trace(t), cfg)
+    return _verdict(np.linalg.eigvals(t), np.trace(t), cfg)[0]
 
 
 def degeneracy_form_check(multiplicities: list[int], m: int, d: int) -> bool:
@@ -245,52 +257,42 @@ def degeneracy_form_check(multiplicities: list[int], m: int, d: int) -> bool:
     return True
 
 
-def _root_labels(lam: np.ndarray, report: SpectrumReport) -> np.ndarray:
-    """Assign each eigenvalue its root-of-unity index after rotation."""
-    m = report.detected_m
-    rotated = (np.angle(lam) + report.rotation) % TAU
-    return np.round(rotated / (TAU / m)).astype(int) % m
-
-
-def _decompose(t: np.ndarray, config: NumericConfig) -> tuple[np.ndarray, np.ndarray, SpectrumReport]:
+def _decompose(t: np.ndarray, config: NumericConfig) -> tuple[np.ndarray, list[int], SpectrumReport]:
     """One eigendecomposition of a unitary t, shared by verdict and synthesis.
 
-    Raises PreconditionError when the spectral condition fails.
+    Returns the eigenvectors, the verdict's root label of each, and the
+    report.  Raises PreconditionError when the spectral condition fails.
     """
     assert_unitary(t, config, "pair operator")
     lam, v = eig_normal(t, config)
-    report = _verdict(lam, np.trace(t), config)
+    report, labels = _verdict(lam, np.trace(t), config)
     if not report.copyable:
         raise PreconditionError(
             "pair operator spectrum is not equally degenerate roots of unity; "
             "no copying protocol exists"
         )
-    return lam, v, report
+    return v, labels, report
 
 
 def _synthesize_from(
-    t: np.ndarray, lam: np.ndarray, v: np.ndarray, report: SpectrumReport,
-    config: NumericConfig,
+    v: np.ndarray, labels: list[int], m: int, config: NumericConfig
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The controlled shift C1 = sum_s X^s (x) Pi_s for T~, checked from
-    its factors.
+    """The controlled shift C1 = sum_s X^s (x) Pi_s, checked from its factors.
 
-    Returns V with its columns grouped by root (root 0 first, d/M
-    columns each) and the stacks of X^s and Pi_s, s = 0..M-1.
+    labels gives the root index of each column of V, and each root has
+    d/M of them (the verdict's equal degeneracy).  Returns V with its
+    columns grouped by root (root 0 first) and the stacks of X^s and
+    Pi_s, s = 0..M-1.  The relation is checked against the snapped
+    T^ = sum_s w^s Pi_s, for which it holds exactly, so its residual is
+    roundoff judged by unitarity_tol; T~'s own distance from the root
+    grid is the verdict's to judge, by phase_tol.
     """
-    d = t.shape[0]
-    m = report.detected_m
-    labels = _root_labels(lam, report)
-    dims = np.bincount(labels, minlength=m)
-    if np.any(dims != d // m):
-        raise SynthesisError(
-            f"eigenspace dimensions {dims} disagree with equal degeneracy {d}//{m}"
-        )
     v = v[:, np.argsort(labels, kind="stable")]
     _check_unitary(v, v, "synthesized C1", config)
     shifts, projectors = _shift_factors(v, v, m)
-    residual = _relation_residual(shifts, projectors, np.exp(1j * report.rotation) * t)
-    if residual > config.synthesis_tol:
+    t_snapped = np.tensordot(np.exp(1j * TAU / m * np.arange(m)), projectors, axes=1)
+    residual = _relation_residual(shifts, projectors, t_snapped)
+    if not residual <= config.unitarity_tol:
         raise SynthesisError(
             f"synthesized A fails its defining relation: residual {residual:.3e}"
         )
@@ -353,21 +355,21 @@ def _check_unitary(left: np.ndarray, right: np.ndarray, what: str, config: Numer
     return bound
 
 
-def _relation_residual(shifts: np.ndarray, projectors: np.ndarray, t_rot: np.ndarray) -> float:
-    """||C1 (T~ (x) 1) - (T~ (x) T~) C1||_F for C1 = sum_s X^s (x) Pi_s, at
-    O(M d^3 + M^2 d^2).
+def _relation_residual(shifts: np.ndarray, projectors: np.ndarray, t: np.ndarray) -> float:
+    """||C1 (T (x) 1) - (T (x) T) C1||_F for C1 = sum_s X^s (x) Pi_s and any
+    d x d T, at O(M d^3 + M^2 d^2).
 
-    The difference is sum_s D_s (x) Pi_s - (T~ X^s) (x) R_s with
-    D_s = X^s T~ - w^s T~ X^s and R_s = T~ Pi_s - w^s Pi_s (w = e^{2 pi i/M}),
+    The difference is sum_s D_s (x) Pi_s - (T X^s) (x) R_s with
+    D_s = X^s T - w^s T X^s and R_s = T Pi_s - w^s Pi_s (w = e^{2 pi i/M}),
     so its norm is taken on the small D_s and R_s, not on the two O(1)
     sides, by ||sum_j a_j (x) b_j||_F^2 = sum_{j,k} <a_j, a_k> <b_j, b_k>.
     """
     m = shifts.shape[0]
     roots = np.exp(1j * TAU / m * np.arange(m))[:, None, None]
-    t_shifts = t_rot @ shifts
-    first = np.concatenate((shifts @ t_rot - roots * t_shifts, t_shifts)).reshape(2 * m, -1)
+    t_shifts = t @ shifts
+    first = np.concatenate((shifts @ t - roots * t_shifts, t_shifts)).reshape(2 * m, -1)
     second = np.concatenate(
-        (projectors, roots * projectors - t_rot @ projectors)).reshape(2 * m, -1)
+        (projectors, roots * projectors - t @ projectors)).reshape(2 * m, -1)
     squared = np.sum((first.conj() @ first.T) * (second.conj() @ second.T)).real
     return math.sqrt(max(squared, 0.0))
 
@@ -378,15 +380,19 @@ def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarr
     T~ is t rotated per spectral_verdict.  A is the controlled shift
     sum_s X^s (x) Pi_s: Pi_s projects onto T~'s eigenspace for the root
     w^s, and X maps the eigenspace for each root w^r onto the one for
-    w^(r-1), so that X^s T~ X^-s = w^s T~.  It is checked for unitarity
+    w^(r-1), so that X^s T~ X^-s = w^s T~.  Each eigenvector's root is
+    the one spectral_verdict assigned it.  A is checked for unitarity
     and against its defining relation from these d x d factors before
-    it is assembled.  Deterministic for a given t.  Raises
-    PreconditionError when the spectral condition fails.
+    it is assembled.  It satisfies the relation to roundoff for the
+    snapped T^ = sum_s w^s Pi_s, and for T~ itself to within T~'s
+    distance from T^, which the verdict bounds by putting every
+    cluster within phase_tol of its root.  Deterministic for a given t.
+    Raises PreconditionError when the spectral condition fails.
     """
     cfg = config or DEFAULT
     t = np.asarray(t, dtype=complex)
-    lam, v, report = _decompose(t, cfg)
-    return _kron_sum(*_synthesize_from(t, lam, v, report, cfg)[1:])
+    v, labels, report = _decompose(t, cfg)
+    return _kron_sum(*_synthesize_from(v, labels, report.detected_m, cfg)[1:])
 
 
 def synthesize_protocol(
@@ -413,7 +419,7 @@ def synthesize_protocol(
     each a sum of M Kronecker products of d x d factors.  From those
     factors alone, C_1 and A are checked for unitarity by a certified
     bound (B = conj(C_1) shares C_1's residual) and C_1 against its
-    defining relation.  Only then are the d^2 x d^2 operators A and B
+    defining relation for the snapped W^, as in synthesize_a.  Only then are the d^2 x d^2 operators A and B
     assembled, at O(M d^4), and the returned A and B verified on both
     states by the closed-form four-party overlap of run_copy
     (simulator._simulate), at O(d^5) in three d^2 x d^2 work arrays.
@@ -438,8 +444,8 @@ def synthesize_protocol(
         raise PreconditionError(
             f"states to copy must be orthogonal, got verdict {kind!r}"
         )
-    lam, v, report = _decompose(w, cfg)
-    v, shifts, projectors = _synthesize_from(w, lam, v, report, cfg)
+    v, labels, report = _decompose(w, cfg)
+    v, shifts, projectors = _synthesize_from(v, labels, report.detected_m, cfg)
 
     # A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag = (U1 V (x) U1 V) P (U1 V (x) U_b V)^dag
     u1v, ubv = u1 @ v, ub @ v
@@ -458,7 +464,7 @@ def synthesize_protocol(
     from .simulator import _simulate
 
     for label, (fidelity, _) in zip(("psi1", "psi2"), _simulate(protocol, (psi1, psi2))):
-        if fidelity < 1.0 - cfg.fidelity_tol:
+        if not fidelity >= 1.0 - cfg.fidelity_tol:
             raise SynthesisError(
                 f"synthesized protocol failed verification on {label}: "
                 f"fidelity {fidelity!r}"

@@ -23,30 +23,40 @@ IMPOSSIBLE = "impossible"
 
 
 def _probs(v) -> np.ndarray:
-    return np.asarray(getattr(v, "probs", v), dtype=float)
+    """The probabilities of a SchmidtVector, or of an array-like that
+    passes SchmidtVector's checks (finite, non-negative, summing to 1
+    within NORM_TOL); raises ValueError otherwise."""
+    return (v if isinstance(v, SchmidtVector) else SchmidtVector(v)).probs
 
 
-def _partial_sums(v, w) -> tuple[np.ndarray, np.ndarray]:
+def _partial_sums(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Partial sums of v and w, each sorted descending and zero-padded
     to the longer length; w majorizes v when the second dominates."""
-    a = np.sort(_probs(v))[::-1]
-    b = np.sort(_probs(w))[::-1]
+    a = np.sort(v)[::-1]
+    b = np.sort(w)[::-1]
     n = max(a.size, b.size)
     return np.cumsum(np.pad(a, (0, n - a.size))), np.cumsum(np.pad(b, (0, n - b.size)))
+
+
+def _majorizes(w: np.ndarray, v: np.ndarray, tol: float) -> bool:
+    ca, cb = _partial_sums(v, w)
+    if abs(ca[-1] - cb[-1]) > tol:
+        return False
+    return bool(np.all(ca <= cb + tol))
 
 
 def majorizes(w, v, config: NumericConfig | None = None) -> bool:
     """True iff w majorizes v: partial sums of w dominate, totals equal.
 
-    Inputs may be SchmidtVector or array-like; they are sorted descending
-    and zero-padded to equal length internally.  Partial sums compare
-    one-sided with slack sum_tol; totals must agree within sum_tol.
+    Inputs may be SchmidtVector or array-like; an array-like is checked
+    as a SchmidtVector is, and raises ValueError when it is not finite,
+    has a negative entry or does not sum to 1.  They are sorted
+    descending and zero-padded to equal length internally.  Partial sums
+    compare one-sided with slack sum_tol; totals must agree within
+    sum_tol.
     """
     cfg = config or DEFAULT
-    ca, cb = _partial_sums(v, w)
-    if abs(ca[-1] - cb[-1]) > cfg.sum_tol:
-        return False
-    return bool(np.all(ca <= cb + cfg.sum_tol))
+    return _majorizes(_probs(w), _probs(v), cfg.sum_tol)
 
 
 def nielsen_transformable(src, dst, config: NumericConfig | None = None) -> bool:
@@ -60,15 +70,16 @@ def catalytic_copy_check(psi, blank, config: NumericConfig | None = None) -> str
     "direct" when blank -< psi already (plain Nielsen conversion of the
     blank into a second copy); "catalytic" when only the tensored
     relation psi (x) blank -< psi (x) psi holds; "impossible" otherwise.
+    Array-like inputs are checked as in majorizes.
     """
     cfg = config or DEFAULT
     p = _probs(psi)
     b = _probs(blank)
-    if majorizes(p, b, cfg):
+    if _majorizes(p, b, cfg.sum_tol):
         return DIRECT
     src = np.outer(p, b).ravel()
     dst = np.outer(p, p).ravel()
-    if majorizes(dst, src, cfg):
+    if _majorizes(dst, src, cfg.sum_tol):
         return CATALYTIC
     return IMPOSSIBLE
 

@@ -41,7 +41,7 @@ class FourPartyState:
                 f"expected a flat vector of length {self.d**4}, got {self.vector.shape}"
             )
         norm = float(np.linalg.norm(self.vector))
-        if abs(norm - 1.0) > NORM_TOL:
+        if not abs(norm - 1.0) <= NORM_TOL:
             raise ValueError(f"state is not normalized: 2-norm = {norm!r}")
 
 

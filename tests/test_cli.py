@@ -8,8 +8,9 @@ import pytest
 from loccopy import serialization
 from loccopy.cli import main
 from loccopy.copying import synthesize_protocol
-from loccopy.generators import copyable_pair, nonprime_counterexample, orthogonal_pair
-from loccopy.states import max_entangled
+from loccopy.config import TAU
+from loccopy.generators import copyable_pair, haar_unitary, nonprime_counterexample, orthogonal_pair
+from loccopy.states import from_unitary, max_entangled
 
 
 def run(capsys, argv):
@@ -165,6 +166,17 @@ class TestCheckPair:
         assert payload["orthogonality"] == "identical_up_to_phase"
         assert payload["detected_m"] == 1
 
+    @pytest.mark.parametrize("command", ["check-pair", "synthesize"])
+    def test_third_state_file_refused(self, capsys, tmp_path, command):
+        psi1, psi2 = orthogonal_pair(2, seed=2)
+        f1 = write_json(tmp_path, "a.json", serialization.state_to_json(psi1))
+        f2 = write_json(tmp_path, "b.json", serialization.state_to_json(psi2))
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
+        code, out, err = run(capsys, [command, f1, f2, pair])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "got 3 files" in err
+
     def test_loose_phase_tol_changes_verdict(self, capsys, tmp_path):
         psi1, psi2 = nonprime_counterexample(2, 2, delta=0.3, seed=4)
         pair = write_json(tmp_path, "pair.json",
@@ -260,6 +272,21 @@ class TestSynthesizeAndSimulate:
         code, out, err = run(capsys, ["synthesize", pair])
         assert code == 0, err
         assert serialization.protocol_from_json(json.loads(out)).d == d
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-9])
+    def test_phases_off_grid_synthesize(self, capsys, tmp_path, eps):
+        # pair operator: the 3 roots of unity, each 4 times, every
+        # eigenphase moved off the grid by up to eps, well inside phase_tol
+        d = 12
+        rng = np.random.default_rng(5)
+        phases = TAU * np.repeat(np.arange(3), 4) / 3 + rng.uniform(-eps, eps, d)
+        v, u2 = haar_unitary(d, seed=6), haar_unitary(d, seed=7)
+        t = (v * np.exp(1j * phases)) @ v.conj().T
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(
+            from_unitary(t @ u2), from_unitary(u2)))
+        out_path = str(tmp_path / "protocol.json")
+        code, _, err = run(capsys, ["synthesize", pair, "--out", out_path])
+        assert code == 0, err
 
     def test_uncopyable_pair_is_negative(self, capsys, tmp_path):
         psi1, psi2 = nonprime_counterexample(2, 2, delta=0.5, seed=8)
@@ -453,6 +480,30 @@ class TestSurvey:
             (2, 0.75, 0.25), (3, 1.0, 0.0)]
 
 
+VERDICT_TOLERANCES = {"unitarity_tol", "max_ent_tol", "ortho_tol", "phase_tol"}
+TOLERANCES_READ = {
+    "majorize": {"sum_tol"},
+    "catalysis": {"sum_tol"},
+    "check-pair": VERDICT_TOLERANCES,
+    "survey": VERDICT_TOLERANCES,
+    "synthesize": VERDICT_TOLERANCES | {"fidelity_tol"},
+    "simulate": {"unitarity_tol", "max_ent_tol", "fidelity_tol"},
+    "generate": set(),
+}
+ALL_TOLERANCES = ["unitarity_tol", "max_ent_tol", "ortho_tol", "phase_tol", "sum_tol",
+                  "fidelity_tol", "normality_tol", "synthesis_tol"]
+# The tolerances are checked before any file is read, so these need not exist.
+COMMAND_ARGS = {
+    "majorize": ["src.json", "dst.json"],
+    "catalysis": ["psi.json", "blank.json"],
+    "check-pair": ["pair.json"],
+    "survey": ["--d", "2", "--samples", "1"],
+    "synthesize": ["pair.json"],
+    "simulate": ["protocol.json", "state.json"],
+    "generate": ["--family", "orthogonal", "--d", "2"],
+}
+
+
 class TestErrorHandling:
     def test_malformed_json_names_location(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
@@ -484,6 +535,25 @@ class TestErrorHandling:
                                     "--phase-tol", "0"])
         assert code == 2
         assert "phase_tol" in err
+
+    @pytest.mark.parametrize("command", sorted(TOLERANCES_READ))
+    @pytest.mark.parametrize("name", ALL_TOLERANCES)
+    def test_tolerance_flags_only_where_read(self, capsys, command, name):
+        argv = [command, *COMMAND_ARGS[command], f"--{name.replace('_', '-')}", "0"]
+        if name in TOLERANCES_READ[command]:
+            code, _, err = run(capsys, argv)
+            assert code == 2
+            assert name in err
+        else:
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_generate_has_no_pretty(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["generate", "--family", "orthogonal", "--d", "2", "--pretty"])
+        assert exc.value.code == 2
 
     def test_synthesis_failure_is_internal_error(self, capsys, tmp_path, monkeypatch):
         from loccopy import cli

@@ -667,6 +667,87 @@ class TestFactoredChecks:
             residual = _relation_residual(shifts, projectors, t_rel)
             assert abs(residual - dense) < 1e-12 + 1e-10 * dense
 
+def off_grid_pair(d, m, eps, seed):
+    """An orthogonal pair whose pair operator has the M roots of unity,
+    each d/M times under a random rotation, every eigenphase then moved
+    off that grid by a uniform draw in [-eps, eps]."""
+    rng = np.random.default_rng(seed)
+    phases = (TAU * np.repeat(np.arange(m), d // m) / m + rng.uniform(0.0, TAU)
+              + rng.uniform(-eps, eps, d))
+    u2 = haar_unitary(d, seed=(seed, 2))
+    return from_unitary(planted_operator(phases, (seed, 1)) @ u2), from_unitary(u2)
+
+
+class TestRootGrid:
+    """Synthesis pairs eigenspaces by the verdict's root labels and checks
+    its relation against the snapped operator."""
+
+    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
+               st.just(k), st.sampled_from([m for m in range(2, 13) if k * m <= 32]))),
+           st.one_of(st.sampled_from([0.0, 1e-16, -1e-16, TAU - 1e-16]),
+                     st.floats(0.0, TAU, exclude_max=True)),
+           st.floats(0.0, 0.4 * DEFAULT.phase_tol),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_labels_are_rounded_rotated_phases(self, shape, rotation, noise, seed):
+        import loccopy.copying
+
+        k, m = shape
+        d = k * m
+        rng = np.random.default_rng(seed)
+        phases = (TAU * np.repeat(np.arange(m), k) / m + rotation
+                  + rng.uniform(-noise, noise, d))
+        verdicts, used = [], []
+        verdict, synthesize_from = loccopy.copying._verdict, loccopy.copying._synthesize_from
+
+        def record_verdict(lam, trace, config):
+            result = verdict(lam, trace, config)
+            verdicts.append((lam, result[0]))
+            return result
+
+        def record_labels(v, labels, m, config):
+            used.append(labels)
+            return synthesize_from(v, labels, m, config)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(loccopy.copying, "_verdict", record_verdict)
+            mp.setattr(loccopy.copying, "_synthesize_from", record_labels)
+            synthesize_a(planted_operator(phases, seed))
+        [(lam, report)], [labels] = verdicts, used
+        assert report.detected_m == m
+        rounded = np.round(((np.angle(lam) + report.rotation) % TAU) * m / TAU).astype(int) % m
+        assert list(labels) == rounded.tolist()
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-9])
+    def test_phases_off_grid_synthesize(self, eps):
+        # the relation residual against the unsnapped T~ read 1.5e-9 at
+        # eps = 1e-10, and failed a bound of 1e-9
+        d, m = 12, 3
+        for seed in range(20):
+            psi1, psi2 = off_grid_pair(d, m, eps, seed)
+            protocol = synthesize_protocol(psi1, psi2, max_entangled(d))
+            for psi in (psi1, psi2):
+                assert run_copy(protocol, psi)[0] >= 1 - DEFAULT.fidelity_tol
+
+    @pytest.mark.parametrize("synthesize", [
+        lambda: synthesize_a(copyable_unitary(6, 3, seed=1)),
+        lambda: synthesize_protocol(*copyable_pair(6, 3, seed=1), max_entangled(6)),
+    ], ids=["synthesize_a", "synthesize_protocol"])
+    def test_reversed_shift_fails_relation(self, monkeypatch, synthesize):
+        import loccopy.copying
+
+        original = loccopy.copying._shift_factors
+
+        def reversed_shift(left, right, m):
+            # X^-s in place of X^s: a unitary C1 that maps root r to r + s
+            shifts, projectors = original(left, right, m)
+            return shifts[-np.arange(m) % m], projectors
+
+        monkeypatch.setattr(loccopy.copying, "_shift_factors", reversed_shift)
+        with pytest.raises(SynthesisError, match="fails its defining relation"):
+            synthesize()
+
+
 class TestCopyProtocolValidation:
     def test_wrong_operator_shape_rejected(self):
         with pytest.raises(ValueError, match="operators"):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -98,6 +99,17 @@ class TestCatalyticCopyCheck:
         joint_src = np.outer(psi.probs, blank.probs).ravel()
         joint_dst = np.outer(psi.probs, psi.probs).ravel()
         assert majorizes(joint_dst, joint_src)
+
+    @pytest.mark.parametrize("psi,blank,match", [
+        ([np.nan, 1.0], [0.5, 0.5], "finite"),
+        ([0.7, 0.3], [0.5, 0.6], "sum to 1"),
+        ([1.2, -0.2], [0.5, 0.5], "non-negative"),
+    ])
+    def test_invalid_raw_arrays_rejected(self, psi, blank, match):
+        with pytest.raises(ValueError, match=match):
+            catalytic_copy_check(psi, blank)
+        with pytest.raises(ValueError, match=match):
+            majorizes(psi, blank)
 
 
 class TestFindCatalyticPair:

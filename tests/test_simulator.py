@@ -35,6 +35,10 @@ class TestFourPartyState:
         with pytest.raises(ValueError, match="normalized"):
             FourPartyState(2, np.ones(16))
 
+    def test_nan_vector_rejected(self):
+        with pytest.raises(ValueError, match="normalized"):
+            FourPartyState(2, np.full(16, np.nan))
+
 
 class TestAssemble:
     def test_bell_pair_amplitudes(self):
