@@ -39,6 +39,7 @@ def _partial_sums(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _majorizes(w: np.ndarray, v: np.ndarray, tol: float) -> bool:
+    """majorizes on probability arrays that are already validated."""
     ca, cb = _partial_sums(v, w)
     if abs(ca[-1] - cb[-1]) > tol:
         return False

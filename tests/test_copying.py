@@ -682,20 +682,17 @@ class TestRootGrid:
     """Synthesis pairs eigenspaces by the verdict's root labels and checks
     its relation against the snapped operator."""
 
-    @given(st.integers(1, 12).flatmap(lambda k: st.tuples(
-               st.just(k), st.sampled_from([m for m in range(2, 13) if k * m <= 32]))),
+    @given(copyable_cases(max_d=32),
            st.one_of(st.sampled_from([0.0, 1e-16, -1e-16, TAU - 1e-16]),
                      st.floats(0.0, TAU, exclude_max=True)),
-           st.floats(0.0, 0.4 * DEFAULT.phase_tol),
-           st.integers(0, 2**32 - 1))
+           st.floats(0.0, 0.4 * DEFAULT.phase_tol))
     @settings(max_examples=60, deadline=None)
-    def test_labels_are_rounded_rotated_phases(self, shape, rotation, noise, seed):
+    def test_labels_are_rounded_rotated_phases(self, case, rotation, noise):
         import loccopy.copying
 
-        k, m = shape
-        d = k * m
+        d, m, seed = case
         rng = np.random.default_rng(seed)
-        phases = (TAU * np.repeat(np.arange(m), k) / m + rotation
+        phases = (TAU * np.repeat(np.arange(m), d // m) / m + rotation
                   + rng.uniform(-noise, noise, d))
         verdicts, used = [], []
         verdict, synthesize_from = loccopy.copying._verdict, loccopy.copying._synthesize_from
