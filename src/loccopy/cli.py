@@ -10,6 +10,11 @@ stdin; check-pair and synthesize read one pair file or two state files
 and refuse more.  The default seed comes from $LOCCOPY_SEED when set,
 else 0.
 
+synthesize and generate write their JSON with _write_json, which streams
+it (a protocol's A and B one matrix row at a time) with the same bytes
+as json.dumps.  An output file that cannot be written is an input
+error, exit code 2, and a file left partly written is removed.
+
 Each subcommand takes a flag only for the tolerances it reads
 (_TOLERANCE_FLAGS): sum for majorize and catalysis; unitarity, max-ent,
 ortho and phase for check-pair and survey; those and fidelity for
@@ -23,6 +28,7 @@ import dataclasses
 import json
 import math
 import os
+import stat
 import sys
 
 import numpy as np
@@ -80,12 +86,39 @@ def _load_json(path: str) -> dict:
 
 
 def _write_json(obj: dict, path: str | None) -> None:
-    text = json.dumps(obj)
+    """obj as one line of JSON on stdout (path None or "-") or in the file
+    path, streamed by serialization.stream_to_json.  A file that cannot be
+    written raises ValueError "cannot write PATH"; one that fails part
+    way is removed."""
+    chunks = serialization.stream_to_json(obj)
     if path is None or path == "-":
-        print(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text + "\n")
+        sys.stdout.writelines(chunks)
+        sys.stdout.write("\n")
+        return
+    try:
+        fh = open(path, "w")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from None
+    try:
+        with fh:
+            fh.writelines(chunks)
+            fh.write("\n")
+    except OSError as exc:
+        _remove_partial(path)
+        raise ValueError(f"cannot write {path}: {exc}") from None
+    except BaseException:
+        _remove_partial(path)
+        raise
+
+
+def _remove_partial(path: str) -> None:
+    """Remove a partly written output file; a device, pipe or symlink at
+    path (such as /dev/stdout) is left alone."""
+    try:
+        if stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+    except OSError:
+        pass
 
 
 def _emit(args, payload: dict, pretty_lines: list[str]) -> None:
@@ -203,7 +236,7 @@ def cmd_synthesize(args) -> int:
     except PreconditionError as exc:
         print(f"not synthesizable: {exc}", file=sys.stderr)
         return NEGATIVE
-    _write_json(serialization.protocol_to_json(protocol), args.out)
+    _write_json(serialization.protocol_fields_to_json(protocol), args.out)
     if args.pretty:
         print(
             f"synthesized protocol for d = {protocol.d}; "

@@ -1,6 +1,9 @@
+import errno
 import io
 import json
 import sys
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -315,6 +318,98 @@ class TestSynthesizeAndSimulate:
         assert json.loads(out)["passes"] is False
 
 
+class TestStreamedOutput:
+    """synthesize writes A and B row by row; the text stays json.dumps'."""
+
+    @pytest.mark.parametrize("d,m", [(2, 2), (3, 3), (6, 3), (12, 4)])
+    @pytest.mark.parametrize("haar_blank", [False, True])
+    def test_protocol_bytes_match_json_dumps(self, capsys, tmp_path, d, m, haar_blank):
+        psi1, psi2 = copyable_pair(d, m, seed=30 + d)
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
+        # the states and blank as the CLI reads them back from their files
+        psi1, psi2 = serialization.pair_from_json(json.loads((tmp_path / "pair.json").read_text()))
+        blank_args, blank = [], max_entangled(d)
+        if haar_blank:
+            path = write_json(tmp_path, "blank.json", serialization.state_to_json(
+                from_unitary(haar_unitary(d, seed=60 + d))))
+            blank_args = ["--blank", path]
+            blank = serialization.state_from_json(json.loads((tmp_path / "blank.json").read_text()))
+        expected = json.dumps(serialization.protocol_to_json(
+            synthesize_protocol(psi1, psi2, blank))) + "\n"
+
+        out_path = tmp_path / "protocol.json"
+        code, out, err = run(capsys, ["synthesize", pair, *blank_args, "--out", str(out_path)])
+        assert (code, out, err) == (0, "", "")
+        assert out_path.read_bytes() == expected.encode()
+        for to_stdout in ([], ["--out", "-"]):
+            code, out, err = run(capsys, ["synthesize", pair, *blank_args, *to_stdout])
+            assert (code, out, err) == (0, expected, "")
+
+    def test_generate_bytes_match_json_dumps(self, capsys, tmp_path):
+        psi1, psi2 = copyable_pair(6, 3, seed=5)
+        expected = json.dumps(serialization.pair_to_json(
+            psi1, psi2, family="copyable", seed=5, m=3)) + "\n"
+        argv = ["generate", "--family", "copyable", "--d", "6", "--m", "3", "--seed", "5"]
+        out_path = tmp_path / "pair.json"
+        assert run(capsys, [*argv, "--out", str(out_path)]) == (0, "", "")
+        assert out_path.read_bytes() == expected.encode()
+        assert run(capsys, argv) == (0, expected, "")
+
+    def test_write_peak_memory_is_one_row(self, tmp_path):
+        # A deterministic stand-in for a wall-clock gate: the text of a
+        # d=12 protocol is 1.9 MB, and one row's text and lists are ~20 kB.
+        from loccopy import cli
+
+        psi1, psi2 = copyable_pair(12, 4, seed=12)
+        fields = serialization.protocol_fields_to_json(
+            synthesize_protocol(psi1, psi2, max_entangled(12)))
+        tracemalloc.start()
+        try:
+            cli._write_json(fields, str(tmp_path / "protocol.json"))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "protocol.json").stat().st_size > 1_900_000
+        assert peak < 0.5 * 2**20
+
+    @pytest.mark.parametrize("command", ["synthesize", "generate"])
+    def test_unwritable_path_is_input_error(self, capsys, tmp_path, command):
+        out_path = tmp_path / "missing" / "out.json"
+        if command == "synthesize":
+            psi1, psi2 = orthogonal_pair(2, seed=5)
+            argv = ["synthesize", write_json(tmp_path, "pair.json",
+                                             serialization.pair_to_json(psi1, psi2))]
+        else:
+            argv = ["generate", "--family", "orthogonal", "--d", "2"]
+        code, out, err = run(capsys, [*argv, "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {out_path}: ")
+        assert err.count("\n") == 1
+
+    def test_failure_mid_stream_leaves_no_file(self, capsys, tmp_path, monkeypatch):
+        rows = []
+
+        def fail_after_first_row(row):
+            if rows:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            rows.append(row)
+            return encode_row(row)
+
+        encode_row = serialization._row_to_json
+        monkeypatch.setattr(serialization, "_row_to_json", fail_after_first_row)
+        psi1, psi2 = copyable_pair(4, 2, seed=1)
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
+        out_path = tmp_path / "protocol.json"
+        out_path.write_text("an older file")
+        code, out, err = run(capsys, ["synthesize", pair, "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {out_path}: [Errno 28] No space left on device\n"
+        assert len(rows) == 1
+        assert not out_path.exists()
+
+
 class TestGenerate:
     def test_copyable_family_metadata(self, capsys):
         code, out, _ = run(capsys, ["generate", "--family", "copyable",
@@ -613,6 +708,98 @@ class TestErrorHandling:
         assert code == 2
         assert out == ""
         assert "finite" in err
+
+
+def run_as_process(capsys, argv):
+    """Exit code, stdout and stderr of `loccopy ARGV` as a user sees them:
+    warnings are shown on stderr, not raised, and argparse's exit gives
+    the code.  An exception escaping main, which would print a traceback,
+    fails the test."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    captured = capsys.readouterr()
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno)
+                    for w in caught)
+    return code, captured.out, shown + captured.err
+
+
+def error_files() -> dict:
+    """The input files of the error cases, as JSON objects or as raw text."""
+    psi1, psi2 = orthogonal_pair(2, seed=2)
+    pair = serialization.pair_to_json(psi1, psi2)
+    protocol = serialization.protocol_to_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
+    inf_psi1 = {**pair["psi1"], "amplitudes": [[0.5, float("inf")], *pair["psi1"]["amplitudes"][1:]]}
+    return {
+        "bad": "{not json",
+        "wrong_key": {"wrong": 1},
+        "nan_probs": {"probs": [float("nan"), 1.0]},
+        "probs": {"probs": [0.5, 0.5]},
+        "pair": pair,
+        "state1": pair["psi1"],
+        "state2": pair["psi2"],
+        "five": 5,
+        "psi1_five": {**pair, "psi1": 5},
+        # JSON reads 1e999 as inf; the decoder must not warn before the error
+        "inf_pair": json.dumps({**pair, "psi1": inf_psi1}).replace("Infinity", "1e999"),
+        "d_null": {**protocol, "d": None},
+        "phases_five": {**protocol, "phases": 5},
+        "other_wiring": {**protocol, "wiring": "A:(1,2) B:(3,4)"},
+        "nan_operator": {**protocol, "A": [[float("nan"), 0.0], *protocol["A"][1:]]},
+    }
+
+
+# Every error input of this file; "{name}" stands for the path of input
+# file name, and {missing} for a path that does not exist.
+ERROR_ARGV = {
+    "malformed json": ["majorize", "{bad}", "{bad}"],
+    "missing file": ["majorize", "{missing}", "{missing}"],
+    "missing key": ["majorize", "{wrong_key}", "{wrong_key}"],
+    "nan probabilities, majorize": ["majorize", "{nan_probs}", "{probs}"],
+    "nan probabilities, catalysis": ["catalysis", "{nan_probs}", "{probs}"],
+    "zero samples": ["survey", "--d", "3", "--samples", "0"],
+    "non-positive tolerance": ["survey", "--d", "2", "--samples", "1", "--phase-tol", "0"],
+    "tolerance flag not read": ["generate", "--family", "orthogonal", "--d", "2",
+                                "--phase-tol", "0"],
+    "generate --pretty": ["generate", "--family", "orthogonal", "--d", "2", "--pretty"],
+    "missing dimension": ["generate", "--family", "orthogonal"],
+    "oversized dimension, generate": ["generate", "--family", "orthogonal", "--d", "20737"],
+    "oversized dimension, survey": ["survey", "--d", "20737", "--samples", "1"],
+    "prime d, nonprime survey": ["survey", "--d", "5", "--family", "nonprime"],
+    "third state file, check-pair": ["check-pair", "{state1}", "{state2}", "{pair}"],
+    "third state file, synthesize": ["synthesize", "{state1}", "{state2}", "{pair}"],
+    "pair not an object": ["check-pair", "{five}"],
+    "state not an object": ["check-pair", "{psi1_five}"],
+    "infinite amplitude": ["check-pair", "{inf_pair}"],
+    "protocol d null": ["simulate", "{d_null}", "{state1}"],
+    "protocol phases": ["simulate", "{phases_five}", "{state1}"],
+    "protocol wiring": ["simulate", "{other_wiring}", "{state1}"],
+    "nan operator": ["simulate", "{nan_operator}", "{state1}"],
+    "unwritable protocol path": ["synthesize", "{pair}", "--out", "{missing}/p.json"],
+    "unwritable pair path": ["generate", "--family", "orthogonal", "--d", "2",
+                             "--out", "{missing}/x.json"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_ARGV))
+def test_error_input_prints_no_traceback(capsys, tmp_path, case):
+    paths = {"missing": str(tmp_path / "missing")}
+    for name, content in error_files().items():
+        paths[name] = str(tmp_path / f"{name}.json")
+        text = content if isinstance(content, str) else json.dumps(content)
+        (tmp_path / f"{name}.json").write_text(text)
+    argv = [arg.format(**paths) for arg in ERROR_ARGV[case]]
+    code, out, err = run_as_process(capsys, argv)
+    lines = err.splitlines()
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error: " in lines[-1]
+    # one line, or argparse's usage lines before its error line
+    assert len(lines) == 1 or lines[0].startswith("usage: ")
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from loccopy.generators import copyable_pair, haar_unitary, orthogonal_pair
 from loccopy.serialization import (
     pair_from_json,
     pair_to_json,
+    protocol_fields_to_json,
     protocol_from_json,
     protocol_to_json,
     report_to_json,
@@ -15,6 +17,7 @@ from loccopy.serialization import (
     schmidt_to_json,
     state_from_json,
     state_to_json,
+    stream_to_json,
 )
 from loccopy.states import SchmidtVector, from_unitary, max_entangled
 
@@ -47,6 +50,13 @@ class TestStateJson:
     def test_malformed_pairs_rejected(self):
         with pytest.raises(ValueError, match="pairs"):
             state_from_json({"d": 2, "amplitudes": [1, 2, 3, 4]})
+
+    def test_infinite_entry_rejected_without_warning(self):
+        amplitudes = [[0.5, float("inf")], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                state_from_json({"d": 2, "amplitudes": amplitudes})
 
 
 class TestSchmidtJson:
@@ -99,6 +109,24 @@ class TestProtocolJson:
         assert json.dumps(protocol_to_json(protocol)) == json.dumps(expected)
         state = {"d": 6, "amplitudes": per_entry_pairs(psi1.vector())}
         assert json.dumps(state_to_json(psi1)) == json.dumps(state)
+
+    def test_text_round_trip_is_bit_exact(self):
+        psi1, psi2 = copyable_pair(4, 2, seed=23)
+        protocol = synthesize_protocol(psi1, psi2, from_unitary(haar_unitary(4, seed=24)))
+        protocol.a_op[0, 1] = complex(protocol.a_op[0, 1].real, -0.0)
+        back = protocol_from_json(json.loads(json.dumps(protocol_to_json(protocol))))
+        assert back.a_op.tobytes() == protocol.a_op.tobytes()
+        assert back.b_op.tobytes() == protocol.b_op.tobytes()
+        assert back.blank.grid.tobytes() == protocol.blank.grid.tobytes()
+
+    def test_stream_matches_json_dumps(self):
+        psi1, psi2 = copyable_pair(6, 3, seed=25)
+        protocol = synthesize_protocol(psi1, psi2, max_entangled(6))
+        streamed = "".join(stream_to_json(protocol_fields_to_json(protocol)))
+        assert streamed == json.dumps(protocol_to_json(protocol))
+        pair = pair_to_json(psi1, psi2, family="copyable", m=3)
+        assert "".join(stream_to_json(pair)) == json.dumps(pair)
+        assert "".join(stream_to_json({})) == "{}"
 
     def test_round_trip_preserves_behavior(self):
         from loccopy.simulator import run_copy
