@@ -8,13 +8,7 @@ brute-force four-particle simulator kept as its oracle.  Includes the majorizati
 (Nielsen transformability and catalytic copying of partially entangled
 states) and deterministic generators for test families.
 """
-from .config import (
-    DEFAULT,
-    AmbiguityError,
-    NumericConfig,
-    PreconditionError,
-    SynthesisError,
-)
+from .config import AmbiguityError, PreconditionError, SynthesisError
 from .copying import (
     IDENTICAL,
     NEITHER,
@@ -71,13 +65,11 @@ __all__ = [
     "BipartiteState",
     "CATALYTIC",
     "CopyProtocol",
-    "DEFAULT",
     "DIRECT",
     "FourPartyState",
     "IDENTICAL",
     "IMPOSSIBLE",
     "NEITHER",
-    "NumericConfig",
     "ORTHOGONAL",
     "PreconditionError",
     "SchmidtVector",

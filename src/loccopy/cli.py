@@ -3,28 +3,28 @@
 Subcommands: majorize, catalysis, check-pair, synthesize, simulate,
 generate, survey.  Output is a single JSON object on stdout (or a human
 table with --pretty, which generate lacks).  Exit codes: 0 for success
-or an affirmative verdict, 1 for a negative verdict, 2 for input errors,
-3 for an internal error (a synthesized protocol failed its own
-verification; see SynthesisError).  File arguments accept "-" for
+or an affirmative verdict, 1 for a negative verdict, 2 for input errors
+(an unknown flag among them) and for a stdout closed before the output
+is written, 3 for an internal error (a synthesized protocol failed its
+own verification; see SynthesisError).  File arguments accept "-" for
 stdin; check-pair and synthesize read one pair file or two state files
 and refuse more.  The default seed comes from $LOCCOPY_SEED when set,
 else 0.
 
-synthesize and generate write their JSON with _write_json, which streams
-it (a protocol's A and B one matrix row at a time) with the same bytes
-as json.dumps.  An output file that cannot be written is an input
-error, exit code 2, and a file left partly written is removed.
+All JSON output goes through _write_json, which streams it (a
+protocol's A and B one matrix row at a time) with the same bytes as
+json.dumps.  An output file that cannot be written is an input error,
+exit code 2, and a file left partly written is removed.  A closed
+stdout (a reader such as `head` that exits early) is caught once, in
+main.
 
-Each subcommand takes a flag only for the tolerances it reads
-(_TOLERANCE_FLAGS): sum for majorize and catalysis; unitarity, max-ent,
-ortho and phase for check-pair and survey; those and fidelity for
-synthesize; unitarity, max-ent and fidelity for simulate; none for
-generate.  Any other flag is an argparse error, exit code 2.
+No subcommand takes a tolerance flag: the tolerances are the constants
+of loccopy.config, and a flag such as --phase-tol is an argparse error,
+exit code 2.
 """
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
@@ -35,10 +35,11 @@ import numpy as np
 
 from . import generators, serialization
 from .config import (
-    DEFAULT,
+    FIDELITY_TOL,
+    MAX_DIM,
+    SUM_TOL,
     TAU,
     AmbiguityError,
-    NumericConfig,
     PreconditionError,
     SynthesisError,
 )
@@ -57,20 +58,6 @@ OK = 0
 NEGATIVE = 1
 INPUT_ERROR = 2
 INTERNAL_ERROR = 3
-
-_VERDICT_TOLS = ("unitarity_tol", "max_ent_tol", "ortho_tol", "phase_tol")
-
-# The tolerances each subcommand reads, and so the only ones it accepts
-# as flags.
-_TOLERANCE_FLAGS = {
-    "majorize": ("sum_tol",),
-    "catalysis": ("sum_tol",),
-    "check-pair": _VERDICT_TOLS,
-    "synthesize": _VERDICT_TOLS + ("fidelity_tol",),
-    "simulate": ("unitarity_tol", "max_ent_tol", "fidelity_tol"),
-    "generate": (),
-    "survey": _VERDICT_TOLS,
-}
 
 
 def _load_json(path: str) -> dict:
@@ -125,16 +112,7 @@ def _emit(args, payload: dict, pretty_lines: list[str]) -> None:
     if args.pretty:
         print("\n".join(pretty_lines))
     else:
-        print(json.dumps(payload))
-
-
-def _config_from(args) -> NumericConfig:
-    overrides = {
-        name: getattr(args, name)
-        for name in _TOLERANCE_FLAGS[args.command]
-        if getattr(args, name) is not None
-    }
-    return dataclasses.replace(DEFAULT, **overrides)
+        _write_json(payload, None)
 
 
 def _default_seed() -> int:
@@ -153,11 +131,11 @@ def _load_pair(paths: list[str]):
     return psi1, psi2
 
 
-def _partial_sum_rows(v: np.ndarray, w: np.ndarray, tol: float) -> list[dict]:
+def _partial_sum_rows(v: np.ndarray, w: np.ndarray) -> list[dict]:
     ca, cb = _partial_sums(v, w)
     return [
         {"r": k + 1, "lhs": float(ca[k]), "rhs": float(cb[k]),
-         "satisfied": bool(ca[k] <= cb[k] + tol)}
+         "satisfied": bool(ca[k] <= cb[k] + SUM_TOL)}
         for k in range(ca.size)
     ]
 
@@ -171,11 +149,10 @@ def _sum_table(rows: list[dict], lhs: str, rhs: str) -> list[str]:
 
 
 def cmd_majorize(args) -> int:
-    cfg = _config_from(args)
     v = serialization.schmidt_from_json(_load_json(args.src))
     w = serialization.schmidt_from_json(_load_json(args.dst))
-    result = majorizes(w, v, cfg)
-    rows = _partial_sum_rows(v.probs, w.probs, cfg.sum_tol)
+    result = majorizes(w, v)
+    rows = _partial_sum_rows(v.probs, w.probs)
     payload = {
         "majorizes": result,
         "nielsen_transformable": result,
@@ -188,13 +165,12 @@ def cmd_majorize(args) -> int:
 
 
 def cmd_catalysis(args) -> int:
-    cfg = _config_from(args)
     psi = serialization.schmidt_from_json(_load_json(args.psi))
     blank = serialization.schmidt_from_json(_load_json(args.blank))
-    verdict = catalytic_copy_check(psi, blank, cfg)
+    verdict = catalytic_copy_check(psi, blank)
     tensored_src = np.outer(psi.probs, blank.probs).ravel()
     tensored_dst = np.outer(psi.probs, psi.probs).ravel()
-    rows = _partial_sum_rows(tensored_src, tensored_dst, cfg.sum_tol)
+    rows = _partial_sum_rows(tensored_src, tensored_dst)
     payload = {"verdict": verdict, "tensored_partial_sums": rows}
     pretty = _sum_table(rows, "sum psi*blank", "sum psi*psi")
     pretty.append(f"verdict: {verdict}")
@@ -203,11 +179,10 @@ def cmd_catalysis(args) -> int:
 
 
 def cmd_check_pair(args) -> int:
-    cfg = _config_from(args)
     psi1, psi2 = _load_pair(args.states)
-    t = pair_operator(psi1, psi2, cfg)
-    kind = orthogonality(t, cfg)
-    report = spectral_verdict(t, cfg)
+    t = pair_operator(psi1, psi2)
+    kind = orthogonality(t)
+    report = spectral_verdict(t)
     payload = {"d": psi1.d, "orthogonality": kind}
     payload.update(serialization.report_to_json(report))
     pretty = [
@@ -225,14 +200,13 @@ def cmd_check_pair(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
-    cfg = _config_from(args)
     psi1, psi2 = _load_pair(args.states)
     if args.blank is not None:
         blank = serialization.state_from_json(_load_json(args.blank))
     else:
         blank = max_entangled(psi1.d)
     try:
-        protocol = synthesize_protocol(psi1, psi2, blank, cfg)
+        protocol = synthesize_protocol(psi1, psi2, blank)
     except PreconditionError as exc:
         print(f"not synthesizable: {exc}", file=sys.stderr)
         return NEGATIVE
@@ -247,16 +221,15 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _config_from(args)
     protocol = serialization.protocol_from_json(_load_json(args.protocol))
     psi = serialization.state_from_json(_load_json(args.state))
-    fidelity, theta = run_copy(protocol, psi, cfg)
-    passes = fidelity >= 1.0 - cfg.fidelity_tol
+    fidelity, theta = run_copy(protocol, psi)
+    passes = fidelity >= 1.0 - FIDELITY_TOL
     payload = {"fidelity": fidelity, "theta": theta, "passes": passes}
     pretty = [
         f"fidelity: {fidelity:.15f}",
         f"recovered theta: {theta:+.9f}",
-        f"passes (>= 1 - {cfg.fidelity_tol:g}): {passes}",
+        f"passes (>= 1 - {FIDELITY_TOL:g}): {passes}",
     ]
     _emit(args, payload, pretty)
     return OK if passes else NEGATIVE
@@ -272,10 +245,10 @@ def _draw_delta(rng: np.random.Generator, d: int) -> float:
 
 
 def _check_dimension(d: int) -> None:
-    """Refuse a subsystem dimension above max_dim before any generator
+    """Refuse a subsystem dimension above MAX_DIM before any generator
     allocates its d x d matrices."""
-    if d > DEFAULT.max_dim:
-        raise ValueError(f"dimension {d} exceeds max dimension {DEFAULT.max_dim}")
+    if d > MAX_DIM:
+        raise ValueError(f"dimension {d} exceeds max dimension {MAX_DIM}")
 
 
 def cmd_generate(args) -> int:
@@ -295,6 +268,8 @@ def cmd_generate(args) -> int:
     else:  # nonprime
         if args.d1 is None or args.d2 is None:
             raise ValueError("--d1 and --d2 are required for the nonprime family")
+        if args.d1 < 2 or args.d2 < 2:  # before delta is drawn from (0, 2 pi / d)
+            raise ValueError(f"--d1 and --d2 must be at least 2, got {args.d1} and {args.d2}")
         d = args.d1 * args.d2
         _check_dimension(d)
         delta = args.delta
@@ -314,7 +289,6 @@ def _smallest_factor(d: int) -> int | None:
 
 
 def cmd_survey(args) -> int:
-    cfg = _config_from(args)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
@@ -337,11 +311,11 @@ def cmd_survey(args) -> int:
                 d2 = d // d1
                 delta = _draw_delta(np.random.default_rng(sample_seed), d)
                 psi1, psi2 = generators.nonprime_counterexample(d1, d2, delta, sample_seed)
-            t = pair_operator(psi1, psi2, cfg)
-            if orthogonality(t, cfg) == ORTHOGONAL:
+            t = pair_operator(psi1, psi2)
+            if orthogonality(t) == ORTHOGONAL:
                 orthogonal_count += 1
             try:
-                copyable = spectral_verdict(t, cfg).copyable
+                copyable = spectral_verdict(t).copyable
             except AmbiguityError:  # counted, and not copyable at this tolerance
                 ambiguous_count += 1
                 copyable = False
@@ -367,16 +341,11 @@ def cmd_survey(args) -> int:
 
 
 def _add_parser(sub, command: str, help: str, pretty: bool = True) -> argparse.ArgumentParser:
-    """A subcommand's parser with --pretty and the flags of the tolerances
-    it reads."""
+    """A subcommand's parser, with --pretty unless pretty is False."""
     p = sub.add_parser(command, help=help)
     if pretty:
         p.add_argument("--pretty", action="store_true",
                        help="human-readable table instead of JSON")
-    for name in _TOLERANCE_FLAGS[command]:
-        p.add_argument(f"--{name.replace('_', '-')}", dest=name,
-                       type=float, default=None, metavar="X",
-                       help=f"override {name} (default {getattr(DEFAULT, name):g})")
     return p
 
 
@@ -455,7 +424,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so that a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError as exc:
+        # Python flushes stdout again at exit: point it at devnull so that
+        # the flush cannot fail, as the docs of the signal module advise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        return INPUT_ERROR
     except AmbiguityError as exc:
         print(str(exc), file=sys.stderr)
         return INPUT_ERROR

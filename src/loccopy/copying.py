@@ -17,14 +17,14 @@ Synthesis takes the qudit-CNOT pairing: A = sum_s X^s (x) Pi_s, with
 Pi_s the projector onto T~'s eigenspace for the root w^s and X the
 shift from each root's eigenspace to the previous root's.  Which root
 an eigenvalue belongs to is decided once, by the verdict's clustering
-at phase_tol, and synthesis reuses those labels.  A satisfies the
+at PHASE_TOL, and synthesis reuses those labels.  A satisfies the
 defining relation to roundoff for the snapped operator
 T^ = sum_s w^s Pi_s, against which it is checked, and for T~ itself to
-within T~'s distance from T^, which the verdict bounds by phase_tol.
+within T~'s distance from T^, which the verdict bounds by PHASE_TOL.
 The protocol's A and B are then each a sum of M Kronecker products of
 d x d factors.  The checks of the construction run on those factors
 at O(M d^3 + M^2 d^2): unitarity by a certified bound and the defining
-relation for T^ exactly, both judged by unitarity_tol.  The d^2 x d^2
+relation for T^ exactly, both judged by UNITARITY_TOL.  The d^2 x d^2
 work is assembling the returned A and B, at O(M d^4), and verifying
 them on both states by the four-party overlap of simulator._simulate,
 at O(d^5) in three work arrays.  Each state is validated once, by
@@ -40,10 +40,13 @@ from typing import ClassVar
 import numpy as np
 
 from .config import (
-    DEFAULT,
+    FIDELITY_TOL,
+    MAX_DIM,
+    ORTHO_TOL,
+    PHASE_TOL,
     TAU,
+    UNITARITY_TOL,
     AmbiguityError,
-    NumericConfig,
     PreconditionError,
     SynthesisError,
 )
@@ -94,9 +97,7 @@ class CopyProtocol:
             )
 
 
-def pair_operator(
-    psi1: BipartiteState, psi2: BipartiteState, config: NumericConfig | None = None
-) -> np.ndarray:
+def pair_operator(psi1: BipartiteState, psi2: BipartiteState) -> np.ndarray:
     """T = D * PT_2(|psi1><psi2|) = U1 U2^dag, from the polished unitaries.
 
     Tracing out the second factor of |psi1><psi2| contracts the two
@@ -107,36 +108,32 @@ def pair_operator(
     polishes them, as synthesize_protocol forms W: it differs from
     D * C1 C2^dag by about the states' deviation from maximal
     entanglement, and is unitary to roundoff for every pair that passes
-    max_ent_tol, so spectral_verdict accepts the pairs that
+    MAX_ENT_TOL, so spectral_verdict accepts the pairs that
     synthesize_protocol accepts.
     """
-    cfg = config or DEFAULT
     if psi1.d != psi2.d:
         raise ValueError(f"dimension mismatch: {psi1.d} vs {psi2.d}")
-    return unitary_of_state(psi1, cfg) @ unitary_of_state(psi2, cfg).conj().T
+    return unitary_of_state(psi1) @ unitary_of_state(psi2).conj().T
 
 
-def orthogonality(t: np.ndarray, config: NumericConfig | None = None) -> str:
+def orthogonality(t: np.ndarray) -> str:
     """Classify the state pair behind t by |Tr(T)|.
 
     <psi2|psi1> = Tr(T)/D, and for copyable pairs the trace magnitude is
-    either 0 or D: returns "orthogonal" when |Tr| < D*ortho_tol,
-    "identical_up_to_phase" when |Tr| > D*(1 - ortho_tol), else "neither".
+    either 0 or D: returns "orthogonal" when |Tr| < D*ORTHO_TOL,
+    "identical_up_to_phase" when |Tr| > D*(1 - ORTHO_TOL), else "neither".
     """
-    cfg = config or DEFAULT
     t = np.asarray(t)
     d = t.shape[0]
     mag = abs(np.trace(t))
-    if mag < d * cfg.ortho_tol:
+    if mag < d * ORTHO_TOL:
         return ORTHOGONAL
-    if mag > d * (1.0 - cfg.ortho_tol):
+    if mag > d * (1.0 - ORTHO_TOL):
         return IDENTICAL
     return NEITHER
 
 
-def _verdict(
-    lam: np.ndarray, trace: complex, config: NumericConfig
-) -> tuple[SpectrumReport, list[int]]:
+def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]]:
     """The spectral verdict on the eigenvalues lam of a unitary pair
     operator, and the cluster label of each eigenvalue.
 
@@ -145,19 +142,19 @@ def _verdict(
     rest is one plain-Python pass over those d values and the M
     clusters, which for the d of a verdict costs less than the per-call
     overhead of further array operations.  The sorted phases are cut
-    into clusters at gaps > phase_tol, and the first and last clusters
+    into clusters at gaps > PHASE_TOL, and the first and last clusters
     merge when they meet across the 0/2pi seam; cluster 0 holds the
     smallest phase.  Each cluster is represented by
     the circular mean of its phases, accumulated in eigenvalue order.
-    Two representatives within 2 phase_tol raise AmbiguityError.
+    Two representatives within 2 PHASE_TOL raise AmbiguityError.
     Otherwise the rotation puts cluster 0 at 0, and the pair is copyable
-    iff the rotated representatives lie within phase_tol of the M-th
+    iff the rotated representatives lie within PHASE_TOL of the M-th
     roots of unity (M the number of clusters) and every multiplicity
     is D/M.  Clusters are numbered in ascending phase order from cluster
     0, so for a copyable report cluster k is the root w^k: the labels
     are the root indices by which synthesis pairs eigenspaces.
     """
-    tol = config.phase_tol
+    tol = PHASE_TOL
     phases = np.angle(lam) % TAU
     order = np.argsort(phases)
     points = np.exp(1j * phases).tolist()
@@ -193,7 +190,7 @@ def _verdict(
         if smallest <= 2.0 * tol:
             raise AmbiguityError(
                 f"two eigenphase clusters are separated by only {smallest:.3e} rad, "
-                f"between phase_tol {tol:.1e} and twice that; "
+                f"between PHASE_TOL {tol:.1e} and twice that; "
                 "the clustering is ambiguous at this tolerance"
             )
 
@@ -214,19 +211,18 @@ def _verdict(
     return report, labels
 
 
-def spectral_verdict(t: np.ndarray, config: NumericConfig | None = None) -> SpectrumReport:
+def spectral_verdict(t: np.ndarray) -> SpectrumReport:
     """Decide copyability of the pair behind t from its eigenphases.
 
     Clusters the eigenphases, removes the rotation that puts the cluster
     containing the smallest phase at 0, and reports copyable iff the
     cluster representatives match the Mth-roots-of-unity grid (M = number
-    of clusters) within phase_tol and all multiplicities equal D/M.
+    of clusters) within PHASE_TOL and all multiplicities equal D/M.
     Needs only the eigenvalues of t, never its eigenvectors.
     """
-    cfg = config or DEFAULT
     t = np.asarray(t, dtype=complex)
-    assert_unitary(t, cfg, "pair operator")
-    return _verdict(np.linalg.eigvals(t), np.trace(t), cfg)[0]
+    assert_unitary(t, "pair operator")
+    return _verdict(np.linalg.eigvals(t), np.trace(t))[0]
 
 
 def degeneracy_form_check(multiplicities: list[int], m: int, d: int) -> bool:
@@ -257,15 +253,15 @@ def degeneracy_form_check(multiplicities: list[int], m: int, d: int) -> bool:
     return True
 
 
-def _decompose(t: np.ndarray, config: NumericConfig) -> tuple[np.ndarray, list[int], SpectrumReport]:
+def _decompose(t: np.ndarray) -> tuple[np.ndarray, list[int], SpectrumReport]:
     """One eigendecomposition of a unitary t, shared by verdict and synthesis.
 
     Returns the eigenvectors, the verdict's root label of each, and the
     report.  Raises PreconditionError when the spectral condition fails.
     """
-    assert_unitary(t, config, "pair operator")
-    lam, v = eig_normal(t, config)
-    report, labels = _verdict(lam, np.trace(t), config)
+    assert_unitary(t, "pair operator")
+    lam, v = eig_normal(t)
+    report, labels = _verdict(lam, np.trace(t))
     if not report.copyable:
         raise PreconditionError(
             "pair operator spectrum is not equally degenerate roots of unity; "
@@ -275,7 +271,7 @@ def _decompose(t: np.ndarray, config: NumericConfig) -> tuple[np.ndarray, list[i
 
 
 def _synthesize_from(
-    v: np.ndarray, labels: list[int], m: int, config: NumericConfig
+    v: np.ndarray, labels: list[int], m: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The controlled shift C1 = sum_s X^s (x) Pi_s, checked from its factors.
 
@@ -284,15 +280,15 @@ def _synthesize_from(
     columns grouped by root (root 0 first) and the stacks of X^s and
     Pi_s, s = 0..M-1.  The relation is checked against the snapped
     T^ = sum_s w^s Pi_s, for which it holds exactly, so its residual is
-    roundoff judged by unitarity_tol; T~'s own distance from the root
-    grid is the verdict's to judge, by phase_tol.
+    roundoff judged by UNITARITY_TOL; T~'s own distance from the root
+    grid is the verdict's to judge, by PHASE_TOL.
     """
     v = v[:, np.argsort(labels, kind="stable")]
-    _check_unitary(v, v, "synthesized C1", config)
+    _check_unitary(v, v, "synthesized C1")
     shifts, projectors = _shift_factors(v, v, m)
     t_snapped = np.tensordot(np.exp(1j * TAU / m * np.arange(m)), projectors, axes=1)
     residual = _relation_residual(shifts, projectors, t_snapped)
-    if not residual <= config.unitarity_tol:
+    if not residual <= UNITARITY_TOL:
         raise SynthesisError(
             f"synthesized A fails its defining relation: residual {residual:.3e}"
         )
@@ -333,7 +329,7 @@ def _kron_gram_residual(e_left: np.ndarray, e_right: np.ndarray) -> float:
     return math.sqrt(max(squared, 0.0))
 
 
-def _check_unitary(left: np.ndarray, right: np.ndarray, what: str, config: NumericConfig) -> float:
+def _check_unitary(left: np.ndarray, right: np.ndarray, what: str) -> float:
     """Certified bound on ||X^dag X - I||_F for X = (L (x) L) P (L (x) R)^dag,
     P any permutation, from the d x d factors.
 
@@ -341,7 +337,7 @@ def _check_unitary(left: np.ndarray, right: np.ndarray, what: str, config: Numer
     X^dag X - I = (K2 K2^dag - I) + K2 P^dag E1 P K2^dag.  K2 K2^dag and
     K2^dag K2 share their spectrum, so with e = ||K^dag K - I||_F the
     residual is at most e2 + (1 + e2) e1, and each e is exact by
-    _kron_gram_residual.  Returns the bound; above unitarity_tol it
+    _kron_gram_residual.  Returns the bound; above UNITARITY_TOL it
     raises SynthesisError.  A bound within the tolerance puts the dense
     residual within it too, up to the roundoff of a dense product, so
     the check is no looser than a dense one.
@@ -350,7 +346,7 @@ def _check_unitary(left: np.ndarray, right: np.ndarray, what: str, config: Numer
     e1 = _kron_gram_residual(e_left, e_left)
     e2 = _kron_gram_residual(e_left, _gram_defect(right))
     bound = e2 + (1.0 + e2) * e1
-    if not bound <= config.unitarity_tol:
+    if not bound <= UNITARITY_TOL:
         raise SynthesisError(f"{what} is not unitary: ||U^dag U - I|| <= {bound:.3e}")
     return bound
 
@@ -374,7 +370,7 @@ def _relation_residual(shifts: np.ndarray, projectors: np.ndarray, t: np.ndarray
     return math.sqrt(max(squared, 0.0))
 
 
-def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarray:
+def synthesize_a(t: np.ndarray) -> np.ndarray:
     """Build a unitary A with A (T~ (x) 1) A^dag = T~ (x) T~.
 
     T~ is t rotated per spectral_verdict.  A is the controlled shift
@@ -386,20 +382,18 @@ def synthesize_a(t: np.ndarray, config: NumericConfig | None = None) -> np.ndarr
     it is assembled.  It satisfies the relation to roundoff for the
     snapped T^ = sum_s w^s Pi_s, and for T~ itself to within T~'s
     distance from T^, which the verdict bounds by putting every
-    cluster within phase_tol of its root.  Deterministic for a given t.
+    cluster within PHASE_TOL of its root.  Deterministic for a given t.
     Raises PreconditionError when the spectral condition fails.
     """
-    cfg = config or DEFAULT
     t = np.asarray(t, dtype=complex)
-    v, labels, report = _decompose(t, cfg)
-    return _kron_sum(*_synthesize_from(v, labels, report.detected_m, cfg)[1:])
+    v, labels, report = _decompose(t)
+    return _kron_sum(*_synthesize_from(v, labels, report.detected_m)[1:])
 
 
 def synthesize_protocol(
     psi1: BipartiteState,
     psi2: BipartiteState,
     blank: BipartiteState,
-    config: NumericConfig | None = None,
 ) -> CopyProtocol:
     """Construct local unitaries A, B copying both psi1 and psi2 onto blank.
 
@@ -415,7 +409,7 @@ def synthesize_protocol(
     Each state is validated once by unitary_of_state, as pair_operator
     validates its two, from one Gram matrix that also gives its unitary
     one Newton-Schulz step toward unitarity before W is formed, so
-    states that pass max_ent_tol yield a unitary W and A.  A and B are
+    states that pass MAX_ENT_TOL yield a unitary W and A.  A and B are
     each a sum of M Kronecker products of d x d factors.  From those
     factors alone, C_1 and A are checked for unitarity by a certified
     bound (B = conj(C_1) shares C_1's residual) and C_1 against its
@@ -424,32 +418,29 @@ def synthesize_protocol(
     states by the closed-form four-party overlap of run_copy
     (simulator._simulate), at O(d^5) in three d^2 x d^2 work arrays.
     A failed check raises SynthesisError.  Raises ValueError when the
-    operators would exceed max_dim.
+    operators would exceed MAX_DIM.
     """
-    cfg = config or DEFAULT
     if not psi1.d == psi2.d == blank.d:
         raise ValueError(
             f"dimension mismatch: {psi1.d}, {psi2.d} and blank {blank.d}"
         )
     n = psi1.d * psi1.d
-    if n > cfg.max_dim:
-        raise ValueError(
-            f"protocol operators are {n} x {n}, exceeds max dimension {cfg.max_dim}"
-        )
-    u1, u2, ub = (unitary_of_state(s, cfg) for s in (psi1, psi2, blank))
+    if n > MAX_DIM:
+        raise ValueError(f"protocol operators are {n} x {n}, exceeds max dimension {MAX_DIM}")
+    u1, u2, ub = (unitary_of_state(s) for s in (psi1, psi2, blank))
 
     w = u2.conj().T @ u1
-    kind = orthogonality(w, cfg)
+    kind = orthogonality(w)
     if kind != ORTHOGONAL:
         raise PreconditionError(
             f"states to copy must be orthogonal, got verdict {kind!r}"
         )
-    v, labels, report = _decompose(w, cfg)
-    v, shifts, projectors = _synthesize_from(v, labels, report.detected_m, cfg)
+    v, labels, report = _decompose(w)
+    v, shifts, projectors = _synthesize_from(v, labels, report.detected_m)
 
     # A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag = (U1 V (x) U1 V) P (U1 V (x) U_b V)^dag
     u1v, ubv = u1 @ v, ub @ v
-    _check_unitary(u1v, ubv, "A operator", cfg)
+    _check_unitary(u1v, ubv, "A operator")
     a_factors = _shift_factors(u1v, ubv, report.detected_m)
     b_factors = (shifts.conj(), projectors.conj())
     theta2 = -report.rotation
@@ -464,7 +455,7 @@ def synthesize_protocol(
     from .simulator import _simulate
 
     for label, (fidelity, _) in zip(("psi1", "psi2"), _simulate(protocol, (psi1, psi2))):
-        if not fidelity >= 1.0 - cfg.fidelity_tol:
+        if not fidelity >= 1.0 - FIDELITY_TOL:
             raise SynthesisError(
                 f"synthesized protocol failed verification on {label}: "
                 f"fidelity {fidelity!r}"

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT, NumericConfig
+from .config import SUM_TOL
 from .states import SchmidtVector
 
 DIRECT = "direct"
@@ -38,34 +38,33 @@ def _partial_sums(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return np.cumsum(np.pad(a, (0, n - a.size))), np.cumsum(np.pad(b, (0, n - b.size)))
 
 
-def _majorizes(w: np.ndarray, v: np.ndarray, tol: float) -> bool:
+def _majorizes(w: np.ndarray, v: np.ndarray) -> bool:
     """majorizes on probability arrays that are already validated."""
     ca, cb = _partial_sums(v, w)
-    if abs(ca[-1] - cb[-1]) > tol:
+    if abs(ca[-1] - cb[-1]) > SUM_TOL:
         return False
-    return bool(np.all(ca <= cb + tol))
+    return bool(np.all(ca <= cb + SUM_TOL))
 
 
-def majorizes(w, v, config: NumericConfig | None = None) -> bool:
+def majorizes(w, v) -> bool:
     """True iff w majorizes v: partial sums of w dominate, totals equal.
 
     Inputs may be SchmidtVector or array-like; an array-like is checked
     as a SchmidtVector is, and raises ValueError when it is not finite,
     has a negative entry or does not sum to 1.  They are sorted
     descending and zero-padded to equal length internally.  Partial sums
-    compare one-sided with slack sum_tol; totals must agree within
-    sum_tol.
+    compare one-sided with slack SUM_TOL; totals must agree within
+    SUM_TOL.
     """
-    cfg = config or DEFAULT
-    return _majorizes(_probs(w), _probs(v), cfg.sum_tol)
+    return _majorizes(_probs(w), _probs(v))
 
 
-def nielsen_transformable(src, dst, config: NumericConfig | None = None) -> bool:
+def nielsen_transformable(src, dst) -> bool:
     """True iff |phi_src> -> |phi_dst> is possible by deterministic LOCC."""
-    return majorizes(dst, src, config)
+    return majorizes(dst, src)
 
 
-def catalytic_copy_check(psi, blank, config: NumericConfig | None = None) -> str:
+def catalytic_copy_check(psi, blank) -> str:
     """Classify copying of psi onto blank: direct, catalytic, or impossible.
 
     "direct" when blank -< psi already (plain Nielsen conversion of the
@@ -73,20 +72,19 @@ def catalytic_copy_check(psi, blank, config: NumericConfig | None = None) -> str
     relation psi (x) blank -< psi (x) psi holds; "impossible" otherwise.
     Array-like inputs are checked as in majorizes.
     """
-    cfg = config or DEFAULT
     p = _probs(psi)
     b = _probs(blank)
-    if _majorizes(p, b, cfg.sum_tol):
+    if _majorizes(p, b):
         return DIRECT
     src = np.outer(p, b).ravel()
     dst = np.outer(p, p).ravel()
-    if _majorizes(dst, src, cfg.sum_tol):
+    if _majorizes(dst, src):
         return CATALYTIC
     return IMPOSSIBLE
 
 
 def find_catalytic_pair(
-    d: int, attempts: int, seed: int, config: NumericConfig | None = None
+    d: int, attempts: int, seed: int
 ) -> tuple[SchmidtVector, SchmidtVector] | None:
     """Random search for a (psi, blank) pair with a "catalytic" verdict.
 
@@ -96,13 +94,12 @@ def find_catalytic_pair(
     None when the budget is exhausted; catalytic pairs need at least 4
     components to exist, so small d searches are expected to fail.
     """
-    cfg = config or DEFAULT
     for k in range(attempts):
         rng = np.random.default_rng((seed, k))
         psi = rng.standard_normal(d) ** 2
         psi /= psi.sum()
         blank = rng.standard_normal(d) ** 2
         blank /= blank.sum()
-        if catalytic_copy_check(psi, blank, cfg) == CATALYTIC:
+        if catalytic_copy_check(psi, blank) == CATALYTIC:
             return SchmidtVector(psi), SchmidtVector(blank)
     return None

@@ -4,9 +4,11 @@ Complex data is serialized as [re, im] pairs.  State amplitudes are
 listed in the flat mu = i + d*(j-1) order; matrices are row-major over
 the same basis.  All loaders validate structure and raise ValueError
 with the offending key named: a value that is not a JSON object, a
-missing key, a "d" that is not an integer, and a protocol's "phases"
-that are not two numbers or "wiring" that is not the one
-CopyProtocol.wiring.
+missing key, a "d" that is not an integer (true and false are not), a
+protocol's "phases" that are not two finite numbers or "wiring" that is
+not the one CopyProtocol.wiring, and a Schmidt or protocol matrix
+entry above 1 in magnitude, which is refused before any arithmetic
+that could overflow.
 
 A protocol's field order is stated once, in protocol_fields_to_json,
 which leaves A and B as complex arrays.  protocol_to_json expands them
@@ -19,10 +21,12 @@ numbers bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterator
 
 import numpy as np
 
+from .config import NORM_TOL
 from .copying import CopyProtocol, SpectrumReport
 from .states import BipartiteState, SchmidtVector
 
@@ -41,7 +45,7 @@ def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
 def _pairs_to_array(pairs, what: str) -> np.ndarray:
     try:
         arr = np.array(pairs, dtype=float, order="C")
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be a list of [re, im] pairs: {exc}") from None
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"{what} must be a list of [re, im] pairs, got shape {arr.shape}")
@@ -53,15 +57,27 @@ def _pairs_to_array(pairs, what: str) -> np.ndarray:
 
 def _require(obj: dict, key: str, what: str, kind: type | None = None):
     """obj[key], raising ValueError when obj is not a JSON object, key is
-    missing, or the value is not of type kind (when given)."""
+    missing, or the value is not of type kind (when given); a bool (JSON
+    true or false) is not an int here."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     if key not in obj:
         raise ValueError(f"{what} is missing required key {key!r}")
     value = obj[key]
-    if kind is not None and not isinstance(value, kind):
+    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
         raise ValueError(f"{what} key {key!r} must be {kind.__name__}, got {value!r}")
     return value
+
+
+def _is_finite_number(x) -> bool:
+    """x is a JSON number within the float range and finite; true and
+    false are not numbers here."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        return False
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 def state_to_json(s: BipartiteState) -> dict:
@@ -90,8 +106,10 @@ def schmidt_from_json(obj: dict) -> SchmidtVector:
         if key in obj:
             try:
                 values = np.asarray(obj[key], dtype=float)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValueError(f"Schmidt vector {key!r} must be numbers: {exc}") from None
+            if np.any(np.abs(values) > 1.0 + NORM_TOL):  # before squaring, which could overflow
+                raise ValueError(f"Schmidt vector {key!r} entries must be at most 1")
             return SchmidtVector(values**power)
     raise ValueError("Schmidt vector needs a 'probs' or 'coeffs' array")
 
@@ -100,6 +118,10 @@ def _matrix_from_json(pairs, n: int, what: str) -> np.ndarray:
     flat = _pairs_to_array(pairs, what)
     if flat.size != n * n:
         raise ValueError(f"{what} has {flat.size} entries, expected {n}*{n} = {n * n}")
+    # no part of a unitary's entry exceeds 1: a larger one is refused
+    # before the unitarity check's product, which could overflow
+    if np.any(np.abs(flat.real) > 1.0 + NORM_TOL) or np.any(np.abs(flat.imag) > 1.0 + NORM_TOL):
+        raise ValueError(f"{what} entries must be at most 1 in magnitude")
     return flat.reshape((n, n))
 
 
@@ -156,8 +178,8 @@ def protocol_from_json(obj: dict) -> CopyProtocol:
     phases = _require(obj, "phases", "protocol", list)
     if len(phases) != 2:
         raise ValueError(f"protocol phases must have 2 entries, got {len(phases)}")
-    if not all(isinstance(x, (int, float)) for x in phases):
-        raise ValueError(f"protocol phases must be numbers, got {phases!r}")
+    if not all(_is_finite_number(x) for x in phases):
+        raise ValueError(f"protocol phases must be finite numbers, got {phases!r}")
     wiring = obj.get("wiring", CopyProtocol.wiring)
     if wiring != CopyProtocol.wiring:
         raise ValueError(

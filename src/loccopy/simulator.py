@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, NORM_TOL, NumericConfig
+from .config import NORM_TOL
 from .copying import CopyProtocol
 from .states import BipartiteState, assert_max_entangled, assert_unitary
 from .tensor import permute_factors
@@ -53,12 +53,7 @@ def assemble(psi: BipartiteState, blank: BipartiteState) -> FourPartyState:
     return FourPartyState(psi.d, grid.flatten(order="F"))
 
 
-def apply_local(
-    state: FourPartyState,
-    a_op: np.ndarray,
-    b_op: np.ndarray,
-    config: NumericConfig | None = None,
-) -> FourPartyState:
+def apply_local(state: FourPartyState, a_op: np.ndarray, b_op: np.ndarray) -> FourPartyState:
     """Apply A on particles (1,3) and B on particles (2,4).
 
     Equivalent to permuting factors (1,2,3,4) -> (1,3,2,4), applying
@@ -67,7 +62,6 @@ def apply_local(
     the (1,3) pair indexing rows and (2,4) columns, so the two operators
     act as a left and a (transposed) right factor.
     """
-    cfg = config or DEFAULT
     d = state.d
     n = d * d
     a_op = np.asarray(a_op, dtype=complex)
@@ -76,8 +70,8 @@ def apply_local(
         raise ValueError(
             f"operators must be {n} x {n}, got {a_op.shape} and {b_op.shape}"
         )
-    assert_unitary(a_op, cfg, "A operator")
-    assert_unitary(b_op, cfg, "B operator")
+    assert_unitary(a_op, "A operator")
+    assert_unitary(b_op, "B operator")
 
     dims = [d] * 4
     v = permute_factors(state.vector, dims, WIRING)
@@ -87,9 +81,7 @@ def apply_local(
     return FourPartyState(d, v)
 
 
-def run_copy(
-    protocol: CopyProtocol, psi: BipartiteState, config: NumericConfig | None = None
-) -> tuple[float, float]:
+def run_copy(protocol: CopyProtocol, psi: BipartiteState) -> tuple[float, float]:
     """Simulate the protocol on psi; return (fidelity, recovered theta).
 
     Fidelity is |<target|output>|^2 against target = |psi^12>|psi^34>,
@@ -98,12 +90,11 @@ def run_copy(
     operators, then evaluates the closed-form overlap at O(d^5) in three
     d^2 x d^2 work arrays of its own.
     """
-    cfg = config or DEFAULT
     if psi.d != protocol.d:
         raise ValueError(f"dimension mismatch: state {psi.d} vs protocol {protocol.d}")
-    assert_max_entangled(psi, cfg)
-    assert_unitary(protocol.a_op, cfg, "A operator")
-    assert_unitary(protocol.b_op, cfg, "B operator")
+    assert_max_entangled(psi)
+    assert_unitary(protocol.a_op, "A operator")
+    assert_unitary(protocol.b_op, "B operator")
     return _simulate(protocol, (psi,))[0]
 
 

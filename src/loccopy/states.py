@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT, NORM_TOL, NumericConfig, PreconditionError
+from .config import MAX_ENT_TOL, NORM_TOL, UNITARITY_TOL, PreconditionError
 
 
 @dataclass
@@ -28,8 +28,13 @@ class BipartiteState:
             raise ValueError(f"amplitude grid must be square, got {self.grid.shape}")
         if self.grid.shape[0] < 2:
             raise ValueError("subsystem dimension must be at least 2")
-        if not np.all(np.isfinite(self.grid.real)) or not np.all(np.isfinite(self.grid.imag)):
+        parts = (self.grid.real, self.grid.imag)
+        if not all(np.all(np.isfinite(x)) for x in parts):
             raise ValueError("amplitudes must be finite")
+        # no part of a normalized state's amplitude exceeds 1; bounding the
+        # parts keeps |c|^2 below from overflowing
+        if any(np.abs(x).max() > 1.0 + NORM_TOL for x in parts):
+            raise ValueError("amplitudes must be at most 1 in magnitude")
         norm2 = float(np.sum(np.abs(self.grid) ** 2))
         if abs(norm2 - 1.0) > NORM_TOL:
             raise ValueError(f"state is not normalized: sum |c|^2 = {norm2!r}")
@@ -57,6 +62,8 @@ class SchmidtVector:
             raise ValueError("probs must be finite")
         if np.any(p < -NORM_TOL):
             raise ValueError(f"probs must be non-negative, got min {p.min()!r}")
+        if np.any(p > 1.0 + NORM_TOL):  # before the sum, which could overflow
+            raise ValueError(f"probs must be at most 1, got max {p.max()!r}")
         total = float(p.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"probs must sum to 1, got {total!r}")
@@ -70,46 +77,45 @@ def max_entangled(d: int) -> BipartiteState:
     return BipartiteState(np.eye(d) / np.sqrt(d))
 
 
-def from_unitary(u: np.ndarray, config: NumericConfig | None = None) -> BipartiteState:
+def from_unitary(u: np.ndarray) -> BipartiteState:
     """The maximally entangled state (U (x) 1)|psi_max>, grid U/sqrt(d)."""
-    cfg = config or DEFAULT
     u = np.asarray(u, dtype=complex)
-    assert_unitary(u, cfg, "from_unitary input")
+    assert_unitary(u, "from_unitary input")
     return BipartiteState(u / np.sqrt(u.shape[0]))
 
 
-def unitary_of_state(s: BipartiteState, config: NumericConfig | None = None) -> np.ndarray:
+def unitary_of_state(s: BipartiteState) -> np.ndarray:
     """Recover U with from_unitary(U) == s; inverse of from_unitary.
 
     Requires s maximally entangled: its Schmidt probabilities must all
-    equal 1/d within max_ent_tol (see assert_max_entangled).  U is
+    equal 1/d within MAX_ENT_TOL (see assert_max_entangled).  U is
     sqrt(d) C after one Newton-Schulz step U (3I - U^dag U) / 2 toward
     the nearest unitary, taken as U - U E / 2 from the defect E that the
     validation forms anyway.  A deviation e of U's singular values from
     1 shrinks to about 3e^2/2, so U is unitary to roundoff although
-    max_ent_tol allows e to exceed unitarity_tol; for a state made by
+    MAX_ENT_TOL allows e to exceed UNITARITY_TOL; for a state made by
     from_unitary, U is returned to roundoff.
     """
-    u, e = _max_entangled_defect(s, config or DEFAULT)
+    u, e = _max_entangled_defect(s)
     return u - 0.5 * (u @ e)
 
 
-def assert_max_entangled(s: BipartiteState, config: NumericConfig | None = None) -> None:
+def assert_max_entangled(s: BipartiteState) -> None:
     """Raise PreconditionError unless every Schmidt probability of s is
-    1/d within max_ent_tol.
+    1/d within MAX_ENT_TOL.
 
     The Schmidt probabilities p_i are the eigenvalues of C^dag C, so
     E = d C^dag C - I has the eigenvalues d p_i - 1 and spectral norm
     d max|p_i - 1/d|.  The spectral norm is at most the Frobenius norm,
-    so ||E||_F <= d max_ent_tol certifies the state from one d x d Gram
+    so ||E||_F <= d MAX_ENT_TOL certifies the state from one d x d Gram
     matrix.  Above that bound, which deviations spread over many p_i can
-    exceed while each stays within max_ent_tol, the exact spread is
+    exceed while each stays within MAX_ENT_TOL, the exact spread is
     taken from an SVD, with the same threshold.
     """
-    _max_entangled_defect(s, config or DEFAULT)
+    _max_entangled_defect(s)
 
 
-def _max_entangled_defect(s: BipartiteState, config: NumericConfig) -> tuple[np.ndarray, np.ndarray]:
+def _max_entangled_defect(s: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
     """U = sqrt(d) C and E = U^dag U - I of a validated maximally entangled s.
 
     The one validation of a state: assert_max_entangled and
@@ -117,11 +123,11 @@ def _max_entangled_defect(s: BipartiteState, config: NumericConfig) -> tuple[np.
     """
     u = s.grid * math.sqrt(s.d)
     e = _gram_defect(u)
-    bound = s.d * config.max_ent_tol
+    bound = s.d * MAX_ENT_TOL
     if np.vdot(e, e).real > bound * bound:
         probs = np.linalg.svd(s.grid, compute_uv=False) ** 2
         spread = float(np.max(np.abs(probs - 1.0 / s.d)))
-        if spread > config.max_ent_tol:
+        if spread > MAX_ENT_TOL:
             raise PreconditionError(
                 f"state is not maximally entangled: Schmidt probs deviate from 1/{s.d} "
                 f"by up to {spread:.3e}"
@@ -129,16 +135,15 @@ def _max_entangled_defect(s: BipartiteState, config: NumericConfig) -> tuple[np.
     return u, e
 
 
-def assert_unitary(u: np.ndarray, config: NumericConfig | None = None, what: str = "matrix") -> None:
-    """Raise PreconditionError unless ||U^dag U - I||_F <= unitarity_tol;
+def assert_unitary(u: np.ndarray, what: str = "matrix") -> None:
+    """Raise PreconditionError unless ||U^dag U - I||_F <= UNITARITY_TOL;
     a NaN residual fails."""
-    cfg = config or DEFAULT
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{what} must be square, got shape {u.shape}")
     e = _gram_defect(u)
     residual = math.sqrt(np.vdot(e, e).real)
-    if not residual <= cfg.unitarity_tol:
+    if not residual <= UNITARITY_TOL:
         raise PreconditionError(f"{what} is not unitary: ||U^dag U - I|| = {residual:.3e}")
 
 

@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT, NumericConfig, PreconditionError
+from .config import MAX_DIM, NORMALITY_TOL, PreconditionError
 
 
-def kron(a: np.ndarray, b: np.ndarray, config: NumericConfig | None = None) -> np.ndarray:
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two operators, first factor fastest.
 
     Returns the matrix of a (x) b in the mu = i + d1*(j-1) convention,
@@ -24,13 +24,10 @@ def kron(a: np.ndarray, b: np.ndarray, config: NumericConfig | None = None) -> n
     """
     a = np.asarray(a)
     b = np.asarray(b)
-    cfg = config or DEFAULT
     rows = a.shape[0] * b.shape[0]
     cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > cfg.max_dim:
-        raise ValueError(
-            f"kron result is {rows} x {cols}, exceeds max dimension {cfg.max_dim}"
-        )
+    if max(rows, cols) > MAX_DIM:
+        raise ValueError(f"kron result is {rows} x {cols}, exceeds max dimension {MAX_DIM}")
     return np.kron(b, a)
 
 
@@ -85,9 +82,7 @@ def permute_factors(v: np.ndarray, dims: list[int], perm: tuple[int, ...]) -> np
     return out.flatten(order="F")
 
 
-def eig_normal(
-    m: np.ndarray, config: NumericConfig | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+def eig_normal(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a normal matrix with orthonormal eigenvectors.
 
     A general eigensolver returns eigenvectors that are orthogonal across
@@ -96,18 +91,17 @@ def eig_normal(
     matrix keeps each column inside the span of itself and the columns
     before it, so it orthonormalizes every eigenspace without mixing two
     of them.  The residual ||m V - V diag(lam)||_F, relative to
-    max(1, ||m||_F), must then stay within normality_tol; a non-normal
+    max(1, ||m||_F), must then stay within NORMALITY_TOL; a non-normal
     matrix fails it because no unitary V diagonalizes it.  Returns
     (eigenvalues, eigenvector columns), unsorted; m @ V == V @ diag(lam).
     """
-    cfg = config or DEFAULT
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     lam, vecs = np.linalg.eig(m)
     v, _ = np.linalg.qr(vecs)
     residual = float(np.linalg.norm(m @ v - v * lam))
-    if not residual <= cfg.normality_tol * max(1.0, float(np.linalg.norm(m))):
+    if not residual <= NORMALITY_TOL * max(1.0, float(np.linalg.norm(m))):
         raise PreconditionError(
             f"matrix is not normal: eigenvector residual {residual:.3e}"
         )

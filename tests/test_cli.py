@@ -180,15 +180,21 @@ class TestCheckPair:
         assert out == ""
         assert err.startswith("error: ") and "got 3 files" in err
 
-    def test_loose_phase_tol_changes_verdict(self, capsys, tmp_path):
+    def test_phase_tol_flag_is_usage_error(self, capsys, tmp_path):
         psi1, psi2 = nonprime_counterexample(2, 2, delta=0.3, seed=4)
         pair = write_json(tmp_path, "pair.json",
                           serialization.pair_to_json(psi1, psi2))
-        strict_code, _, _ = run(capsys, ["check-pair", pair])
-        loose_code, out, _ = run(capsys, ["check-pair", pair, "--phase-tol", "0.5"])
-        assert strict_code == 1
-        assert loose_code == 0
-        assert json.loads(out)["detected_m"] == 2
+        assert run(capsys, ["check-pair", pair])[0] == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["check-pair", pair, "--phase-tol", "1e-3"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        # argparse's usage lines, then its one error line
+        lines = captured.err.splitlines()
+        assert lines[0].startswith("usage: ")
+        assert lines[-1] == "loccopy: error: unrecognized arguments: --phase-tol 1e-3"
+        assert sum("error" in line for line in lines) == 1
 
 
 class TestSynthesizeAndSimulate:
@@ -241,7 +247,7 @@ class TestSynthesizeAndSimulate:
         from loccopy.generators import haar_unitary
         from loccopy.states import BipartiteState
 
-        # Schmidt probabilities within 1e-10 of 1/d pass max_ent_tol
+        # Schmidt probabilities within 1e-10 of 1/d pass MAX_ENT_TOL
         probs = np.array([0.25 + 1e-10, 0.25 - 1e-10, 0.25, 0.25])
         grid = haar_unitary(4, seed=40) @ np.diag(np.sqrt(probs)) @ haar_unitary(4, seed=41)
         psi1, psi2 = copyable_pair(4, m=2, seed=4)
@@ -257,7 +263,7 @@ class TestSynthesizeAndSimulate:
     def test_nearly_maximally_entangled_pair(self, capsys, tmp_path, d, deviation):
         from loccopy.states import BipartiteState
 
-        # Schmidt probabilities within 1e-9 of 1/d pass max_ent_tol;
+        # Schmidt probabilities within 1e-9 of 1/d pass MAX_ENT_TOL;
         # check-pair and synthesize polish the unitaries alike, so both
         # accept the pair
         psi1, psi2 = copyable_pair(d, m=2, seed=3)
@@ -279,7 +285,7 @@ class TestSynthesizeAndSimulate:
     @pytest.mark.parametrize("eps", [1e-10, 1e-9])
     def test_phases_off_grid_synthesize(self, capsys, tmp_path, eps):
         # pair operator: the 3 roots of unity, each 4 times, every
-        # eigenphase moved off the grid by up to eps, well inside phase_tol
+        # eigenphase moved off the grid by up to eps, well inside PHASE_TOL
         d = 12
         rng = np.random.default_rng(5)
         phases = TAU * np.repeat(np.arange(3), 4) / 3 + rng.uniform(-eps, eps, d)
@@ -408,6 +414,80 @@ class TestStreamedOutput:
         assert err == f"error: cannot write {out_path}: [Errno 28] No space left on device\n"
         assert len(rows) == 1
         assert not out_path.exists()
+
+    def test_json_reports_match_json_dumps(self, capsys, tmp_path, five_level_vectors):
+        psi1, psi2 = copyable_pair(4, 2, seed=3)
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
+        state = write_json(tmp_path, "state.json", serialization.state_to_json(psi1))
+        protocol = write_json(tmp_path, "protocol.json", serialization.protocol_to_json(
+            synthesize_protocol(psi1, psi2, max_entangled(4))))
+        for argv in (["majorize", *five_level_vectors], ["catalysis", *five_level_vectors],
+                     ["check-pair", pair], ["simulate", protocol, state],
+                     ["survey", "--d", "2", "4", "--samples", "3"]):
+            code, out, _ = run(capsys, argv)
+            assert code in (0, 1)
+            assert out == json.dumps(json.loads(out)) + "\n"
+
+
+class TestClosedStdout:
+    """A reader that exits early, as in `loccopy synthesize pair.json | head -c 20`,
+    closes stdout: exit 2 with one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synthesize", "{pair}"],
+        ["synthesize", "{pair}", "--out", "-"],
+        ["check-pair", "{pair}"],
+        ["survey", "--d", "2", "--samples", "1", "--pretty"],
+        ["generate", "--family", "orthogonal", "--d", "2"],
+    ], ids=" ".join)
+    def test_broken_pipe_is_input_error(self, capsys, tmp_path, monkeypatch, argv):
+        import os
+
+        class ClosedPipe(io.TextIOBase):
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+            def fileno(self):
+                return self.fd
+
+        psi1, psi2 = copyable_pair(4, 2, seed=1)
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
+        read_end, write_end = os.pipe()
+        try:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(write_end))
+            code = main([arg.format(pair=pair) for arg in argv])
+            monkeypatch.undo()
+            # main pointed the descriptor at devnull for the flush at exit,
+            # so the pipe has no writer left and reads as empty
+            os.write(write_end, b"x")
+            assert os.read(read_end, 1) == b""
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot write stdout: [Errno 32] Broken pipe\n"
+
+    def test_closed_pipe_in_a_process(self, tmp_path):
+        import os
+        import subprocess
+
+        psi1, psi2 = copyable_pair(6, 3, seed=1)
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader has gone before the first write
+        try:
+            result = subprocess.run([sys.executable, "-m", "loccopy.cli", "synthesize", pair],
+                                    stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        assert result.returncode == 2
+        assert result.stderr == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
 
 
 class TestGenerate:
@@ -560,11 +640,11 @@ class TestSurvey:
         verdict = cli.spectral_verdict
         calls = []
 
-        def ambiguous_once(t, config=None):
+        def ambiguous_once(t):
             calls.append(t)
             if len(calls) == 2:
                 raise AmbiguityError("two eigenphase clusters are separated by only 1e-7 rad")
-            return verdict(t, config)
+            return verdict(t)
 
         monkeypatch.setattr(cli, "spectral_verdict", ambiguous_once)
         code, out, _ = run(capsys, ["survey", "--d", "2", "3",
@@ -575,19 +655,10 @@ class TestSurvey:
             (2, 0.75, 0.25), (3, 1.0, 0.0)]
 
 
-VERDICT_TOLERANCES = {"unitarity_tol", "max_ent_tol", "ortho_tol", "phase_tol"}
-TOLERANCES_READ = {
-    "majorize": {"sum_tol"},
-    "catalysis": {"sum_tol"},
-    "check-pair": VERDICT_TOLERANCES,
-    "survey": VERDICT_TOLERANCES,
-    "synthesize": VERDICT_TOLERANCES | {"fidelity_tol"},
-    "simulate": {"unitarity_tol", "max_ent_tol", "fidelity_tol"},
-    "generate": set(),
-}
+# The tolerances that were once flags, synthesis_tol among them.
 ALL_TOLERANCES = ["unitarity_tol", "max_ent_tol", "ortho_tol", "phase_tol", "sum_tol",
                   "fidelity_tol", "normality_tol", "synthesis_tol"]
-# The tolerances are checked before any file is read, so these need not exist.
+# Flags are parsed before any file is read, so these need not exist.
 COMMAND_ARGS = {
     "majorize": ["src.json", "dst.json"],
     "catalysis": ["psi.json", "blank.json"],
@@ -626,24 +697,40 @@ class TestErrorHandling:
         assert "--samples must be at least 1" in err
 
     def test_non_positive_tolerance_is_input_error(self, capsys):
-        code, _, err = run(capsys, ["survey", "--d", "2", "--samples", "1",
-                                    "--phase-tol", "0"])
-        assert code == 2
-        assert "phase_tol" in err
+        with pytest.raises(SystemExit) as exc:
+            main(["survey", "--d", "2", "--samples", "1", "--phase-tol", "0"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --phase-tol 0" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", sorted(TOLERANCES_READ))
+    @pytest.mark.parametrize("command", sorted(COMMAND_ARGS))
     @pytest.mark.parametrize("name", ALL_TOLERANCES)
     def test_tolerance_flags_only_where_read(self, capsys, command, name):
+        # no subcommand reads a tolerance from its flags: every tolerance
+        # is a constant of loccopy.config
         argv = [command, *COMMAND_ARGS[command], f"--{name.replace('_', '-')}", "0"]
-        if name in TOLERANCES_READ[command]:
-            code, _, err = run(capsys, argv)
-            assert code == 2
-            assert name in err
-        else:
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-            assert "unrecognized arguments" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_option_sets_a_tolerance(self):
+        import argparse
+        import dataclasses
+        import inspect
+
+        import loccopy
+        from loccopy.cli import build_parser
+
+        [subparsers] = [a for a in build_parser()._actions
+                        if isinstance(a, argparse._SubParsersAction)]
+        assert sorted(subparsers.choices) == sorted(COMMAND_ARGS)
+        for command, parser in subparsers.choices.items():
+            options = [o for a in parser._actions for o in a.option_strings]
+            assert not [o for o in options if o.endswith("-tol")], command
+        for name in loccopy.__all__:
+            value = getattr(loccopy, name)
+            if inspect.isfunction(value) or dataclasses.is_dataclass(value):
+                assert "config" not in inspect.signature(value).parameters, name
 
     def test_generate_has_no_pretty(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -749,6 +836,12 @@ def error_files() -> dict:
         "phases_five": {**protocol, "phases": 5},
         "other_wiring": {**protocol, "wiring": "A:(1,2) B:(3,4)"},
         "nan_operator": {**protocol, "A": [[float("nan"), 0.0], *protocol["A"][1:]]},
+        "bool_d": {"d": True, "amplitudes": [[1, 0]]},
+        "huge_amplitude": {**pair["psi1"], "amplitudes": [[1e308, 0.0], *pair["psi1"]["amplitudes"][1:]]},
+        "huge_coeffs": {"coeffs": [1e200, 0.5]},
+        "huge_probs": {"probs": [1e308, 1e308]},
+        "huge_operator": {**protocol, "A": [[1e308, 0.0], *protocol["A"][1:]]},
+        "huge_phase": {**protocol, "phases": [0.0, 10**400]},
     }
 
 
@@ -778,6 +871,13 @@ ERROR_ARGV = {
     "protocol phases": ["simulate", "{phases_five}", "{state1}"],
     "protocol wiring": ["simulate", "{other_wiring}", "{state1}"],
     "nan operator": ["simulate", "{nan_operator}", "{state1}"],
+    "bool dimension": ["check-pair", "{bool_d}", "{bool_d}"],
+    "huge amplitude": ["check-pair", "{huge_amplitude}", "{state2}"],
+    "huge coefficients": ["majorize", "{huge_coeffs}", "{probs}"],
+    "huge probabilities": ["catalysis", "{huge_probs}", "{probs}"],
+    "huge operator entry": ["simulate", "{huge_operator}", "{state1}"],
+    "huge phase": ["simulate", "{huge_phase}", "{state1}"],
+    "zero nonprime factor": ["generate", "--family", "nonprime", "--d1", "0", "--d2", "3"],
     "unwritable protocol path": ["synthesize", "{pair}", "--out", "{missing}/p.json"],
     "unwritable pair path": ["generate", "--family", "orthogonal", "--d", "2",
                              "--out", "{missing}/x.json"],

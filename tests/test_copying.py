@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loccopy.config import DEFAULT, AmbiguityError, NumericConfig, PreconditionError, SynthesisError
+from loccopy.config import (
+    FIDELITY_TOL,
+    PHASE_TOL,
+    AmbiguityError,
+    PreconditionError,
+    SynthesisError,
+)
 from loccopy.copying import (
     IDENTICAL,
     NEITHER,
@@ -96,8 +102,8 @@ class TestPairOperator:
 
     @pytest.mark.parametrize("d,deviation", [(4, 1e-9), (12, 5e-9)])
     def test_nearly_maximally_entangled_pair(self, d, deviation):
-        # passes max_ent_tol, but D C1 C2^dag from the grids as given is
-        # further from unitary than unitarity_tol allows; T from the
+        # passes MAX_ENT_TOL, but D C1 C2^dag from the grids as given is
+        # further from unitary than UNITARITY_TOL allows; T from the
         # polished unitaries gets the verdict check-pair gives
         psi1, psi2 = copyable_pair(d, 2, seed=3)
         psi1 = moved_schmidt(psi1, deviation)
@@ -259,7 +265,7 @@ class TestVerdictProperties:
             gap = np.abs(rep - roots) % TAU
             assert count == mult[int(np.argmin(np.minimum(gap, TAU - gap)))]
 
-    @given(planted_spectra(), st.floats(1e-12, 0.25 * DEFAULT.phase_tol))
+    @given(planted_spectra(), st.floats(1e-12, 0.25 * PHASE_TOL))
     @settings(max_examples=50, deadline=None)
     def test_cluster_straddling_seam_merges(self, case, eps):
         mult, _, seed = case
@@ -280,7 +286,7 @@ class TestVerdictProperties:
         mult, rotation, seed = case
         m = len(mult)
         roots = TAU * np.arange(m) / m + rotation
-        phases = np.append(np.repeat(roots, mult), roots[0] + 1.5 * DEFAULT.phase_tol)
+        phases = np.append(np.repeat(roots, mult), roots[0] + 1.5 * PHASE_TOL)
         with pytest.raises(AmbiguityError, match="ambiguous"):
             spectral_verdict(planted_operator(phases, seed))
 
@@ -444,8 +450,8 @@ class TestSynthesizeProtocol:
     @pytest.mark.parametrize("d", [4, 12])
     @pytest.mark.parametrize("deviation", [1e-10, 0.99e-8])
     def test_nearly_maximally_entangled_blank(self, d, deviation):
-        # passes max_ent_tol, but its unitary is further from unitary than
-        # unitarity_tol allows A to be
+        # passes MAX_ENT_TOL, but its unitary is further from unitary than
+        # UNITARITY_TOL allows A to be
         blank = near_max_entangled(d, deviation, seed=d)
         assert_max_entangled(blank)
         psi1, psi2 = copyable_pair(d, 2, seed=d)
@@ -457,8 +463,8 @@ class TestSynthesizeProtocol:
 
     @pytest.mark.parametrize("d,deviation", [(4, 1e-9), (12, 5e-9)])
     def test_nearly_maximally_entangled_states_to_copy(self, d, deviation):
-        # passes max_ent_tol, but W = U2^dag U1 from the grids as given is
-        # further from unitary than unitarity_tol allows
+        # passes MAX_ENT_TOL, but W = U2^dag U1 from the grids as given is
+        # further from unitary than UNITARITY_TOL allows
         psi1, psi2 = copyable_pair(d, 2, seed=3)
         psi1 = moved_schmidt(psi1, deviation)
         assert_max_entangled(psi1)
@@ -500,8 +506,8 @@ class TestSynthesisChecks:
 
         original = loccopy.copying.eig_normal
 
-        def broken(m, config=None):
-            lam, v = original(m, config)
+        def broken(m):
+            lam, v = original(m)
             if request.param == "rescaled":  # C1 becomes 1.01^4 times a unitary
                 return lam, 1.01 * v
             v = v.copy()
@@ -526,8 +532,8 @@ class TestSynthesisChecks:
         blank = from_unitary(haar_unitary(4, seed=20))
         original = loccopy.copying.unitary_of_state
 
-        def scaled_blank(s, config=None):
-            u = original(s, config)
+        def scaled_blank(s):
+            u = original(s)
             return 1.01 * u if s is blank else u
 
         monkeypatch.setattr(loccopy.copying, "unitary_of_state", scaled_blank)
@@ -553,14 +559,16 @@ class TestSynthesisChecks:
             synthesize_protocol(psi1, psi2, from_unitary(haar_unitary(4, seed=20)))
 
     def test_operator_size_checked_before_synthesis(self, monkeypatch):
+        import loccopy.copying
         import loccopy.states
         import loccopy.tensor
 
         eig_calls = count_calls(monkeypatch, loccopy.tensor, "eig_normal")
         state_checks = count_calls(monkeypatch, loccopy.states, "_max_entangled_defect")
         psi1, psi2 = copyable_pair(3, 3, seed=4)
+        monkeypatch.setattr(loccopy.copying, "MAX_DIM", 8)
         with pytest.raises(ValueError, match="9 x 9, exceeds max dimension 8"):
-            synthesize_protocol(psi1, psi2, max_entangled(3), NumericConfig(max_dim=8))
+            synthesize_protocol(psi1, psi2, max_entangled(3))
         assert len(eig_calls) == len(state_checks) == 0
 
 
@@ -592,8 +600,8 @@ class TestFactoredChecks:
         bounds = {}
         original = loccopy.copying._check_unitary
 
-        def record(left, right, what, config):
-            bounds[what] = original(left, right, what, config)
+        def record(left, right, what):
+            bounds[what] = original(left, right, what)
             return bounds[what]
 
         with pytest.MonkeyPatch.context() as mp:
@@ -611,6 +619,7 @@ class TestFactoredChecks:
     @given(copyable_cases())
     @settings(max_examples=30, deadline=None)
     def test_unitarity_bound_of_perturbed_factors(self, case):
+        import loccopy.copying
         from loccopy.copying import _check_unitary, _shift_factors
         from loccopy.tensor import _kron_sum
 
@@ -625,10 +634,12 @@ class TestFactoredChecks:
         x = kron(left, left) @ p @ kron(left, right).conj().T
         assert np.max(np.abs(_kron_sum(*_shift_factors(left, right, m)) - x)) < 1e-12
         dense = np.linalg.norm(x.conj().T @ x - np.eye(d * d))
-        bound = _check_unitary(left, right, "X", NumericConfig(unitarity_tol=1e6))
+        with pytest.MonkeyPatch.context() as mp:  # a bound too loose to raise
+            mp.setattr(loccopy.copying, "UNITARITY_TOL", 1e6)
+            bound = _check_unitary(left, right, "X")
         assert dense <= bound <= 4.0 * dense
         with pytest.raises(SynthesisError, match="X is not unitary"):
-            _check_unitary(left, right, "X", NumericConfig())
+            _check_unitary(left, right, "X")
 
     def test_nan_factor_fails_unitarity_bound(self):
         from loccopy.copying import _check_unitary
@@ -636,7 +647,7 @@ class TestFactoredChecks:
         left = np.eye(2, dtype=complex)
         left[0, 0] = np.nan
         with pytest.raises(SynthesisError, match="X is not unitary"):
-            _check_unitary(left, np.eye(2), "X", NumericConfig())
+            _check_unitary(left, np.eye(2), "X")
 
     @given(copyable_cases())
     @settings(max_examples=30, deadline=None)
@@ -685,7 +696,7 @@ class TestRootGrid:
     @given(copyable_cases(max_d=32),
            st.one_of(st.sampled_from([0.0, 1e-16, -1e-16, TAU - 1e-16]),
                      st.floats(0.0, TAU, exclude_max=True)),
-           st.floats(0.0, 0.4 * DEFAULT.phase_tol))
+           st.floats(0.0, 0.4 * PHASE_TOL))
     @settings(max_examples=60, deadline=None)
     def test_labels_are_rounded_rotated_phases(self, case, rotation, noise):
         import loccopy.copying
@@ -697,14 +708,14 @@ class TestRootGrid:
         verdicts, used = [], []
         verdict, synthesize_from = loccopy.copying._verdict, loccopy.copying._synthesize_from
 
-        def record_verdict(lam, trace, config):
-            result = verdict(lam, trace, config)
+        def record_verdict(lam, trace):
+            result = verdict(lam, trace)
             verdicts.append((lam, result[0]))
             return result
 
-        def record_labels(v, labels, m, config):
+        def record_labels(v, labels, m):
             used.append(labels)
-            return synthesize_from(v, labels, m, config)
+            return synthesize_from(v, labels, m)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(loccopy.copying, "_verdict", record_verdict)
@@ -724,7 +735,7 @@ class TestRootGrid:
             psi1, psi2 = off_grid_pair(d, m, eps, seed)
             protocol = synthesize_protocol(psi1, psi2, max_entangled(d))
             for psi in (psi1, psi2):
-                assert run_copy(protocol, psi)[0] >= 1 - DEFAULT.fidelity_tol
+                assert run_copy(protocol, psi)[0] >= 1 - FIDELITY_TOL
 
     @pytest.mark.parametrize("synthesize", [
         lambda: synthesize_a(copyable_unitary(6, 3, seed=1)),
@@ -771,24 +782,6 @@ class TestCopyProtocolValidation:
             CopyProtocol(d=2, blank=max_entangled(2), a_op=np.eye(4), b_op=np.eye(4),
                          phases=(0.0, 0.0), wiring="A:(1,2) B:(3,4)")
         assert CopyProtocol.wiring == "A:(1,3) B:(2,4)"
-
-
-class TestToleranceKnobs:
-    def test_loose_phase_tol_merges_clusters(self):
-        # a 0.3 rad split survives the default tolerance but not a loose one
-        t = np.diag([1.0, np.exp(0.3j), -1.0, -np.exp(0.3j)])
-        assert not spectral_verdict(t).copyable
-        loose = NumericConfig(phase_tol=0.5)
-        report = spectral_verdict(t, loose)
-        assert report.copyable
-        assert report.detected_m == 2
-
-    def test_strict_ortho_tol_flips_verdict(self):
-        # |Tr| is about 1e-10, below the default 2e-9 cut but above 2e-13
-        t = np.diag([1.0, -np.exp(1e-10j)])
-        assert orthogonality(t) == ORTHOGONAL
-        strict = NumericConfig(ortho_tol=1e-13)
-        assert orthogonality(t, strict) == NEITHER
 
 
 def count_calls(monkeypatch, module, name):

@@ -1,0 +1,184 @@
+"""The input contract of the JSON loaders and the CLI, as properties.
+
+Any JSON value, or a valid document with one node replaced, removed or
+given an extra key, either loads or raises ValueError, and through the
+CLI it ends in exit code 0, 1 or 2 with at most one stderr line: never
+a traceback, and never a numpy warning (pytest turns warnings into
+errors).
+"""
+import copy
+import io
+import json
+import os
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
+
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from loccopy import serialization
+from loccopy.cli import main
+from loccopy.copying import synthesize_protocol
+from loccopy.generators import orthogonal_pair
+from loccopy.states import max_entangled
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([2**64, -(2**63), 10**400]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([1e308, -1e308, 1e200, 5e-324]),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=10), children, max_size=4),
+    max_leaves=10,
+)
+
+PSI1, PSI2 = orthogonal_pair(2, seed=3)
+VALID = {
+    "state": serialization.state_to_json(PSI1),
+    "pair": serialization.pair_to_json(PSI1, PSI2),
+    "probs": {"probs": [0.5, 0.5]},
+    "coeffs": {"coeffs": [0.8, 0.6]},
+    "protocol": serialization.protocol_to_json(synthesize_protocol(PSI1, PSI2, max_entangled(2))),
+}
+
+
+@st.composite
+def mutated(draw, doc):
+    """doc with one node, reached by a random path from the root, replaced
+    by a JSON value, removed, or given a sibling (an extra key or entry)."""
+    doc = copy.deepcopy(doc)
+    node = doc
+    while True:
+        key = draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and draw(st.booleans()):
+            node = child
+            continue
+        action = draw(st.sampled_from(["replace", "remove", "extra"]))
+        if action == "replace":
+            node[key] = draw(JSON_VALUES)
+        elif action == "remove":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(st.text(max_size=10))] = draw(JSON_VALUES)
+        else:
+            node.append(draw(JSON_VALUES))
+        return doc
+
+
+DOCUMENTS = st.one_of(JSON_VALUES, st.sampled_from(sorted(VALID)).flatmap(
+    lambda name: mutated(VALID[name])))
+
+# the defects this contract first caught
+BOOL_D = {"d": True, "amplitudes": [[1, 0]]}
+HUGE_AMPLITUDE = {**VALID["state"], "amplitudes": [[1e308, 0.0]] + VALID["state"]["amplitudes"][1:]}
+HUGE_COEFFS = {"coeffs": [1e200, 0.5]}
+HUGE_OPERATOR = {**VALID["protocol"], "A": [[1e308, 0.0]] + VALID["protocol"]["A"][1:]}
+
+
+@pytest.mark.parametrize("loader", ["state_from_json", "schmidt_from_json",
+                                    "pair_from_json", "protocol_from_json"])
+@given(doc=DOCUMENTS)
+@example(doc=BOOL_D)
+@example(doc=HUGE_AMPLITUDE)
+@example(doc=HUGE_COEFFS)
+@example(doc=HUGE_OPERATOR)
+@example(doc={**VALID["pair"], "psi1": BOOL_D})
+@example(doc={**VALID["protocol"], "d": True, "phases": [True, 10**400]})
+@settings(max_examples=150, deadline=None)
+def test_loader_loads_or_raises_value_error(loader, doc):
+    try:
+        getattr(serialization, loader)(doc)
+    except ValueError:
+        pass
+
+
+def run_cli(argv):
+    """Exit code, stdout and stderr of main(argv): argparse's exit gives
+    the code, and each warning counts as a stderr line.  An exception
+    escaping main, which would print a traceback, fails the test."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, redirect_stdout(out), \
+            redirect_stderr(err):
+        warnings.simplefilter("always")
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    shown = "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
+    return code, out.getvalue(), shown + err.getvalue()
+
+
+# Where the fuzzed document goes in each subcommand's arguments; the
+# other files are valid.  generate and survey read no file, so their
+# numbers are drawn instead.
+FILE_ARGV = {
+    "majorize": [["{doc}", "{probs}"], ["{coeffs}", "{doc}"]],
+    "catalysis": [["{doc}", "{probs}"], ["{probs}", "{doc}"]],
+    "check-pair": [["{doc}"], ["{doc}", "{state}"]],
+    "synthesize": [["{doc}"], ["{pair}", "--blank", "{doc}"]],
+    "simulate": [["{doc}", "{state}"], ["{protocol}", "{doc}"]],
+}
+# no dimension between 9 and MAX_DIM, so nothing large is allocated
+DIMENSIONS = st.one_of(st.integers(-3, 9), st.sampled_from([20737, 2**64]))
+
+
+@st.composite
+def number_argv(draw, command):
+    """argv of generate or survey with drawn numbers that argparse accepts."""
+    seed = ["--seed", str(draw(st.integers(-2, 2**70)))]
+    if command == "survey":
+        family = draw(st.sampled_from(["orthogonal", "nonprime"]))
+        dims = [str(draw(DIMENSIONS)) for _ in range(draw(st.integers(1, 2)))]
+        return ["survey", "--family", family, "--d", *dims,
+                "--samples", str(draw(st.integers(-1, 2))), *seed]
+    family = draw(st.sampled_from(["orthogonal", "copyable", "nonprime"]))
+    argv = ["generate", "--family", family, *seed]
+    for flag in {"orthogonal": ["--d"], "copyable": ["--d", "--m"],
+                 "nonprime": ["--d1", "--d2"]}[family]:
+        if draw(st.integers(0, 4)):  # sometimes left out
+            argv.append(f"{flag}={draw(DIMENSIONS)}")
+    if family == "nonprime" and draw(st.booleans()):
+        delta = draw(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                               st.sampled_from([1e308, 0.1, 0.5])))
+        argv.append(f"--delta={delta!r}")
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(FILE_ARGV) + ["generate", "survey"])
+@given(data=st.data())
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_cli_exits_with_a_documented_code(command, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        if command in FILE_ARGV:
+            doc = data.draw(DOCUMENTS, label="doc")
+            paths = {}
+            for name, content in {**VALID, "doc": doc}.items():
+                paths[name] = os.path.join(tmp, f"{name}.json")
+                with open(paths[name], "w") as fh:
+                    json.dump(content, fh)
+            args = data.draw(st.sampled_from(FILE_ARGV[command]), label="args")
+            argv = [command, *(arg.format(**paths) for arg in args)]
+        else:
+            argv = data.draw(number_argv(command), label="argv")
+        out = os.path.join(tmp, "out.json")
+        if command in ("synthesize", "generate"):
+            argv += ["--out", out]
+        code, _, err = run_cli(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) <= 1
+    if code == 0:
+        assert not lines
+    if code == 2:
+        assert lines

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loccopy.config import DEFAULT, PreconditionError
+from loccopy.config import MAX_ENT_TOL, PreconditionError
 from loccopy.generators import haar_unitary
 from loccopy.states import (
     BipartiteState,
@@ -102,10 +102,10 @@ class TestUnitaryParameterization:
 
     @pytest.mark.parametrize("d", [4, 12])
     def test_nearly_maximally_entangled_state_gives_unitary(self, d):
-        # passes max_ent_tol, but sqrt(d) C is further from unitary than
-        # unitarity_tol allows
+        # passes MAX_ENT_TOL, but sqrt(d) C is further from unitary than
+        # UNITARITY_TOL allows
         probs = np.full(d, 1.0 / d)
-        probs[:2] += (0.99 * DEFAULT.max_ent_tol, -0.99 * DEFAULT.max_ent_tol)
+        probs[:2] += (0.99 * MAX_ENT_TOL, -0.99 * MAX_ENT_TOL)
         assert_unitary(unitary_of_state(schmidt_state(probs, seed=d)))
 
 
@@ -117,7 +117,7 @@ def schmidt_state(probs, seed):
 
 
 class TestMaxEntangledCheck:
-    """||d C^dag C - I||_F <= d max_ent_tol certifies a state; above it one SVD decides."""
+    """||d C^dag C - I||_F <= d MAX_ENT_TOL certifies a state; above it one SVD decides."""
 
     @pytest.fixture
     def svd_calls(self, monkeypatch):
@@ -137,7 +137,7 @@ class TestMaxEntangledCheck:
 
     def test_spread_within_tol_beyond_certificate_uses_one_svd(self, svd_calls):
         # every probability 0.6 tol off 1/d: ||E||_F = 2.4 d tol, spread 0.6 tol
-        tol = DEFAULT.max_ent_tol
+        tol = MAX_ENT_TOL
         state = schmidt_state(1.0 / 16 + 0.6 * tol * (-1.0) ** np.arange(16), seed=1)
         defect = 16 * state.grid.conj().T @ state.grid - np.eye(16)
         assert np.linalg.norm(defect) > 2 * 16 * tol
@@ -146,7 +146,7 @@ class TestMaxEntangledCheck:
 
     def test_spread_beyond_tol_raises(self, svd_calls):
         probs = np.full(16, 1.0 / 16)
-        probs[:2] += (2 * DEFAULT.max_ent_tol, -2 * DEFAULT.max_ent_tol)
+        probs[:2] += (2 * MAX_ENT_TOL, -2 * MAX_ENT_TOL)
         with pytest.raises(PreconditionError,
                            match=r"deviate from 1/16 by up to (1\.99\de|2\.00\de)-08"):
             assert_max_entangled(schmidt_state(probs, seed=2))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from loccopy.config import NumericConfig, PreconditionError
+from loccopy.config import NORMALITY_TOL, UNITARITY_TOL, PreconditionError
 from loccopy.generators import haar_unitary
 from loccopy.tensor import (
     _kron_sum,
@@ -37,11 +37,13 @@ class TestKron:
         out = kron(rng.standard_normal((p, q)), rng.standard_normal((r, s)))
         assert out.shape == (p * r, q * s)
 
-    def test_oversized_result_rejected(self):
-        cfg = NumericConfig(max_dim=8)
+    def test_oversized_result_rejected(self, monkeypatch):
+        import loccopy.tensor
+
+        monkeypatch.setattr(loccopy.tensor, "MAX_DIM", 8)
         with pytest.raises(ValueError, match="max dimension"):
-            kron(np.eye(4), np.eye(4), cfg)
-        assert kron(np.eye(2), np.eye(4), cfg).shape == (8, 8)
+            kron(np.eye(4), np.eye(4))
+        assert kron(np.eye(2), np.eye(4)).shape == (8, 8)
 
 
 class TestKronSum:
@@ -153,14 +155,13 @@ class TestEigNormal:
     @pytest.mark.parametrize("d, m", [(12, 3), (16, 4)])
     @pytest.mark.parametrize("seed", range(5))
     def test_degenerate_spectrum_orthonormal_basis(self, d, m, seed):
-        from loccopy.config import DEFAULT
         from loccopy.generators import copyable_unitary
 
         t = copyable_unitary(d, m, seed=seed)
         lam, v = eig_normal(t)
-        assert np.linalg.norm(v.conj().T @ v - np.eye(d)) < DEFAULT.unitarity_tol
+        assert np.linalg.norm(v.conj().T @ v - np.eye(d)) < UNITARITY_TOL
         assert np.linalg.norm(t @ v - v @ np.diag(lam)) < (
-            DEFAULT.normality_tol * np.linalg.norm(t))
+            NORMALITY_TOL * np.linalg.norm(t))
         # every root keeps its multiplicity d/m
         labels = np.round(np.angle(lam / lam[0]) / (2 * np.pi / m)).astype(int) % m
         assert np.allclose(lam, lam[0] * np.exp(2j * np.pi * labels / m), atol=1e-12)
