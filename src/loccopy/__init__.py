@@ -7,102 +7,60 @@ by the closed-form four-party overlap on the dense A and B, with a
 brute-force four-particle simulator kept as its oracle.  Includes the majorization machinery
 (Nielsen transformability and catalytic copying of partially entangled
 states) and deterministic generators for test families.
+
+Importing the package imports nothing else, numpy included.  Each name
+in __all__ is looked up in its home module on every access
+(``loccopy.spectral_verdict`` is ``loccopy.copying.spectral_verdict``
+at the time of the access), importing that module the first time, so
+``python -m loccopy.cli --help`` never loads numpy.  The lookup stores
+nothing in the package namespace: a name replaced in its home module,
+as by ``monkeypatch.setattr(loccopy.copying, ...)``, is seen here too.
+Submodules such as ``loccopy.serialization`` import on first access.
 """
-from .config import AmbiguityError, PreconditionError, SynthesisError
-from .copying import (
-    IDENTICAL,
-    NEITHER,
-    ORTHOGONAL,
-    CopyProtocol,
-    SpectrumReport,
-    degeneracy_form_check,
-    orthogonality,
-    pair_operator,
-    spectral_verdict,
-    synthesize_a,
-    synthesize_protocol,
-)
-from .generators import (
-    copyable_pair,
-    copyable_unitary,
-    haar_unitary,
-    nonprime_counterexample,
-    nonprime_unitary,
-    orthogonal_pair,
-    traceless_unitary,
-)
-from .majorization import (
-    CATALYTIC,
-    DIRECT,
-    IMPOSSIBLE,
-    catalytic_copy_check,
-    find_catalytic_pair,
-    majorizes,
-    nielsen_transformable,
-)
-from .simulator import (
-    FourPartyState,
-    apply_local,
-    assemble,
-    emit_locc_transcript,
-    run_copy,
-)
-from .states import (
-    BipartiteState,
-    SchmidtVector,
-    from_unitary,
-    max_entangled,
-    overlap,
-    schmidt,
-    unitary_of_state,
-)
-from .tensor import eig_normal, kron, partial_trace_second, permute_factors
+from __future__ import annotations
+
+import importlib
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AmbiguityError",
-    "BipartiteState",
-    "CATALYTIC",
-    "CopyProtocol",
-    "DIRECT",
-    "FourPartyState",
-    "IDENTICAL",
-    "IMPOSSIBLE",
-    "NEITHER",
-    "ORTHOGONAL",
-    "PreconditionError",
-    "SchmidtVector",
-    "SpectrumReport",
-    "SynthesisError",
-    "apply_local",
-    "assemble",
-    "catalytic_copy_check",
-    "copyable_pair",
-    "copyable_unitary",
-    "degeneracy_form_check",
-    "eig_normal",
-    "emit_locc_transcript",
-    "find_catalytic_pair",
-    "from_unitary",
-    "haar_unitary",
-    "kron",
-    "majorizes",
-    "max_entangled",
-    "nielsen_transformable",
-    "nonprime_counterexample",
-    "nonprime_unitary",
-    "orthogonal_pair",
-    "orthogonality",
-    "overlap",
-    "pair_operator",
-    "partial_trace_second",
-    "permute_factors",
-    "run_copy",
-    "schmidt",
-    "spectral_verdict",
-    "synthesize_a",
-    "synthesize_protocol",
-    "traceless_unitary",
-    "unitary_of_state",
-]
+_HOMES = {
+    "config": ("AmbiguityError", "PreconditionError", "SynthesisError"),
+    "copying": (
+        "CopyProtocol", "IDENTICAL", "NEITHER", "ORTHOGONAL", "SpectrumReport",
+        "degeneracy_form_check", "orthogonality", "pair_operator", "spectral_verdict",
+        "synthesize_a", "synthesize_protocol",
+    ),
+    "generators": (
+        "copyable_pair", "copyable_unitary", "haar_unitary", "nonprime_counterexample",
+        "nonprime_unitary", "orthogonal_pair", "traceless_unitary",
+    ),
+    "majorization": (
+        "CATALYTIC", "DIRECT", "IMPOSSIBLE", "catalytic_copy_check",
+        "find_catalytic_pair", "majorizes", "nielsen_transformable",
+    ),
+    "simulator": ("FourPartyState", "apply_local", "assemble", "emit_locc_transcript", "run_copy"),
+    "states": (
+        "BipartiteState", "SchmidtVector", "from_unitary", "max_entangled", "overlap",
+        "schmidt", "unitary_of_state",
+    ),
+    "tensor": ("eig_normal", "kron", "partial_trace_second", "permute_factors"),
+}
+_SUBMODULES = frozenset(_HOMES) | {"cli", "serialization"}
+_HOME_OF = {name: f"{__name__}.{module}" for module, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME_OF)
+
+
+def __getattr__(name: str):
+    home = _HOME_OF.get(name)
+    if home is not None:
+        module = sys.modules.get(home) or importlib.import_module(home)
+        return getattr(module, name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | _SUBMODULES)

@@ -8,8 +8,8 @@ or an affirmative verdict, 1 for a negative verdict, 2 for input errors
 is written, 3 for an internal error (a synthesized protocol failed its
 own verification; see SynthesisError).  File arguments accept "-" for
 stdin; check-pair and synthesize read one pair file or two state files
-and refuse more.  The default seed comes from $LOCCOPY_SEED when set,
-else 0.
+and refuse more.  The default seed comes from $LOCCOPY_SEED when set
+(an input error, exit code 2, if it is not an integer), else 0.
 
 All JSON output goes through _write_json, which streams it (a
 protocol's A and B one matrix row at a time) with the same bytes as
@@ -17,6 +17,10 @@ json.dumps.  An output file that cannot be written is an input error,
 exit code 2, and a file left partly written is removed.  A closed
 stdout (a reader such as `head` that exits early) is caught once, in
 main.
+
+The module imports only the standard library and loccopy.config, and
+each handler imports the modules it uses, so parsing the command line,
+--help and an argparse error (exit code 2) never load numpy.
 
 No subcommand takes a tolerance flag: the tolerances are the constants
 of loccopy.config, and a flag such as --phase-tol is an argparse error,
@@ -30,10 +34,8 @@ import math
 import os
 import stat
 import sys
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from . import generators, serialization
 from .config import (
     FIDELITY_TOL,
     MAX_DIM,
@@ -43,16 +45,9 @@ from .config import (
     PreconditionError,
     SynthesisError,
 )
-from .copying import (
-    ORTHOGONAL,
-    orthogonality,
-    pair_operator,
-    spectral_verdict,
-    synthesize_protocol,
-)
-from .majorization import CATALYTIC, DIRECT, _partial_sums, catalytic_copy_check, majorizes
-from .simulator import run_copy
-from .states import max_entangled
+
+if TYPE_CHECKING:
+    import numpy as np
 
 OK = 0
 NEGATIVE = 1
@@ -77,6 +72,8 @@ def _write_json(obj: dict, path: str | None) -> None:
     path, streamed by serialization.stream_to_json.  A file that cannot be
     written raises ValueError "cannot write PATH"; one that fails part
     way is removed."""
+    from . import serialization
+
     chunks = serialization.stream_to_json(obj)
     if path is None or path == "-":
         sys.stdout.writelines(chunks)
@@ -116,10 +113,16 @@ def _emit(args, payload: dict, pretty_lines: list[str]) -> None:
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("LOCCOPY_SEED", "0"))
+    raw = os.environ.get("LOCCOPY_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"$LOCCOPY_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_pair(paths: list[str]):
+    from . import serialization
+
     if len(paths) > 2:
         raise ValueError(
             f"expected one pair file or two state files, got {len(paths)} files"
@@ -132,6 +135,8 @@ def _load_pair(paths: list[str]):
 
 
 def _partial_sum_rows(v: np.ndarray, w: np.ndarray) -> list[dict]:
+    from .majorization import _partial_sums
+
     ca, cb = _partial_sums(v, w)
     return [
         {"r": k + 1, "lhs": float(ca[k]), "rhs": float(cb[k]),
@@ -149,6 +154,9 @@ def _sum_table(rows: list[dict], lhs: str, rhs: str) -> list[str]:
 
 
 def cmd_majorize(args) -> int:
+    from . import serialization
+    from .majorization import majorizes
+
     v = serialization.schmidt_from_json(_load_json(args.src))
     w = serialization.schmidt_from_json(_load_json(args.dst))
     result = majorizes(w, v)
@@ -165,6 +173,11 @@ def cmd_majorize(args) -> int:
 
 
 def cmd_catalysis(args) -> int:
+    import numpy as np
+
+    from . import serialization
+    from .majorization import CATALYTIC, DIRECT, catalytic_copy_check
+
     psi = serialization.schmidt_from_json(_load_json(args.psi))
     blank = serialization.schmidt_from_json(_load_json(args.blank))
     verdict = catalytic_copy_check(psi, blank)
@@ -179,6 +192,9 @@ def cmd_catalysis(args) -> int:
 
 
 def cmd_check_pair(args) -> int:
+    from . import serialization
+    from .copying import orthogonality, pair_operator, spectral_verdict
+
     psi1, psi2 = _load_pair(args.states)
     t = pair_operator(psi1, psi2)
     kind = orthogonality(t)
@@ -200,6 +216,10 @@ def cmd_check_pair(args) -> int:
 
 
 def cmd_synthesize(args) -> int:
+    from . import serialization
+    from .copying import synthesize_protocol
+    from .states import max_entangled
+
     psi1, psi2 = _load_pair(args.states)
     if args.blank is not None:
         blank = serialization.state_from_json(_load_json(args.blank))
@@ -221,6 +241,9 @@ def cmd_synthesize(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import serialization
+    from .simulator import run_copy
+
     protocol = serialization.protocol_from_json(_load_json(args.protocol))
     psi = serialization.state_from_json(_load_json(args.state))
     fidelity, theta = run_copy(protocol, psi)
@@ -252,6 +275,10 @@ def _check_dimension(d: int) -> None:
 
 
 def cmd_generate(args) -> int:
+    import numpy as np
+
+    from . import generators, serialization
+
     seed = args.seed if args.seed is not None else _default_seed()
     meta: dict = {"family": args.family, "seed": seed}
     if args.family == "orthogonal":
@@ -289,6 +316,11 @@ def _smallest_factor(d: int) -> int | None:
 
 
 def cmd_survey(args) -> int:
+    import numpy as np
+
+    from . import generators
+    from .copying import ORTHOGONAL, orthogonality, pair_operator, spectral_verdict
+
     seed = args.seed if args.seed is not None else _default_seed()
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")

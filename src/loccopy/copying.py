@@ -87,6 +87,8 @@ class CopyProtocol:
     wiring: ClassVar[str] = "A:(1,3) B:(2,4)"  # the one wiring; not a field
 
     def __post_init__(self) -> None:
+        if self.blank.d != self.d:
+            raise ValueError(f"blank has d={self.blank.d}, but the protocol has d={self.d}")
         n = self.d * self.d
         self.a_op = np.asarray(self.a_op, dtype=complex)
         self.b_op = np.asarray(self.b_op, dtype=complex)

@@ -323,6 +323,18 @@ class TestSynthesizeAndSimulate:
         assert code == 1
         assert json.loads(out)["passes"] is False
 
+    def test_simulate_blank_of_another_dimension_is_input_error(self, capsys, tmp_path):
+        psi1, psi2 = orthogonal_pair(3, seed=7)
+        protocol = serialization.protocol_to_json(
+            synthesize_protocol(psi1, psi2, max_entangled(3)))
+        protocol["blank"] = serialization.state_to_json(max_entangled(2))
+        proto_path = write_json(tmp_path, "protocol.json", protocol)
+        state = write_json(tmp_path, "s1.json", serialization.state_to_json(psi1))
+        code, out, err = run(capsys, ["simulate", proto_path, state])
+        assert code == 2
+        assert out == ""
+        assert err == "error: blank has d=2, but the protocol has d=3\n"
+
 
 class TestStreamedOutput:
     """synthesize writes A and B row by row; the text stays json.dumps'."""
@@ -568,6 +580,15 @@ class TestGenerate:
                                       "--d", "2", "--seed", "21"])
         assert from_env == explicit
 
+    @pytest.mark.parametrize("argv", [["generate", "--family", "orthogonal", "--d", "2"],
+                                      ["survey", "--d", "2", "--samples", "1"]])
+    def test_env_seed_not_an_integer_is_input_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("LOCCOPY_SEED", "abc")
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: $LOCCOPY_SEED must be an integer, got 'abc'\n"
+
     def test_generated_pair_feeds_check_pair(self, capsys, tmp_path, monkeypatch):
         _, out, _ = run(capsys, ["generate", "--family", "copyable",
                                  "--d", "6", "--m", "3", "--seed", "15"])
@@ -634,10 +655,10 @@ class TestSurvey:
         assert "orthogonal" in out and "copyable" in out and "ambiguous" in out
 
     def test_ambiguous_sample_is_counted(self, capsys, monkeypatch):
-        from loccopy import cli
+        from loccopy import copying
         from loccopy.config import AmbiguityError
 
-        verdict = cli.spectral_verdict
+        verdict = copying.spectral_verdict
         calls = []
 
         def ambiguous_once(t):
@@ -646,7 +667,7 @@ class TestSurvey:
                 raise AmbiguityError("two eigenphase clusters are separated by only 1e-7 rad")
             return verdict(t)
 
-        monkeypatch.setattr(cli, "spectral_verdict", ambiguous_once)
+        monkeypatch.setattr(copying, "spectral_verdict", ambiguous_once)
         code, out, _ = run(capsys, ["survey", "--d", "2", "3",
                                     "--samples", "4", "--seed", "16"])
         assert code == 0
@@ -738,13 +759,13 @@ class TestErrorHandling:
         assert exc.value.code == 2
 
     def test_synthesis_failure_is_internal_error(self, capsys, tmp_path, monkeypatch):
-        from loccopy import cli
+        from loccopy import copying
         from loccopy.config import SynthesisError
 
         def fail(*args, **kwargs):
             raise SynthesisError("synthesized A fails its defining relation")
 
-        monkeypatch.setattr(cli, "synthesize_protocol", fail)
+        monkeypatch.setattr(copying, "synthesize_protocol", fail)
         psi1, psi2 = copyable_pair(4, 2, seed=1)
         pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
         code, out, err = run(capsys, ["synthesize", pair])
@@ -902,14 +923,51 @@ def test_error_input_prints_no_traceback(capsys, tmp_path, case):
     assert len(lines) == 1 or lines[0].startswith("usage: ")
 
 
-def test_cli_import_leaves_scipy_unloaded():
+def src_env() -> dict:
+    """The environment with this checkout's src first on PYTHONPATH."""
     import os
-    import subprocess
 
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    import subprocess
+
     probe = "import sys, loccopy.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    result = subprocess.run([sys.executable, "-c", probe], env=env,
+    result = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# Runs main on its arguments, then prints which of the heavy modules the
+# process loaded, on the last line of stderr.
+PARSE_ONLY_PROBE = """
+import sys
+from loccopy.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(sorted(m for m in ("numpy", "loccopy.copying") if m in sys.modules), file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--help"], 0),
+    (["synthesize", "--help"], 0),
+    (["check-pair", "--unknown-flag", "pair.json"], 2),
+])
+def test_parsing_alone_leaves_numpy_unloaded(argv, code):
+    import subprocess
+
+    result = subprocess.run([sys.executable, "-c", PARSE_ONLY_PROBE, *argv], env=src_env(),
+                            capture_output=True, text=True)
+    assert result.returncode == code
+    assert result.stderr.splitlines()[-1] == "[]"
+    if code == 0:
+        assert result.stdout.startswith("usage: loccopy")
+    else:
+        assert "unrecognized arguments: --unknown-flag" in result.stderr

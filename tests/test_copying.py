@@ -767,6 +767,11 @@ class TestCopyProtocolValidation:
                 phases=(0.0, 0.0),
             )
 
+    def test_blank_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError, match="blank has d=2, but the protocol has d=3"):
+            CopyProtocol(d=3, blank=max_entangled(2), a_op=np.eye(9), b_op=np.eye(9),
+                         phases=(0.0, 0.0))
+
     def test_well_formed_accepted(self):
         p = CopyProtocol(
             d=2,
@@ -794,7 +799,7 @@ def count_calls(monkeypatch, module, name):
         return original(*args, **kwargs)
 
     for mod in [module] + [m for key, m in sys.modules.items() if key.startswith("loccopy")]:
-        if getattr(mod, name, None) is original:
+        if vars(mod).get(name) is original:
             monkeypatch.setattr(mod, name, wrapper)
     return calls
 

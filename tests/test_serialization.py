@@ -143,6 +143,13 @@ class TestProtocolJson:
         f2, _ = run_copy(back, psi2)
         assert min(f1, f2) >= 1 - 1e-9
 
+    def test_blank_of_another_dimension_rejected(self):
+        psi1, psi2 = orthogonal_pair(3, seed=7)
+        obj = protocol_to_json(synthesize_protocol(psi1, psi2, max_entangled(3)))
+        obj["blank"] = state_to_json(max_entangled(2))
+        with pytest.raises(ValueError, match="blank has d=2, but the protocol has d=3"):
+            protocol_from_json(obj)
+
     def test_matrices_are_row_major_pairs(self):
         psi1, psi2 = orthogonal_pair(2, seed=6)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
