@@ -2,8 +2,8 @@
 # purely local unitaries, one on Alice's particles and one on Bob's.
 # This builds the protocol for the |Phi+>, |Psi+> pair and checks it by
 # the closed-form four-party overlap <psi psi| A^13 B^24 |psi blank> on
-# the dense A and B (simulator.apply_local, the brute-force
-# four-particle simulation, is kept as that overlap's oracle).
+# the dense A and B (the brute-force four-particle simulation that this
+# overlap is tested against lives in tests/oracles.py).
 
 import numpy as np
 

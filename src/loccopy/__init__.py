@@ -3,10 +3,10 @@
 Decides when a pair of orthogonal maximally entangled states can be
 copied by local operations with a maximally entangled blank state,
 synthesizes the two local unitaries that do it, and verifies protocols
-by the closed-form four-party overlap on the dense A and B, with a
-brute-force four-particle simulator kept as its oracle.  Includes the majorization machinery
-(Nielsen transformability and catalytic copying of partially entangled
-states) and deterministic generators for test families.
+by the closed-form four-party overlap on the dense A and B.  Includes
+the majorization machinery (Nielsen transformability and catalytic
+copying of partially entangled states) and deterministic generators for
+test families.  The brute-force oracle lives in tests/oracles.py.
 
 Importing the package imports nothing else, numpy included.  Each name
 in __all__ is looked up in its home module on every access
@@ -39,12 +39,12 @@ _HOMES = {
         "CATALYTIC", "DIRECT", "IMPOSSIBLE", "catalytic_copy_check",
         "find_catalytic_pair", "majorizes", "nielsen_transformable",
     ),
-    "simulator": ("FourPartyState", "apply_local", "assemble", "emit_locc_transcript", "run_copy"),
+    "simulator": ("emit_locc_transcript", "run_copy"),
     "states": (
         "BipartiteState", "SchmidtVector", "from_unitary", "max_entangled", "overlap",
         "schmidt", "unitary_of_state",
     ),
-    "tensor": ("eig_normal", "kron", "partial_trace_second", "permute_factors"),
+    "tensor": ("eig_normal", "kron"),
 }
 _SUBMODULES = frozenset(_HOMES) | {"cli", "serialization"}
 _HOME_OF = {name: f"{__name__}.{module}" for module, names in _HOMES.items() for name in names}

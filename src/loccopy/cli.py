@@ -8,8 +8,10 @@ or an affirmative verdict, 1 for a negative verdict, 2 for input errors
 is written, 3 for an internal error (a synthesized protocol failed its
 own verification; see SynthesisError).  File arguments accept "-" for
 stdin; check-pair and synthesize read one pair file or two state files
-and refuse more.  The default seed comes from $LOCCOPY_SEED when set
-(an input error, exit code 2, if it is not an integer), else 0.
+and refuse more.  The default seed comes from $LOCCOPY_SEED when set,
+else 0; a negative seed, or a $LOCCOPY_SEED that is not an integer, is
+an input error, exit code 2, as is an ambiguous eigenphase clustering
+(AmbiguityError) in check-pair or synthesize; survey counts it instead.
 
 All JSON output goes through _write_json, which streams it (a
 protocol's A and B one matrix row at a time) with the same bytes as
@@ -112,12 +114,21 @@ def _emit(args, payload: dict, pretty_lines: list[str]) -> None:
         _write_json(payload, None)
 
 
-def _default_seed() -> int:
+def _seed(args) -> int:
+    """--seed, else $LOCCOPY_SEED, else 0; a negative or non-integer seed
+    is an input error that names its source."""
+    if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be non-negative, got {args.seed}")
+        return args.seed
     raw = os.environ.get("LOCCOPY_SEED", "0")
     try:
-        return int(raw)
+        seed = int(raw)
     except ValueError:
         raise ValueError(f"$LOCCOPY_SEED must be an integer, got {raw!r}") from None
+    if seed < 0:
+        raise ValueError(f"$LOCCOPY_SEED must be a non-negative integer, got {raw!r}")
+    return seed
 
 
 def _load_pair(paths: list[str]):
@@ -279,7 +290,7 @@ def cmd_generate(args) -> int:
 
     from . import generators, serialization
 
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     meta: dict = {"family": args.family, "seed": seed}
     if args.family == "orthogonal":
         if args.d is None:
@@ -321,7 +332,7 @@ def cmd_survey(args) -> int:
     from . import generators
     from .copying import ORTHOGONAL, orthogonality, pair_operator, spectral_verdict
 
-    seed = args.seed if args.seed is not None else _default_seed()
+    seed = _seed(args)
     if args.samples < 1:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     for d in args.d:
@@ -466,9 +477,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except AmbiguityError as exc:
-        print(str(exc), file=sys.stderr)
         return INPUT_ERROR
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

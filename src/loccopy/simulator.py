@@ -8,77 +8,17 @@ and B of any protocol, a loaded one included: _simulate applies the
 Kronecker products of the amplitude grids, without forming them, by
 np.matmul calls that write into three reused d^2 x d^2 arrays.  Synthesis
 verifies the A and B it returns on both of its states with one call of
-the same routine.  apply_local, which re-wires the factor order through
-the (1,3,2,4) permutation and back, builds the whole four-particle
-output and stays as the brute-force oracle.
+the same routine.  The brute-force four-particle simulation it is tested
+against lives in tests/oracles.py.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
-from .config import NORM_TOL
 from .copying import CopyProtocol
 from .states import BipartiteState, assert_max_entangled, assert_unitary
-from .tensor import permute_factors
-
-WIRING = (1, 3, 2, 4)  # self-inverse factor permutation pairing A and B slots
-
-
-@dataclass
-class FourPartyState:
-    """Pure state of four d-dimensional particles as a flat D^4 vector."""
-
-    d: int
-    vector: np.ndarray  # particle order (1,2,3,4), first factor fastest
-
-    def __post_init__(self) -> None:
-        self.vector = np.asarray(self.vector, dtype=complex)
-        if self.vector.shape != (self.d**4,):
-            raise ValueError(
-                f"expected a flat vector of length {self.d**4}, got {self.vector.shape}"
-            )
-        norm = float(np.linalg.norm(self.vector))
-        if not abs(norm - 1.0) <= NORM_TOL:
-            raise ValueError(f"state is not normalized: 2-norm = {norm!r}")
-
-
-def assemble(psi: BipartiteState, blank: BipartiteState) -> FourPartyState:
-    """|psi^12> (x) |blank^34> in particle order (1,2,3,4)."""
-    if psi.d != blank.d:
-        raise ValueError(f"dimension mismatch: {psi.d} vs {blank.d}")
-    grid = np.einsum("ab,cd->abcd", psi.grid, blank.grid)
-    return FourPartyState(psi.d, grid.flatten(order="F"))
-
-
-def apply_local(state: FourPartyState, a_op: np.ndarray, b_op: np.ndarray) -> FourPartyState:
-    """Apply A on particles (1,3) and B on particles (2,4).
-
-    Equivalent to permuting factors (1,2,3,4) -> (1,3,2,4), applying
-    a_op (x) b_op, and permuting back, but without materializing the
-    D^4 x D^4 product: after the permutation the vector is a matrix with
-    the (1,3) pair indexing rows and (2,4) columns, so the two operators
-    act as a left and a (transposed) right factor.
-    """
-    d = state.d
-    n = d * d
-    a_op = np.asarray(a_op, dtype=complex)
-    b_op = np.asarray(b_op, dtype=complex)
-    if a_op.shape != (n, n) or b_op.shape != (n, n):
-        raise ValueError(
-            f"operators must be {n} x {n}, got {a_op.shape} and {b_op.shape}"
-        )
-    assert_unitary(a_op, "A operator")
-    assert_unitary(b_op, "B operator")
-
-    dims = [d] * 4
-    v = permute_factors(state.vector, dims, WIRING)
-    grid = v.reshape((n, n), order="F")  # rows: (1,3) pair index, cols: (2,4)
-    out = a_op @ grid @ b_op.T
-    v = permute_factors(out.flatten(order="F"), dims, WIRING)
-    return FourPartyState(d, v)
 
 
 def run_copy(protocol: CopyProtocol, psi: BipartiteState) -> tuple[float, float]:

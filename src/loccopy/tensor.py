@@ -49,39 +49,6 @@ def _kron_sum(first: np.ndarray, second: np.ndarray) -> np.ndarray:
     return out
 
 
-def partial_trace_second(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
-    """Trace out the second factor of an operator on a d1*d2 dimensional space.
-
-    Returns the d1 x d1 matrix with entries sum_k m[(i,k),(i',k)].
-    """
-    m = np.asarray(m)
-    n = d1 * d2
-    if m.shape != (n, n):
-        raise ValueError(f"expected a {n} x {n} matrix for d1={d1}, d2={d2}, got {m.shape}")
-    # row mu = i + d1*k (0-based), so a C-order reshape exposes [k, i, k', i']
-    m4 = m.reshape(d2, d1, d2, d1)
-    return np.einsum("kikj->ij", m4)
-
-
-def permute_factors(v: np.ndarray, dims: list[int], perm: tuple[int, ...]) -> np.ndarray:
-    """Reorder the tensor factors of a flat state vector.
-
-    ``perm`` is 1-based: output factor position k carries input factor
-    perm[k-1].  The amplitude at multi-index (i_perm(1), ..., i_perm(n))
-    of the output equals the amplitude at (i_1, ..., i_n) of the input.
-    """
-    v = np.asarray(v)
-    n = len(dims)
-    if int(np.prod(dims)) != v.size:
-        raise ValueError(f"product of dims {dims} != vector size {v.size}")
-    if sorted(perm) != list(range(1, n + 1)):
-        raise ValueError(f"perm {perm} is not a permutation of 1..{n}")
-    axes = [p - 1 for p in perm]
-    grid = v.reshape(dims, order="F")
-    out = grid.transpose(axes)
-    return out.flatten(order="F")
-
-
 def eig_normal(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a normal matrix with orthonormal eigenvectors.
 

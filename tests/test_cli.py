@@ -589,6 +589,27 @@ class TestGenerate:
         assert out == ""
         assert err == "error: $LOCCOPY_SEED must be an integer, got 'abc'\n"
 
+    @pytest.mark.parametrize("argv,source", [
+        (["generate", "--family", "orthogonal", "--d", "2", "--seed", "-3"],
+         "--seed must be non-negative, got -3"),
+        (["survey", "--d", "2", "--samples", "1", "--seed", "-1"],
+         "--seed must be non-negative, got -1"),
+    ], ids=["generate", "survey"])
+    def test_negative_seed_flag_is_input_error(self, capsys, argv, source):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {source}\n"
+
+    @pytest.mark.parametrize("argv", [["generate", "--family", "orthogonal", "--d", "2"],
+                                      ["survey", "--d", "2", "--samples", "1"]])
+    def test_env_seed_negative_is_input_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("LOCCOPY_SEED", "-1")
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: $LOCCOPY_SEED must be a non-negative integer, got '-1'\n"
+
     def test_generated_pair_feeds_check_pair(self, capsys, tmp_path, monkeypatch):
         _, out, _ = run(capsys, ["generate", "--family", "copyable",
                                  "--d", "6", "--m", "3", "--seed", "15"])
@@ -710,6 +731,19 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["majorize", f, f])
         assert code == 2
         assert "error:" in err
+
+    @pytest.mark.parametrize("command", ["check-pair", "synthesize"])
+    def test_ambiguous_clustering_is_input_error(self, capsys, tmp_path, command):
+        # two clusters 1.5e-7 rad apart: between PHASE_TOL and twice that
+        phases = np.array([0.0, 1.5e-7, np.pi, np.pi + 1.5e-7])
+        psi1 = from_unitary(np.diag(np.exp(1j * phases)))
+        pair = write_json(tmp_path, "pair.json",
+                          serialization.pair_to_json(psi1, max_entangled(4)))
+        code, out, err = run(capsys, [command, pair])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: two eigenphase clusters")
 
     def test_zero_samples_is_input_error(self, capsys):
         code, out, err = run(capsys, ["survey", "--d", "3", "--samples", "0"])
@@ -939,6 +973,34 @@ def test_cli_import_leaves_scipy_unloaded():
     result = subprocess.run([sys.executable, "-c", probe], env=src_env(),
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+# Imports every loccopy submodule, then prints the names in sys.modules.
+IMPORT_ALL_PROBE = """
+import importlib, pkgutil, sys
+import loccopy
+for info in pkgutil.iter_modules(loccopy.__path__):
+    importlib.import_module(f"loccopy.{info.name}")
+print("\\n".join(sys.modules))
+"""
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    import subprocess
+
+    def loaded(code):
+        result = subprocess.run([sys.executable, "-c", code], env=src_env(),
+                                capture_output=True, text=True, check=True)
+        return set(result.stdout.split())
+
+    # the interpreter's own start-up (site and any .pth files) loads
+    # modules too, so compare with a process that imports numpy alone
+    baseline = loaded("import sys, numpy; print('\\n'.join(sys.modules))")
+    added = loaded(IMPORT_ALL_PROBE) - baseline
+    assert "loccopy.simulator" in added
+    foreign = sorted(m for m in added if m.split(".")[0] not in sys.stdlib_module_names
+                     and m.split(".")[0] != "loccopy")
+    assert foreign == []
 
 
 # Runs main on its arguments, then prints which of the heavy modules the

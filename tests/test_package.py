@@ -8,6 +8,13 @@ import pytest
 
 import loccopy
 
+# The brute-force four-particle oracle and its tensor helpers, which live
+# in tests/oracles.py and are no part of the package.
+ORACLE_NAMES = (
+    "FourPartyState", "WIRING", "apply_local", "assemble",
+    "partial_trace_second", "permute_factors",
+)
+
 
 @pytest.mark.parametrize("name", loccopy.__all__)
 def test_name_resolves_from_its_home_module(name):
@@ -41,3 +48,13 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         loccopy.no_such_name
     assert not hasattr(loccopy, "NumericConfig")
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_oracle_name_is_not_a_package_attribute(name):
+    import loccopy.simulator
+    import loccopy.tensor
+
+    assert name not in loccopy.__all__
+    for module in (loccopy, loccopy.simulator, loccopy.tensor):
+        assert not hasattr(module, name)

@@ -6,15 +6,11 @@ from hypothesis import strategies as st
 from loccopy.config import TAU
 from loccopy.copying import CopyProtocol, synthesize_protocol
 from loccopy.generators import copyable_pair, haar_unitary, orthogonal_pair
-from loccopy.simulator import (
-    FourPartyState,
-    apply_local,
-    assemble,
-    emit_locc_transcript,
-    run_copy,
-)
+from loccopy.simulator import emit_locc_transcript, run_copy
 from loccopy.states import BipartiteState, from_unitary, max_entangled, overlap
 from loccopy.tensor import kron
+
+from oracles import FourPartyState, apply_local, assemble
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-
 from loccopy.config import MAX_ENT_TOL, PreconditionError
 from loccopy.generators import haar_unitary
 from loccopy.states import (
@@ -14,7 +13,8 @@ from loccopy.states import (
     schmidt,
     unitary_of_state,
 )
-from loccopy.tensor import partial_trace_second
+
+from oracles import partial_trace_second
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
