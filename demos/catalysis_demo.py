@@ -11,6 +11,7 @@ from loccopy import (
     find_catalytic_pair,
     majorizes,
     nielsen_transformable,
+    partial_sums,
 )
 
 psi = SchmidtVector([0.39, 0.26, 0.18, 0.17, 0.0])
@@ -25,11 +26,10 @@ print()
 # the blank and Nielsen's theorem forbids the move.
 
 print("partial sums (descending):")
+sums_blank, sums_psi, holds = partial_sums(blank, psi)
 for r in range(5):
-    s_psi = psi.probs[: r + 1].sum()
-    s_blank = blank.probs[: r + 1].sum()
-    mark = "ok" if s_blank <= s_psi + 1e-12 else "BLOCKED"
-    print(f"  r={r + 1}:  blank {s_blank:.3f}  vs  psi {s_psi:.3f}  {mark}")
+    mark = "ok" if holds[r] else "BLOCKED"
+    print(f"  r={r + 1}:  blank {sums_blank[r]:.3f}  vs  psi {sums_psi[r]:.3f}  {mark}")
 print()
 print("nielsen_transformable(blank -> psi):", nielsen_transformable(blank, psi))
 

@@ -6,7 +6,7 @@
 
 import numpy as np
 
-from loccopy import orthogonal_pair, pair_operator, spectral_verdict
+from loccopy import ORTHOGONAL, orthogonal_pair, orthogonality, pair_operator, spectral_verdict
 
 SAMPLES = 60
 
@@ -18,7 +18,7 @@ for d in range(2, 9):
         psi1, psi2 = orthogonal_pair(d, seed)
         t = pair_operator(psi1, psi2)
         report = spectral_verdict(t)
-        orthogonal += abs(np.trace(t)) < 1e-9 * d
+        orthogonal += orthogonality(t) == ORTHOGONAL
         copyable += report.copyable
     print(f"{d:>3}  {orthogonal / SAMPLES:>10.3f}  {copyable / SAMPLES:>8.3f}")
 

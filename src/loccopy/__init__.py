@@ -37,7 +37,7 @@ _HOMES = {
     ),
     "majorization": (
         "CATALYTIC", "DIRECT", "IMPOSSIBLE", "catalytic_copy_check",
-        "find_catalytic_pair", "majorizes", "nielsen_transformable",
+        "find_catalytic_pair", "majorizes", "nielsen_transformable", "partial_sums",
     ),
     "simulator": ("emit_locc_transcript", "run_copy"),
     "states": (

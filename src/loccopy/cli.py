@@ -1,8 +1,12 @@
 """Command-line interface.
 
 Subcommands: majorize, catalysis, check-pair, synthesize, simulate,
-generate, survey.  Output is a single JSON object on stdout (or a human
-table with --pretty, which generate lacks).  Exit codes: 0 for success
+generate, survey.  Each handler builds its answer once, as a JSON
+payload.  synthesize and generate write it as a document (to --out, by
+default stdout); the other five print it on stdout as one JSON object,
+or with --pretty as the text _pretty derives from the same payload, so
+the two views cannot disagree.  generate refuses a parameter flag its
+family does not read.  Exit codes: 0 for success
 or an affirmative verdict, 1 for a negative verdict, 2 for input errors
 (an unknown flag among them) and for a stdout closed before the output
 is written, 3 for an internal error (a synthesized protocol failed its
@@ -41,7 +45,6 @@ from typing import TYPE_CHECKING
 from .config import (
     FIDELITY_TOL,
     MAX_DIM,
-    SUM_TOL,
     TAU,
     AmbiguityError,
     PreconditionError,
@@ -107,9 +110,31 @@ def _remove_partial(path: str) -> None:
         pass
 
 
-def _emit(args, payload: dict, pretty_lines: list[str]) -> None:
+def _text(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _pretty(payload: dict) -> str:
+    """The --pretty view of a JSON payload, one line per key: a string
+    value as `key: value`, any other value as `key: <json>`, except that
+    a non-empty list of row objects prints as `key:` over a table with a
+    header line of the rows' keys and right-aligned columns."""
+    lines = []
+    for key, value in payload.items():
+        if not (isinstance(value, list) and value and all(isinstance(r, dict) for r in value)):
+            lines.append(f"{key}: {_text(value)}")
+            continue
+        columns = list(dict.fromkeys(k for row in value for k in row))
+        cells = [columns] + [[_text(row.get(k, "")) for k in columns] for row in value]
+        widths = [max(len(line[j]) for line in cells) for j in range(len(columns))]
+        lines.append(f"{key}:")
+        lines.extend("  " + "  ".join(c.rjust(w) for c, w in zip(line, widths)) for line in cells)
+    return "\n".join(lines)
+
+
+def _emit(args, payload: dict) -> None:
     if args.pretty:
-        print("\n".join(pretty_lines))
+        print(_pretty(payload))
     else:
         _write_json(payload, None)
 
@@ -146,22 +171,16 @@ def _load_pair(paths: list[str]):
 
 
 def _partial_sum_rows(v: np.ndarray, w: np.ndarray) -> list[dict]:
+    """One row per condition of "w majorizes v", as majorization decides
+    it; the last row is the totals condition."""
     from .majorization import _partial_sums
 
-    ca, cb = _partial_sums(v, w)
+    sums_v, sums_w, holds = _partial_sums(v, w)
     return [
-        {"r": k + 1, "lhs": float(ca[k]), "rhs": float(cb[k]),
-         "satisfied": bool(ca[k] <= cb[k] + SUM_TOL)}
-        for k in range(ca.size)
+        {"r": k + 1, "lhs": float(sums_v[k]), "rhs": float(sums_w[k]),
+         "satisfied": bool(holds[k])}
+        for k in range(sums_v.size)
     ]
-
-
-def _sum_table(rows: list[dict], lhs: str, rhs: str) -> list[str]:
-    out = [f"{'r':>3}  {lhs:>18}  {rhs:>18}  ok"]
-    for row in rows:
-        mark = "yes" if row["satisfied"] else "NO"
-        out.append(f"{row['r']:>3}  {row['lhs']:>18.12f}  {row['rhs']:>18.12f}  {mark}")
-    return out
 
 
 def cmd_majorize(args) -> int:
@@ -172,14 +191,7 @@ def cmd_majorize(args) -> int:
     w = serialization.schmidt_from_json(_load_json(args.dst))
     result = majorizes(w, v)
     rows = _partial_sum_rows(v.probs, w.probs)
-    payload = {
-        "majorizes": result,
-        "nielsen_transformable": result,
-        "partial_sums": rows,
-    }
-    pretty = _sum_table(rows, "sum src", "sum dst")
-    pretty.append(f"dst majorizes src: {result}")
-    _emit(args, payload, pretty)
+    _emit(args, {"majorizes": result, "nielsen_transformable": result, "partial_sums": rows})
     return OK if result else NEGATIVE
 
 
@@ -195,10 +207,7 @@ def cmd_catalysis(args) -> int:
     tensored_src = np.outer(psi.probs, blank.probs).ravel()
     tensored_dst = np.outer(psi.probs, psi.probs).ravel()
     rows = _partial_sum_rows(tensored_src, tensored_dst)
-    payload = {"verdict": verdict, "tensored_partial_sums": rows}
-    pretty = _sum_table(rows, "sum psi*blank", "sum psi*psi")
-    pretty.append(f"verdict: {verdict}")
-    _emit(args, payload, pretty)
+    _emit(args, {"verdict": verdict, "tensored_partial_sums": rows})
     return OK if verdict in (DIRECT, CATALYTIC) else NEGATIVE
 
 
@@ -210,19 +219,7 @@ def cmd_check_pair(args) -> int:
     t = pair_operator(psi1, psi2)
     kind = orthogonality(t)
     report = spectral_verdict(t)
-    payload = {"d": psi1.d, "orthogonality": kind}
-    payload.update(serialization.report_to_json(report))
-    pretty = [
-        f"d = {psi1.d}",
-        f"orthogonality: {kind}",
-        f"trace: {report.trace:.3e}",
-        f"rotation removed: {report.rotation:.9f} rad",
-        "clusters (phase, multiplicity): "
-        + ", ".join(f"({rep:.6f}, {count})" for rep, count in report.clusters),
-        f"copyable: {report.copyable}"
-        + (f" with M = {report.detected_m}" if report.copyable else ""),
-    ]
-    _emit(args, payload, pretty)
+    _emit(args, {"d": psi1.d, "orthogonality": kind, **serialization.report_to_json(report)})
     return OK if report.copyable else NEGATIVE
 
 
@@ -242,12 +239,6 @@ def cmd_synthesize(args) -> int:
         print(f"not synthesizable: {exc}", file=sys.stderr)
         return NEGATIVE
     _write_json(serialization.protocol_fields_to_json(protocol), args.out)
-    if args.pretty:
-        print(
-            f"synthesized protocol for d = {protocol.d}; "
-            f"phases: {protocol.phases[0]:+.9f}, {protocol.phases[1]:+.9f}",
-            file=sys.stderr,
-        )
     return OK
 
 
@@ -259,13 +250,7 @@ def cmd_simulate(args) -> int:
     psi = serialization.state_from_json(_load_json(args.state))
     fidelity, theta = run_copy(protocol, psi)
     passes = fidelity >= 1.0 - FIDELITY_TOL
-    payload = {"fidelity": fidelity, "theta": theta, "passes": passes}
-    pretty = [
-        f"fidelity: {fidelity:.15f}",
-        f"recovered theta: {theta:+.9f}",
-        f"passes (>= 1 - {FIDELITY_TOL:g}): {passes}",
-    ]
-    _emit(args, payload, pretty)
+    _emit(args, {"fidelity": fidelity, "theta": theta, "passes": passes})
     return OK if passes else NEGATIVE
 
 
@@ -279,10 +264,16 @@ def _draw_delta(rng: np.random.Generator, d: int) -> float:
 
 
 def _check_dimension(d: int) -> None:
-    """Refuse a subsystem dimension above MAX_DIM before any generator
-    allocates its d x d matrices."""
+    """Refuse a subsystem dimension below 2 or above MAX_DIM before any
+    generator draws or allocates its d x d matrices."""
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
     if d > MAX_DIM:
         raise ValueError(f"dimension {d} exceeds max dimension {MAX_DIM}")
+
+
+# The parameter flags each generate family reads; any other is refused.
+_FAMILY_FLAGS = {"orthogonal": ("d",), "copyable": ("d", "m"), "nonprime": ("d1", "d2", "delta")}
 
 
 def cmd_generate(args) -> int:
@@ -290,6 +281,9 @@ def cmd_generate(args) -> int:
 
     from . import generators, serialization
 
+    for flag in ("d", "m", "d1", "d2", "delta"):
+        if getattr(args, flag) is not None and flag not in _FAMILY_FLAGS[args.family]:
+            raise ValueError(f"the {args.family} family does not read --{flag}")
     seed = _seed(args)
     meta: dict = {"family": args.family, "seed": seed}
     if args.family == "orthogonal":
@@ -319,11 +313,13 @@ def cmd_generate(args) -> int:
     return OK
 
 
-def _smallest_factor(d: int) -> int | None:
-    for k in range(2, int(math.isqrt(d)) + 1):
+def _nonprime_split(d: int) -> tuple[int, int]:
+    """(d1, d // d1) for the smallest factor d1 > 1 of d; a d without
+    one is an input error."""
+    for k in range(2, math.isqrt(d) + 1):
         if d % k == 0:
-            return k
-    return None
+            return k, d // k
+    raise ValueError(f"nonprime family requires composite d, got {d}")
 
 
 def cmd_survey(args) -> int:
@@ -337,6 +333,8 @@ def cmd_survey(args) -> int:
         raise ValueError(f"--samples must be at least 1, got {args.samples}")
     for d in args.d:
         _check_dimension(d)
+    # every d is split (or refused) before the first sample is drawn
+    split = {d: _nonprime_split(d) for d in args.d} if args.family == "nonprime" else {}
     rows = []
     for d in args.d:
         orthogonal_count = 0
@@ -348,10 +346,7 @@ def cmd_survey(args) -> int:
             if args.family == "orthogonal":
                 psi1, psi2 = generators.orthogonal_pair(d, sample_seed)
             else:  # nonprime
-                d1 = _smallest_factor(d)
-                if d1 is None:
-                    raise ValueError(f"nonprime family requires composite d, got {d}")
-                d2 = d // d1
+                d1, d2 = split[d]
                 delta = _draw_delta(np.random.default_rng(sample_seed), d)
                 psi1, psi2 = generators.nonprime_counterexample(d1, d2, delta, sample_seed)
             t = pair_operator(psi1, psi2)
@@ -371,15 +366,7 @@ def cmd_survey(args) -> int:
             "copyable_fraction": copyable_count / args.samples,
             "ambiguous_fraction": ambiguous_count / args.samples,
         })
-    payload = {"family": args.family, "seed": seed, "rows": rows}
-    pretty = [f"{'d':>3}  {'samples':>7}  {'orthogonal':>10}  {'copyable':>8}  {'ambiguous':>9}"]
-    for row in rows:
-        pretty.append(
-            f"{row['d']:>3}  {row['samples']:>7}  "
-            f"{row['orthogonal_fraction']:>10.3f}  {row['copyable_fraction']:>8.3f}  "
-            f"{row['ambiguous_fraction']:>9.3f}"
-        )
-    _emit(args, payload, pretty)
+    _emit(args, {"family": args.family, "seed": seed, "rows": rows})
     return OK
 
 
@@ -388,7 +375,7 @@ def _add_parser(sub, command: str, help: str, pretty: bool = True) -> argparse.A
     p = sub.add_parser(command, help=help)
     if pretty:
         p.add_argument("--pretty", action="store_true",
-                       help="human-readable table instead of JSON")
+                       help="the JSON answer as `key: value` lines and tables")
     return p
 
 
@@ -418,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_check_pair)
 
     p = _add_parser(sub, "synthesize",
-                    help="build the copying protocol for an orthogonal pair")
+                    help="build the copying protocol for an orthogonal pair", pretty=False)
     p.add_argument("states", nargs="+",
                    help="one pair JSON file, or two state JSON files ('-' for stdin)")
     p.add_argument("--blank", default=None,

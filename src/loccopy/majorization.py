@@ -29,21 +29,31 @@ def _probs(v) -> np.ndarray:
     return (v if isinstance(v, SchmidtVector) else SchmidtVector(v)).probs
 
 
-def _partial_sums(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _partial_sums(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partial sums of v and w, each sorted descending and zero-padded
-    to the longer length; w majorizes v when the second dominates."""
+    to the longer length n, and whether each of the n conditions of
+    "w majorizes v" holds: for r < n the one-sided sum_v[r] <= sum_w[r]
+    + SUM_TOL, and at r = n equal totals within SUM_TOL."""
     a = np.sort(v)[::-1]
     b = np.sort(w)[::-1]
     n = max(a.size, b.size)
-    return np.cumsum(np.pad(a, (0, n - a.size))), np.cumsum(np.pad(b, (0, n - b.size)))
+    sums_v = np.cumsum(np.pad(a, (0, n - a.size)))
+    sums_w = np.cumsum(np.pad(b, (0, n - b.size)))
+    holds = sums_v <= sums_w + SUM_TOL
+    holds[-1] = abs(sums_v[-1] - sums_w[-1]) <= SUM_TOL
+    return sums_v, sums_w, holds
+
+
+def partial_sums(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The partial sums of v and w and whether each condition of "w
+    majorizes v" holds, as majorizes decides them (the last condition
+    is the totals); inputs are checked as in majorizes."""
+    return _partial_sums(_probs(v), _probs(w))
 
 
 def _majorizes(w: np.ndarray, v: np.ndarray) -> bool:
     """majorizes on probability arrays that are already validated."""
-    ca, cb = _partial_sums(v, w)
-    if abs(ca[-1] - cb[-1]) > SUM_TOL:
-        return False
-    return bool(np.all(ca <= cb + SUM_TOL))
+    return bool(_partial_sums(v, w)[2].all())
 
 
 def majorizes(w, v) -> bool:
@@ -52,9 +62,10 @@ def majorizes(w, v) -> bool:
     Inputs may be SchmidtVector or array-like; an array-like is checked
     as a SchmidtVector is, and raises ValueError when it is not finite,
     has a negative entry or does not sum to 1.  They are sorted
-    descending and zero-padded to equal length internally.  Partial sums
-    compare one-sided with slack SUM_TOL; totals must agree within
-    SUM_TOL.
+    descending and zero-padded to equal length n internally.  The first
+    n - 1 partial sums compare one-sided with slack SUM_TOL; the totals,
+    the n-th condition, must agree within SUM_TOL.  partial_sums gives
+    each condition.
     """
     return _majorizes(_probs(w), _probs(v))
 

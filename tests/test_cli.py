@@ -93,6 +93,72 @@ class TestPartialSums:
             for k in range(9)
         ]
 
+    def test_majorize_verdict_is_every_row(self, capsys, tmp_path):
+        # totals 0.99999999991 and 1.00000000009 differ by more than SUM_TOL
+        src = write_json(tmp_path, "src.json", {"probs": [0.49999999995, 0.49999999996]})
+        dst = write_json(tmp_path, "dst.json", {"probs": [0.50000000004, 0.50000000005]})
+        code, out, _ = run(capsys, ["majorize", src, dst])
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["majorizes"] is False
+        assert [row["satisfied"] for row in payload["partial_sums"]] == [True, False]
+
+    def test_catalysis_impossible_only_with_an_unsatisfied_row(self, capsys, tmp_path):
+        psi = write_json(tmp_path, "psi.json", {"probs": [0.60000000006, 0.40000000003]})
+        blank = write_json(tmp_path, "blank.json", {"probs": [0.5, 0.49999999991]})
+        code, out, _ = run(capsys, ["catalysis", psi, blank])
+        payload = json.loads(out)
+        assert code == 1
+        assert payload["verdict"] == "impossible"
+        assert [row["satisfied"] for row in payload["tensored_partial_sums"]] == [
+            True, True, True, False]
+
+
+def pretty_argv(tmp_path) -> dict:
+    """A valid argv for each subcommand that takes --pretty."""
+    psi1, psi2 = copyable_pair(4, 2, seed=3)
+    pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
+    state = write_json(tmp_path, "state.json", serialization.state_to_json(psi1))
+    protocol = write_json(tmp_path, "protocol.json", serialization.protocol_to_json(
+        synthesize_protocol(psi1, psi2, max_entangled(4))))
+    src = write_json(tmp_path, "src.json", {"probs": [0.7, 0.2, 0.1]})
+    dst = write_json(tmp_path, "dst.json", {"probs": [0.8, 0.2]})
+    return {
+        "majorize": ["majorize", src, dst],
+        "catalysis": ["catalysis", src, dst],
+        "check-pair": ["check-pair", pair],
+        "simulate": ["simulate", protocol, state],
+        "survey": ["survey", "--d", "2", "4", "--samples", "3"],
+    }
+
+
+class TestPretty:
+    """--pretty renders the JSON payload: the same keys, codes and stderr."""
+
+    @pytest.mark.parametrize("command", ["majorize", "catalysis", "check-pair", "simulate",
+                                         "survey"])
+    def test_every_key_starts_a_line(self, capsys, tmp_path, command):
+        argv = pretty_argv(tmp_path)[command]
+        code, out, err = run(capsys, argv)
+        pretty_code, pretty, pretty_err = run(capsys, [*argv, "--pretty"])
+        assert (pretty_code, pretty_err) == (code, err)
+        starts = [line.split(":")[0] for line in pretty.splitlines()]
+        assert [key for key in json.loads(out) if key not in starts] == []
+
+    def test_majorize_view(self, capsys, tmp_path):
+        src = write_json(tmp_path, "src.json", {"probs": [0.5, 0.5]})
+        dst = write_json(tmp_path, "dst.json", {"probs": [0.75, 0.25]})
+        code, out, _ = run(capsys, ["majorize", src, dst, "--pretty"])
+        assert code == 0
+        assert out == (
+            "majorizes: true\n"
+            "nielsen_transformable: true\n"
+            "partial_sums:\n"
+            "  r  lhs   rhs  satisfied\n"
+            "  1  0.5  0.75       true\n"
+            "  2  1.0   1.0       true\n"
+        )
+
 
 class TestCatalysis:
     def test_catalytic_verdict(self, capsys, five_level_vectors):
@@ -558,6 +624,20 @@ class TestGenerate:
         assert out == ""
         assert "exceeds max dimension 20736" in err
 
+    @pytest.mark.parametrize("family_args,flag", [
+        (["--family", "orthogonal", "--d", "3", "--m", "7"], "--m"),
+        (["--family", "copyable", "--d", "4", "--m", "2", "--delta", "0.1"], "--delta"),
+        (["--family", "nonprime", "--d", "99", "--d1", "2", "--d2", "3"], "--d"),
+    ], ids=["orthogonal", "copyable", "nonprime"])
+    def test_flag_the_family_does_not_read_is_input_error(self, capsys, tmp_path,
+                                                           family_args, flag):
+        out_path = tmp_path / "pair.json"
+        code, out, err = run(capsys, ["generate", *family_args, "--out", str(out_path)])
+        assert code == 2
+        assert out == ""
+        assert err.splitlines() == [f"error: the {family_args[1]} family does not read {flag}"]
+        assert not out_path.exists()
+
     def test_missing_dimension_is_input_error(self, capsys):
         code, _, err = run(capsys, ["generate", "--family", "orthogonal"])
         assert code == 2
@@ -652,6 +732,27 @@ class TestSurvey:
                                     "--samples", "2"])
         assert code == 2
         assert "composite" in err
+
+    @pytest.mark.parametrize("family,d,message", [
+        ("nonprime", "5", "nonprime family requires composite d, got 5"),
+        ("nonprime", "-3", "dimension must be at least 2, got -3"),
+        ("orthogonal", "1", "dimension must be at least 2, got 1"),
+    ], ids=["prime", "negative", "one"])
+    def test_bad_dimension_rejected_before_sampling(self, capsys, monkeypatch, family, d,
+                                                    message):
+        from loccopy import generators
+
+        calls = []
+        for name in ("orthogonal_pair", "nonprime_counterexample"):
+            draw = getattr(generators, name)
+            monkeypatch.setattr(generators, name,
+                                lambda *args, draw=draw: calls.append(args) or draw(*args))
+        code, out, err = run(capsys, ["survey", "--d", "4", d, "--family", family,
+                                      "--samples", "2"])
+        assert code == 2
+        assert out == ""
+        assert calls == []
+        assert err.splitlines() == [f"error: {message}"]
 
     @pytest.mark.parametrize("family", ["orthogonal", "nonprime"])
     def test_oversized_dimension_rejected_before_sampling(self, capsys, monkeypatch, family):
@@ -1021,6 +1122,7 @@ sys.exit(code)
     (["--help"], 0),
     (["synthesize", "--help"], 0),
     (["check-pair", "--unknown-flag", "pair.json"], 2),
+    (["synthesize", "pair.json", "--pretty"], 2),
 ])
 def test_parsing_alone_leaves_numpy_unloaded(argv, code):
     import subprocess
@@ -1032,4 +1134,5 @@ def test_parsing_alone_leaves_numpy_unloaded(argv, code):
     if code == 0:
         assert result.stdout.startswith("usage: loccopy")
     else:
-        assert "unrecognized arguments: --unknown-flag" in result.stderr
+        flag = next(arg for arg in argv if arg.startswith("--"))
+        assert f"unrecognized arguments: {flag}" in result.stderr

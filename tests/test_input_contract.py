@@ -2,9 +2,9 @@
 
 Any JSON value, or a valid document with one node replaced, removed or
 given an extra key, either loads or raises ValueError, and through the
-CLI it ends in exit code 0, 1 or 2 with at most one stderr line: never
-a traceback, and never a numpy warning (pytest turns warnings into
-errors).
+CLI, with or without --pretty, it ends in exit code 0, 1 or 2 with at
+most one stderr line: never a traceback, and never a numpy warning
+(pytest turns warnings into errors).
 """
 import copy
 import io
@@ -173,6 +173,8 @@ def test_cli_exits_with_a_documented_code(command, data):
         out = os.path.join(tmp, "out.json")
         if command in ("synthesize", "generate"):
             argv += ["--out", out]
+        elif data.draw(st.booleans(), label="pretty"):
+            argv.append("--pretty")
         code, _, err = run_cli(argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in err

@@ -11,6 +11,7 @@ from loccopy.majorization import (
     find_catalytic_pair,
     majorizes,
     nielsen_transformable,
+    partial_sums,
 )
 from loccopy.states import SchmidtVector
 
@@ -53,6 +54,22 @@ class TestMajorizes:
         shaved = np.array([0.5 - 5e-11, 0.5 + 5e-11])
         assert majorizes(base, shaved)
         assert majorizes(shaved, base)
+
+
+class TestPartialSums:
+    def test_rows_are_padded_and_sorted(self):
+        sums_v, sums_w, holds = partial_sums([0.2, 0.5, 0.3], [0.6, 0.4])
+        np.testing.assert_allclose(sums_v, [0.5, 0.8, 1.0])
+        np.testing.assert_allclose(sums_w, [0.6, 1.0, 1.0])
+        assert holds.tolist() == [True, True, True]
+
+    def test_last_condition_is_equal_totals(self):
+        # each partial sum of v is below w's, but the totals differ by
+        # 1.8e-10 > SUM_TOL: the last condition fails, and so does majorizes
+        v = [0.49999999995, 0.49999999996]
+        w = [0.50000000004, 0.50000000005]
+        assert partial_sums(v, w)[2].tolist() == [True, False]
+        assert not majorizes(w, v)
 
 
 class TestNielsen:
