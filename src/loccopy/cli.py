@@ -170,12 +170,11 @@ def _load_pair(paths: list[str]):
     return psi1, psi2
 
 
-def _partial_sum_rows(v: np.ndarray, w: np.ndarray) -> list[dict]:
-    """One row per condition of "w majorizes v", as majorization decides
-    it; the last row is the totals condition."""
-    from .majorization import _partial_sums
-
-    sums_v, sums_w, holds = _partial_sums(v, w)
+def _partial_sum_rows(sums: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[dict]:
+    """One row per condition of "w majorizes v" from the partial sums of
+    v and w and the flags that majorization decided on them; the last row
+    is the totals condition."""
+    sums_v, sums_w, holds = sums
     return [
         {"r": k + 1, "lhs": float(sums_v[k]), "rhs": float(sums_w[k]),
          "satisfied": bool(holds[k])}
@@ -185,29 +184,25 @@ def _partial_sum_rows(v: np.ndarray, w: np.ndarray) -> list[dict]:
 
 def cmd_majorize(args) -> int:
     from . import serialization
-    from .majorization import majorizes
+    from .majorization import partial_sums
 
     v = serialization.schmidt_from_json(_load_json(args.src))
     w = serialization.schmidt_from_json(_load_json(args.dst))
-    result = majorizes(w, v)
-    rows = _partial_sum_rows(v.probs, w.probs)
+    sums = partial_sums(v, w)
+    result = bool(sums[2].all())
+    rows = _partial_sum_rows(sums)
     _emit(args, {"majorizes": result, "nielsen_transformable": result, "partial_sums": rows})
     return OK if result else NEGATIVE
 
 
 def cmd_catalysis(args) -> int:
-    import numpy as np
-
     from . import serialization
-    from .majorization import CATALYTIC, DIRECT, catalytic_copy_check
+    from .majorization import CATALYTIC, DIRECT, _catalysis
 
     psi = serialization.schmidt_from_json(_load_json(args.psi))
     blank = serialization.schmidt_from_json(_load_json(args.blank))
-    verdict = catalytic_copy_check(psi, blank)
-    tensored_src = np.outer(psi.probs, blank.probs).ravel()
-    tensored_dst = np.outer(psi.probs, psi.probs).ravel()
-    rows = _partial_sum_rows(tensored_src, tensored_dst)
-    _emit(args, {"verdict": verdict, "tensored_partial_sums": rows})
+    verdict, tensored = _catalysis(psi.probs, blank.probs)
+    _emit(args, {"verdict": verdict, "tensored_partial_sums": _partial_sum_rows(tensored)})
     return OK if verdict in (DIRECT, CATALYTIC) else NEGATIVE
 
 
@@ -264,12 +259,14 @@ def _draw_delta(rng: np.random.Generator, d: int) -> float:
 
 
 def _check_dimension(d: int) -> None:
-    """Refuse a subsystem dimension below 2 or above MAX_DIM before any
-    generator draws or allocates its d x d matrices."""
+    """Refuse a subsystem dimension below 2, or one whose d^2 x d^2
+    protocol operators synthesize would refuse (d^2 above MAX_DIM),
+    before any generator draws or allocates its d x d matrices."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    if d > MAX_DIM:
-        raise ValueError(f"dimension {d} exceeds max dimension {MAX_DIM}")
+    if d * d > MAX_DIM:
+        raise ValueError(f"dimension {d} gives {d * d} x {d * d} protocol operators, "
+                         f"exceeds max dimension {MAX_DIM}")
 
 
 # The parameter flags each generate family reads; any other is refused.
@@ -337,9 +334,7 @@ def cmd_survey(args) -> int:
     split = {d: _nonprime_split(d) for d in args.d} if args.family == "nonprime" else {}
     rows = []
     for d in args.d:
-        orthogonal_count = 0
-        copyable_count = 0
-        ambiguous_count = 0
+        orthogonal_count = copyable_count = ambiguous_count = 0
         for k in range(args.samples):
             # flat, well-mixed per-sample seed derived from (seed, d, k)
             sample_seed = int(np.random.SeedSequence((seed, d, k)).generate_state(1)[0])
@@ -350,15 +345,11 @@ def cmd_survey(args) -> int:
                 delta = _draw_delta(np.random.default_rng(sample_seed), d)
                 psi1, psi2 = generators.nonprime_counterexample(d1, d2, delta, sample_seed)
             t = pair_operator(psi1, psi2)
-            if orthogonality(t) == ORTHOGONAL:
-                orthogonal_count += 1
+            orthogonal_count += orthogonality(t) == ORTHOGONAL
             try:
-                copyable = spectral_verdict(t).copyable
+                copyable_count += spectral_verdict(t).copyable
             except AmbiguityError:  # counted, and not copyable at this tolerance
                 ambiguous_count += 1
-                copyable = False
-            if copyable:
-                copyable_count += 1
         rows.append({
             "d": d,
             "samples": args.samples,
@@ -458,12 +449,16 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code
     except BrokenPipeError as exc:
-        # Python flushes stdout again at exit: point it at devnull so that
-        # the flush cannot fail, as the docs of the signal module advise.
+        # Python flushes stdout and stderr again at exit: point each closed
+        # one at devnull so that the flush cannot fail, as the docs of the
+        # signal module advise.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        try:
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        except BrokenPipeError:  # stderr is the same closed pipe
+            os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

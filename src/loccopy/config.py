@@ -14,8 +14,7 @@ TAU = 2.0 * math.pi
 NORM_TOL = 1e-10        # |norm - 1| bound when constructing a state or probability vector
 UNITARITY_TOL = 1e-9    # ||U^dag U - I||_F bound, certified from factors for C1 and A; also C1's relation residual
 NORMALITY_TOL = 1e-8    # ||M V - V diag(lam)||_F / max(1, ||M||_F) bound in eig_normal
-PHASE_TOL = 1e-7        # eigenphase clustering gap cut, radians
-ORTHO_TOL = 1e-9        # relative trace threshold for orthogonality
+PHASE_TOL = 1e-7        # eigenphase clustering gap cut, radians; |Tr T|/d bound for orthogonality
 SUM_TOL = 1e-10         # one-sided slack on majorization partial sums
 MAX_ENT_TOL = 1e-8      # max deviation of Schmidt probs from 1/d
 FIDELITY_TOL = 1e-9     # copy verification: require f >= 1 - FIDELITY_TOL

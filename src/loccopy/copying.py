@@ -42,7 +42,6 @@ import numpy as np
 from .config import (
     FIDELITY_TOL,
     MAX_DIM,
-    ORTHO_TOL,
     PHASE_TOL,
     TAU,
     UNITARITY_TOL,
@@ -50,6 +49,7 @@ from .config import (
     PreconditionError,
     SynthesisError,
 )
+from .simulator import _simulate
 from .states import BipartiteState, _gram_defect, assert_unitary, unitary_of_state
 from .tensor import _kron_sum, eig_normal
 
@@ -119,18 +119,21 @@ def pair_operator(psi1: BipartiteState, psi2: BipartiteState) -> np.ndarray:
 
 
 def orthogonality(t: np.ndarray) -> str:
-    """Classify the state pair behind t by |Tr(T)|.
+    """Classify the state pair behind t by |Tr(T)|, judged at PHASE_TOL.
 
-    <psi2|psi1> = Tr(T)/D, and for copyable pairs the trace magnitude is
-    either 0 or D: returns "orthogonal" when |Tr| < D*ORTHO_TOL,
-    "identical_up_to_phase" when |Tr| > D*(1 - ORTHO_TOL), else "neither".
+    <psi2|psi1> = Tr(T)/D: returns "orthogonal" when |Tr| <= D*PHASE_TOL,
+    "identical_up_to_phase" when |Tr| >= D*(1 - PHASE_TOL), else
+    "neither".  The tolerance is spectral_verdict's: the M >= 2 roots of
+    unity sum to 0, so a T whose eigenphases each lie within PHASE_TOL of
+    a copyable spectrum with M >= 2 has |Tr| <= D*PHASE_TOL and is
+    "orthogonal", never "neither".
     """
     t = np.asarray(t)
     d = t.shape[0]
     mag = abs(np.trace(t))
-    if mag < d * ORTHO_TOL:
+    if mag <= d * PHASE_TOL:
         return ORTHOGONAL
-    if mag > d * (1.0 - ORTHO_TOL):
+    if mag >= d * (1.0 - PHASE_TOL):
         return IDENTICAL
     return NEITHER
 
@@ -451,10 +454,6 @@ def synthesize_protocol(
         d=psi1.d, blank=blank, a_op=_kron_sum(*a_factors), b_op=_kron_sum(*b_factors),
         phases=(0.0, theta2),
     )
-
-    # deferred: simulator imports this module; states and operators are
-    # validated above
-    from .simulator import _simulate
 
     for label, (fidelity, _) in zip(("psi1", "psi2"), _simulate(protocol, (psi1, psi2))):
         if not fidelity >= 1.0 - FIDELITY_TOL:

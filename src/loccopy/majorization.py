@@ -51,11 +51,6 @@ def partial_sums(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _partial_sums(_probs(v), _probs(w))
 
 
-def _majorizes(w: np.ndarray, v: np.ndarray) -> bool:
-    """majorizes on probability arrays that are already validated."""
-    return bool(_partial_sums(v, w)[2].all())
-
-
 def majorizes(w, v) -> bool:
     """True iff w majorizes v: partial sums of w dominate, totals equal.
 
@@ -67,7 +62,7 @@ def majorizes(w, v) -> bool:
     the n-th condition, must agree within SUM_TOL.  partial_sums gives
     each condition.
     """
-    return _majorizes(_probs(w), _probs(v))
+    return bool(partial_sums(v, w)[2].all())
 
 
 def nielsen_transformable(src, dst) -> bool:
@@ -75,23 +70,28 @@ def nielsen_transformable(src, dst) -> bool:
     return majorizes(dst, src)
 
 
+def _catalysis(
+    p: np.ndarray, b: np.ndarray
+) -> tuple[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """catalytic_copy_check on validated probabilities, and the partial
+    sums of psi (x) blank -< psi (x) psi as _partial_sums gives them,
+    computed even when the direct check decides the verdict."""
+    tensored = _partial_sums(np.outer(p, b).ravel(), np.outer(p, p).ravel())
+    if _partial_sums(b, p)[2].all():
+        return DIRECT, tensored
+    return (CATALYTIC if tensored[2].all() else IMPOSSIBLE), tensored
+
+
 def catalytic_copy_check(psi, blank) -> str:
     """Classify copying of psi onto blank: direct, catalytic, or impossible.
 
     "direct" when blank -< psi already (plain Nielsen conversion of the
     blank into a second copy); "catalytic" when only the tensored
-    relation psi (x) blank -< psi (x) psi holds; "impossible" otherwise.
-    Array-like inputs are checked as in majorizes.
+    relation psi (x) blank -< psi (x) psi holds, every one of its
+    partial-sum conditions as partial_sums decides them; "impossible"
+    otherwise.  Array-like inputs are checked as in majorizes.
     """
-    p = _probs(psi)
-    b = _probs(blank)
-    if _majorizes(p, b):
-        return DIRECT
-    src = np.outer(p, b).ravel()
-    dst = np.outer(p, p).ravel()
-    if _majorizes(dst, src):
-        return CATALYTIC
-    return IMPOSSIBLE
+    return _catalysis(_probs(psi), _probs(blank))[0]
 
 
 def find_catalytic_pair(

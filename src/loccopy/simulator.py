@@ -8,17 +8,22 @@ and B of any protocol, a loaded one included: _simulate applies the
 Kronecker products of the amplitude grids, without forming them, by
 np.matmul calls that write into three reused d^2 x d^2 arrays.  Synthesis
 verifies the A and B it returns on both of its states with one call of
-the same routine.  The brute-force four-particle simulation it is tested
-against lives in tests/oracles.py.
+the same routine, so copying imports this module; this module names
+CopyProtocol only in annotations and never imports copying.  The
+brute-force four-particle simulation it is tested against lives in
+tests/oracles.py.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .copying import CopyProtocol
 from .states import BipartiteState, assert_max_entangled, assert_unitary
+
+if TYPE_CHECKING:
+    from .copying import CopyProtocol
 
 
 def run_copy(protocol: CopyProtocol, psi: BipartiteState) -> tuple[float, float]:

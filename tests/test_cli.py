@@ -114,6 +114,25 @@ class TestPartialSums:
             True, True, True, False]
 
 
+@pytest.mark.parametrize("argv,calls", [
+    (["majorize", "{src}", "{dst}"], 1),
+    (["catalysis", "{src}", "{dst}"], 2),  # direct fails: the tensored rows decide
+    (["catalysis", "{dst}", "{src}"], 2),  # direct holds: the rows are still printed
+])
+def test_one_partial_sums_pass_per_condition_set(capsys, tmp_path, monkeypatch, argv, calls):
+    from loccopy import majorization
+
+    paths = {"src": write_json(tmp_path, "src.json", {"probs": [0.7, 0.2, 0.1]}),
+             "dst": write_json(tmp_path, "dst.json", {"probs": [0.8, 0.2]})}
+    seen = []
+    partial_sums = majorization._partial_sums
+    monkeypatch.setattr(majorization, "_partial_sums",
+                        lambda v, w: seen.append(v.size) or partial_sums(v, w))
+    code, out, _ = run(capsys, [arg.format(**paths) for arg in argv])
+    assert code in (0, 1) and out
+    assert len(seen) == calls
+
+
 def pretty_argv(tmp_path) -> dict:
     """A valid argv for each subcommand that takes --pretty."""
     psi1, psi2 = copyable_pair(4, 2, seed=3)
@@ -363,6 +382,31 @@ class TestSynthesizeAndSimulate:
         code, _, err = run(capsys, ["synthesize", pair, "--out", out_path])
         assert code == 0, err
 
+    def test_phases_within_phase_tol_are_orthogonal_and_synthesize(self, capsys, tmp_path):
+        # M = 3, d = 12, every eigenphase moved off the rotated grid by up to
+        # 5e-8 < PHASE_TOL: |Tr T|/d is 1.1e-8, which orthogonality judged at
+        # a tolerance of 1e-9 once called "neither" beside a copyable verdict
+        v = haar_unitary(12, seed=7)
+        noise = np.random.default_rng(5).uniform(-5e-8, 5e-8, 12)
+        phases = TAU * np.repeat(np.arange(3), 4) / 3 + 0.3 + noise
+        t = (v * np.exp(1j * phases)) @ v.conj().T
+        u2 = haar_unitary(12, seed=8)
+        psi1, psi2 = from_unitary(t @ u2), from_unitary(u2)
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
+        code, out, err = run(capsys, ["check-pair", pair])
+        assert code == 0, err
+        payload = json.loads(out)
+        assert (payload["orthogonality"], payload["copyable"], payload["detected_m"]) == (
+            "orthogonal", True, 3)
+        out_path = str(tmp_path / "protocol.json")
+        code, _, err = run(capsys, ["synthesize", pair, "--out", out_path])
+        assert code == 0, err
+        for k, psi in enumerate((psi1, psi2)):
+            state = write_json(tmp_path, f"s{k}.json", serialization.state_to_json(psi))
+            code, out, err = run(capsys, ["simulate", out_path, state])
+            assert code == 0, err
+            assert json.loads(out)["passes"] is True
+
     def test_uncopyable_pair_is_negative(self, capsys, tmp_path):
         psi1, psi2 = nonprime_counterexample(2, 2, delta=0.5, seed=8)
         pair = write_json(tmp_path, "pair.json",
@@ -562,10 +606,16 @@ class TestClosedStdout:
         try:
             result = subprocess.run([sys.executable, "-m", "loccopy.cli", "synthesize", pair],
                                     stdout=write_end, stderr=subprocess.PIPE, env=env)
+            # stderr the same closed pipe, as in `loccopy survey ... 2>&1 | head -c 1`:
+            # the error line cannot be written either, and the exit code is still 2
+            both = subprocess.run([sys.executable, "-m", "loccopy.cli", "survey",
+                                   "--d", "2", "3", "4", "--samples", "3"],
+                                  stdout=write_end, stderr=write_end, env=env)
         finally:
             os.close(write_end)
         assert result.returncode == 2
         assert result.stderr == b"error: cannot write stdout: [Errno 32] Broken pipe\n"
+        assert both.returncode == 2
 
 
 class TestGenerate:
@@ -623,6 +673,28 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert "exceeds max dimension 20736" in err
+
+    @pytest.mark.parametrize("family_args,d", [
+        (["--family", "orthogonal", "--d", "145"], 145),
+        (["--family", "copyable", "--d", "145", "--m", "5"], 145),
+        (["--family", "nonprime", "--d1", "12", "--d2", "13"], 156),
+    ], ids=["orthogonal", "copyable", "nonprime"])
+    def test_dimension_synthesize_refuses_rejected_before_generation(
+            self, capsys, monkeypatch, family_args, d):
+        # synthesize refuses d^2 > MAX_DIM, and so does generate
+        from loccopy import generators
+
+        calls = []
+        for name in ("orthogonal_pair", "copyable_pair", "nonprime_counterexample"):
+            draw = getattr(generators, name)
+            monkeypatch.setattr(generators, name,
+                                lambda *args, draw=draw: calls.append(args) or draw(*args))
+        code, out, err = run(capsys, ["generate"] + family_args)
+        assert code == 2
+        assert out == ""
+        assert calls == []
+        assert err.splitlines() == [f"error: dimension {d} gives {d * d} x {d * d} protocol "
+                                    "operators, exceeds max dimension 20736"]
 
     @pytest.mark.parametrize("family_args,flag", [
         (["--family", "orthogonal", "--d", "3", "--m", "7"], "--m"),
@@ -737,7 +809,12 @@ class TestSurvey:
         ("nonprime", "5", "nonprime family requires composite d, got 5"),
         ("nonprime", "-3", "dimension must be at least 2, got -3"),
         ("orthogonal", "1", "dimension must be at least 2, got 1"),
-    ], ids=["prime", "negative", "one"])
+        # 145^2 > MAX_DIM: synthesize would refuse the pair
+        ("orthogonal", "145", "dimension 145 gives 21025 x 21025 protocol operators, "
+                              "exceeds max dimension 20736"),
+        ("nonprime", "145", "dimension 145 gives 21025 x 21025 protocol operators, "
+                            "exceeds max dimension 20736"),
+    ], ids=["prime", "negative", "one", "past-synthesis-orthogonal", "past-synthesis-nonprime"])
     def test_bad_dimension_rejected_before_sampling(self, capsys, monkeypatch, family, d,
                                                     message):
         from loccopy import generators
@@ -768,7 +845,8 @@ class TestSurvey:
                                       "--samples", "2"])
         assert code == 2
         assert out == ""
-        assert "dimension 20737 exceeds max dimension 20736" in err
+        assert "dimension 20737 gives 430023169 x 430023169 protocol operators, " \
+               "exceeds max dimension 20736" in err
 
     def test_pretty_table(self, capsys):
         code, out, _ = run(capsys, ["survey", "--d", "2", "--samples", "3",

@@ -1,6 +1,9 @@
-"""The tolerances are module constants: each is positive and finite, and
-no value for one reaches the package from the command line."""
+"""The tolerances are module constants: each is positive and finite, no
+value for one reaches the package from the command line, and README's
+table lists each with its value."""
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -12,8 +15,11 @@ from loccopy.cli import main
                                   "sum_tol", "max_ent_tol", "fidelity_tol"])
 @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
 def test_invalid_tolerance_rejected(capsys, name, value):
-    constant = getattr(config, name.upper())
-    assert math.isfinite(constant) and constant > 0.0
+    if name == "ortho_tol":  # gone: orthogonality is judged at PHASE_TOL
+        assert not hasattr(config, name.upper())
+    else:
+        constant = getattr(config, name.upper())
+        assert math.isfinite(constant) and constant > 0.0
     with pytest.raises(SystemExit) as exc:
         main(["survey", "--d", "2", f"--{name.replace('_', '-')}={value!r}"])
     assert exc.value.code == 2
@@ -23,3 +29,12 @@ def test_invalid_tolerance_rejected(capsys, name, value):
 def test_one_eigendecomposition_tolerance():
     assert config.NORMALITY_TOL > 0.0
     assert not hasattr(config, "EIG_RECONSTRUCTION_TOL")
+
+
+def test_readme_table_lists_the_constants():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    rows = re.findall(r"^ *\| `([A-Z_]+)` \| ([^|]+) \|", readme, flags=re.MULTILINE)
+    constants = {name: value for name, value in vars(config).items()
+                 if name.isupper() and isinstance(value, (int, float)) and name != "TAU"}
+    assert sorted(name for name, _ in rows) == sorted(constants)
+    assert {name: float(value) for name, value in rows} == constants

@@ -253,14 +253,20 @@ def planted_operator(phases, seed):
 class TestVerdictProperties:
     """The verdict on planted spectra, against degeneracy_form_check."""
 
-    @given(planted_spectra())
+    # each eigenphase moved off its root by up to PHASE_TOL/2 (a hair less,
+    # so roundoff cannot stretch a cluster's spread past the PHASE_TOL gap cut)
+    @given(planted_spectra(),
+           st.lists(st.floats(-0.49 * PHASE_TOL, 0.49 * PHASE_TOL), min_size=12, max_size=12))
     @settings(max_examples=100, deadline=None)
-    def test_copyable_iff_degeneracy_form(self, case):
+    def test_copyable_iff_degeneracy_form(self, case, offsets):
         mult, rotation, seed = case
         m, d = len(mult), sum(mult)
         roots = (TAU * np.arange(m) / m + rotation) % TAU
-        report = spectral_verdict(planted_operator(np.repeat(roots, mult), seed))
+        t = planted_operator(np.repeat(roots, mult) + offsets[:d], seed)
+        report = spectral_verdict(t)
         assert report.copyable == degeneracy_form_check(mult, m, d)
+        if report.copyable:  # M >= 2: the phases are within PHASE_TOL of roots summing to 0
+            assert orthogonality(t) == ORTHOGONAL
         assert report.detected_m == (m if report.copyable else None)
         assert len(report.clusters) == m
         for rep, count in report.clusters:  # matched to the nearest planted root

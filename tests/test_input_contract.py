@@ -127,8 +127,9 @@ FILE_ARGV = {
     "synthesize": [["{doc}"], ["{pair}", "--blank", "{doc}"]],
     "simulate": [["{doc}", "{state}"], ["{protocol}", "{doc}"]],
 }
-# no dimension between 9 and MAX_DIM, so nothing large is allocated
-DIMENSIONS = st.one_of(st.integers(-3, 9), st.sampled_from([20737, 2**64]))
+# no dimension between 9 and 144 = isqrt(MAX_DIM), so nothing large is
+# allocated: 145 and above give protocol operators past MAX_DIM, and are refused
+DIMENSIONS = st.one_of(st.integers(-3, 9), st.sampled_from([145, 20736, 20737, 2**64]))
 
 
 @st.composite

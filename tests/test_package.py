@@ -76,3 +76,18 @@ def test_oracle_name_is_not_a_package_attribute(name):
     assert name not in loccopy.__all__
     for module in (loccopy, loccopy.simulator, loccopy.tensor):
         assert not hasattr(module, name)
+
+
+def test_simulator_import_leaves_copying_unloaded():
+    # copying imports simulator for synthesis's check; simulator names
+    # CopyProtocol only in annotations, so the import runs one way
+    import os
+    import subprocess
+
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    probe = "import sys, loccopy.simulator; print('loccopy.copying' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "False\n"
