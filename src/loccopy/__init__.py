@@ -29,7 +29,7 @@ _HOMES = {
     "copying": (
         "CopyProtocol", "IDENTICAL", "NEITHER", "ORTHOGONAL", "SpectrumReport",
         "degeneracy_form_check", "orthogonality", "pair_operator", "spectral_verdict",
-        "synthesize_a", "synthesize_protocol",
+        "survey", "synthesize_a", "synthesize_protocol",
     ),
     "generators": (
         "copyable_pair", "copyable_unitary", "haar_unitary", "nonprime_counterexample",

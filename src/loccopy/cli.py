@@ -8,9 +8,10 @@ or with --pretty as the text _pretty derives from the same payload, so
 the two views cannot disagree.  generate refuses a parameter flag its
 family does not read.  Exit codes: 0 for success
 or an affirmative verdict, 1 for a negative verdict, 2 for input errors
-(an unknown flag among them) and for a stdout closed before the output
-is written, 3 for an internal error (a synthesized protocol failed its
-own verification; see SynthesisError).  File arguments accept "-" for
+(an unknown flag among them), for a stdout closed before the output
+is written and for a failed allocation (MemoryError), 3 for an
+internal error (a synthesized protocol failed its own verification;
+see SynthesisError).  File arguments accept "-" for
 stdin; check-pair and synthesize read one pair file or two state files
 and refuse more.  The default seed comes from $LOCCOPY_SEED when set,
 else 0; a negative seed, or a $LOCCOPY_SEED that is not an integer, is
@@ -27,29 +28,17 @@ main.
 The module imports only the standard library and loccopy.config, and
 each handler imports the modules it uses, so parsing the command line,
 --help and an argparse error (exit code 2) never load numpy.
-
-No subcommand takes a tolerance flag: the tolerances are the constants
-of loccopy.config, and a flag such as --phase-tol is an argparse error,
-exit code 2.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import stat
 import sys
 from typing import TYPE_CHECKING
 
-from .config import (
-    FIDELITY_TOL,
-    MAX_DIM,
-    TAU,
-    AmbiguityError,
-    PreconditionError,
-    SynthesisError,
-)
+from .config import FIDELITY_TOL, PreconditionError, SynthesisError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -249,26 +238,6 @@ def cmd_simulate(args) -> int:
     return OK if passes else NEGATIVE
 
 
-def _draw_delta(rng: np.random.Generator, d: int) -> float:
-    """Draw delta uniformly from (0, 2 pi / d), the open interval that
-    nonprime_counterexample accepts; a draw of exactly 0 is redrawn."""
-    delta = 0.0
-    while not 0.0 < delta < TAU / d:
-        delta = float(rng.uniform(0.0, TAU / d))
-    return delta
-
-
-def _check_dimension(d: int) -> None:
-    """Refuse a subsystem dimension below 2, or one whose d^2 x d^2
-    protocol operators synthesize would refuse (d^2 above MAX_DIM),
-    before any generator draws or allocates its d x d matrices."""
-    if d < 2:
-        raise ValueError(f"dimension must be at least 2, got {d}")
-    if d * d > MAX_DIM:
-        raise ValueError(f"dimension {d} gives {d * d} x {d * d} protocol operators, "
-                         f"exceeds max dimension {MAX_DIM}")
-
-
 # The parameter flags each generate family reads; any other is refused.
 _FAMILY_FLAGS = {"orthogonal": ("d",), "copyable": ("d", "m"), "nonprime": ("d1", "d2", "delta")}
 
@@ -277,6 +246,7 @@ def cmd_generate(args) -> int:
     import numpy as np
 
     from . import generators, serialization
+    from .generators import _check_dimension, _draw_delta
 
     for flag in ("d", "m", "d1", "d2", "delta"):
         if getattr(args, flag) is not None and flag not in _FAMILY_FLAGS[args.family]:
@@ -310,54 +280,12 @@ def cmd_generate(args) -> int:
     return OK
 
 
-def _nonprime_split(d: int) -> tuple[int, int]:
-    """(d1, d // d1) for the smallest factor d1 > 1 of d; a d without
-    one is an input error."""
-    for k in range(2, math.isqrt(d) + 1):
-        if d % k == 0:
-            return k, d // k
-    raise ValueError(f"nonprime family requires composite d, got {d}")
-
-
 def cmd_survey(args) -> int:
-    import numpy as np
-
-    from . import generators
-    from .copying import ORTHOGONAL, orthogonality, pair_operator, spectral_verdict
+    from .copying import survey
 
     seed = _seed(args)
-    if args.samples < 1:
-        raise ValueError(f"--samples must be at least 1, got {args.samples}")
-    for d in args.d:
-        _check_dimension(d)
-    # every d is split (or refused) before the first sample is drawn
-    split = {d: _nonprime_split(d) for d in args.d} if args.family == "nonprime" else {}
-    rows = []
-    for d in args.d:
-        orthogonal_count = copyable_count = ambiguous_count = 0
-        for k in range(args.samples):
-            # flat, well-mixed per-sample seed derived from (seed, d, k)
-            sample_seed = int(np.random.SeedSequence((seed, d, k)).generate_state(1)[0])
-            if args.family == "orthogonal":
-                psi1, psi2 = generators.orthogonal_pair(d, sample_seed)
-            else:  # nonprime
-                d1, d2 = split[d]
-                delta = _draw_delta(np.random.default_rng(sample_seed), d)
-                psi1, psi2 = generators.nonprime_counterexample(d1, d2, delta, sample_seed)
-            t = pair_operator(psi1, psi2)
-            orthogonal_count += orthogonality(t) == ORTHOGONAL
-            try:
-                copyable_count += spectral_verdict(t).copyable
-            except AmbiguityError:  # counted, and not copyable at this tolerance
-                ambiguous_count += 1
-        rows.append({
-            "d": d,
-            "samples": args.samples,
-            "orthogonal_fraction": orthogonal_count / args.samples,
-            "copyable_fraction": copyable_count / args.samples,
-            "ambiguous_fraction": ambiguous_count / args.samples,
-        })
-    _emit(args, {"family": args.family, "seed": seed, "rows": rows})
+    _emit(args, {"family": args.family, "seed": seed,
+                 "rows": survey(args.family, args.d, args.samples, seed)})
     return OK
 
 
@@ -462,6 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         return INPUT_ERROR
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return INPUT_ERROR
+    except MemoryError as exc:  # a d within MAX_DIM can still outgrow the machine
+        print("error: cannot allocate memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return INPUT_ERROR
     except SynthesisError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -63,8 +63,8 @@ class SpectrumReport:
     """Outcome of the spectral copyability test for a pair operator."""
 
     eigenphases: np.ndarray          # sorted ascending, in [0, 2pi)
-    clusters: tuple[tuple[float, int], ...]  # (representative phase, multiplicity)
-    rotation: float                  # angle removed so the anchor cluster sits at 0
+    clusters: tuple[tuple[float, int], ...]  # (representative phase in [0, 2pi), multiplicity)
+    rotation: float                  # angle in [0, 2pi) that puts the anchor cluster at 0
     detected_m: int | None           # M when copyable, else None
     copyable: bool
     trace: complex
@@ -138,11 +138,16 @@ def orthogonality(t: np.ndarray) -> str:
     return NEITHER
 
 
+def _mod_tau(x):
+    r = x % TAU  # elementwise; exactly TAU for a tiny negative x, which maps to 0.0
+    return r - TAU * (r == TAU)
+
+
 def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]]:
     """The spectral verdict on the eigenvalues lam of a unitary pair
     operator, and the cluster label of each eigenvalue.
 
-    Three array operations give the phases in [0, 2pi), their sort order
+    Array operations give the phases in [0, 2pi) (by _mod_tau), their sort order
     and the points e^{i phase}, and a fourth the M cluster angles; the
     rest is one plain-Python pass over those d values and the M
     clusters, which for the d of a verdict costs less than the per-call
@@ -160,7 +165,7 @@ def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]
     are the root indices by which synthesis pairs eigenspaces.
     """
     tol = PHASE_TOL
-    phases = np.angle(lam) % TAU
+    phases = _mod_tau(np.angle(lam))
     order = np.argsort(phases)
     points = np.exp(1j * phases).tolist()
     values = phases.tolist()
@@ -186,7 +191,7 @@ def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]
         imag[label] += z.imag
         multiplicities[label] += 1
     # numpy's arctan2, not math.atan2, which can differ in the last ulp
-    reps = (np.arctan2(imag, real) % TAU).tolist()
+    reps = _mod_tau(np.arctan2(imag, real)).tolist()
 
     by_phase = sorted(range(m), key=reps.__getitem__)
     if m > 1:
@@ -199,7 +204,7 @@ def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]
                 "the clustering is ambiguous at this tolerance"
             )
 
-    rotation = -reps[0] % TAU  # cluster 0 holds the smallest phase
+    rotation = _mod_tau(-reps[0])  # cluster 0 holds the smallest phase
     rotated = sorted((r + rotation) % TAU for r in reps)
     offsets = (abs(r - TAU * k / m) % TAU for k, r in enumerate(rotated))
     aligned = all(min(offset, TAU - offset) <= tol for offset in offsets)
@@ -462,3 +467,46 @@ def synthesize_protocol(
                 f"fidelity {fidelity!r}"
             )
     return protocol
+
+
+def survey(family: str, ds, samples: int, seed: int) -> list[dict]:
+    """One row {"d", "samples", "orthogonal_fraction", "copyable_fraction",
+    "ambiguous_fraction"} per d in ds, over samples pairs of the family
+    "orthogonal" (orthogonal_pair) or "nonprime" (nonprime_counterexample,
+    d split at its smallest factor, delta uniform in (0, 2 pi / d)).
+    Sample k at d draws from SeedSequence((seed, d, k)) and is judged by
+    pair_operator, orthogonality and spectral_verdict; AmbiguityError
+    counts it ambiguous, not copyable.  ValueError refuses samples < 1,
+    d < 2, d^2 > MAX_DIM and a prime nonprime d before the first draw."""
+    from . import generators  # here, so that check-pair and synthesize never load it
+
+    if family not in ("orthogonal", "nonprime"):
+        raise ValueError(f"survey family must be 'orthogonal' or 'nonprime', got {family!r}")
+    if samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {samples}")
+    ds = list(ds)
+    for d in ds:
+        generators._check_dimension(d)
+    split = {d: generators._nonprime_split(d) for d in ds} if family == "nonprime" else {}
+    rows = []
+    for d in ds:
+        orthogonal_count = copyable_count = ambiguous_count = 0
+        for k in range(samples):
+            # flat, well-mixed per-sample seed derived from (seed, d, k)
+            sample_seed = int(np.random.SeedSequence((seed, d, k)).generate_state(1)[0])
+            if family == "orthogonal":
+                psi1, psi2 = generators.orthogonal_pair(d, sample_seed)
+            else:
+                delta = generators._draw_delta(np.random.default_rng(sample_seed), d)
+                psi1, psi2 = generators.nonprime_counterexample(*split[d], delta, sample_seed)
+            t = pair_operator(psi1, psi2)
+            orthogonal_count += orthogonality(t) == ORTHOGONAL
+            try:
+                copyable_count += spectral_verdict(t).copyable
+            except AmbiguityError:
+                ambiguous_count += 1
+        rows.append({"d": d, "samples": samples,
+                     "orthogonal_fraction": orthogonal_count / samples,
+                     "copyable_fraction": copyable_count / samples,
+                     "ambiguous_fraction": ambiguous_count / samples})
+    return rows

@@ -8,9 +8,11 @@ because psi1 = (T (x) 1)|psi2> by construction.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .config import TAU
+from .config import MAX_DIM, TAU
 from .states import BipartiteState, from_unitary
 
 
@@ -22,6 +24,35 @@ def _haar(d: int, rng: np.random.Generator) -> np.ndarray:
     ph = np.diag(r).copy()
     ph /= np.abs(ph)
     return q * ph
+
+
+def _check_dimension(d: int) -> None:
+    """Refuse a subsystem dimension below 2, or one whose d^2 x d^2
+    protocol operators synthesize would refuse (d^2 above MAX_DIM),
+    before any generator draws or allocates its d x d matrices."""
+    if d < 2:
+        raise ValueError(f"dimension must be at least 2, got {d}")
+    if d * d > MAX_DIM:
+        raise ValueError(f"dimension {d} gives {d * d} x {d * d} protocol operators, "
+                         f"exceeds max dimension {MAX_DIM}")
+
+
+def _nonprime_split(d: int) -> tuple[int, int]:
+    """(d1, d // d1) for the smallest factor d1 > 1 of d; a d without
+    one is refused with ValueError."""
+    for k in range(2, math.isqrt(d) + 1):
+        if d % k == 0:
+            return k, d // k
+    raise ValueError(f"nonprime family requires composite d, got {d}")
+
+
+def _draw_delta(rng: np.random.Generator, d: int) -> float:
+    """Draw delta uniformly from (0, 2 pi / d), the open interval that
+    nonprime_counterexample accepts; a draw of exactly 0 is redrawn."""
+    delta = 0.0
+    while not 0.0 < delta < TAU / d:
+        delta = float(rng.uniform(0.0, TAU / d))
+    return delta
 
 
 def haar_unitary(d: int, seed: int) -> np.ndarray:

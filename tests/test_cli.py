@@ -645,7 +645,7 @@ class TestGenerate:
         assert payload["d1"] == 2 and payload["d2"] == 3
 
     def test_delta_draw_of_zero_is_redrawn(self):
-        from loccopy.cli import _draw_delta
+        from loccopy.generators import _draw_delta
 
         class Rng:
             draws = [0.0, 0.5]
@@ -771,7 +771,69 @@ class TestGenerate:
         assert json.loads(out)["detected_m"] == 3
 
 
+# The stdout of three survey runs, JSON and --pretty, as the sampling
+# loop printed them before it moved from the CLI into copying.survey;
+# each key is the argv and copying.survey's (family, ds, samples, seed).
+PINNED_SURVEYS = {
+    ("--d 2 3 12 --samples 20 --seed 5", ("orthogonal", (2, 3, 12), 20, 5)): (
+        '{"family": "orthogonal", "seed": 5, "rows": ['
+        '{"d": 2, "samples": 20, "orthogonal_fraction": 1.0, '
+        '"copyable_fraction": 1.0, "ambiguous_fraction": 0.0}, '
+        '{"d": 3, "samples": 20, "orthogonal_fraction": 1.0, '
+        '"copyable_fraction": 1.0, "ambiguous_fraction": 0.0}, '
+        '{"d": 12, "samples": 20, "orthogonal_fraction": 1.0, '
+        '"copyable_fraction": 0.0, "ambiguous_fraction": 0.0}]}\n',
+        "family: orthogonal\n"
+        "seed: 5\n"
+        "rows:\n"
+        "   d  samples  orthogonal_fraction  copyable_fraction  ambiguous_fraction\n"
+        "   2       20                  1.0                1.0                 0.0\n"
+        "   3       20                  1.0                1.0                 0.0\n"
+        "  12       20                  1.0                0.0                 0.0\n"),
+    ("--family nonprime --d 4 6 12 --samples 20 --seed 5", ("nonprime", (4, 6, 12), 20, 5)): (
+        '{"family": "nonprime", "seed": 5, "rows": ['
+        '{"d": 4, "samples": 20, "orthogonal_fraction": 1.0, '
+        '"copyable_fraction": 0.0, "ambiguous_fraction": 0.0}, '
+        '{"d": 6, "samples": 20, "orthogonal_fraction": 1.0, '
+        '"copyable_fraction": 0.0, "ambiguous_fraction": 0.0}, '
+        '{"d": 12, "samples": 20, "orthogonal_fraction": 1.0, '
+        '"copyable_fraction": 0.0, "ambiguous_fraction": 0.0}]}\n',
+        "family: nonprime\n"
+        "seed: 5\n"
+        "rows:\n"
+        "   d  samples  orthogonal_fraction  copyable_fraction  ambiguous_fraction\n"
+        "   4       20                  1.0                0.0                 0.0\n"
+        "   6       20                  1.0                0.0                 0.0\n"
+        "  12       20                  1.0                0.0                 0.0\n"),
+    ("--d 2 3 4 --samples 10 --seed 0", ("orthogonal", (2, 3, 4), 10, 0)): (
+        '{"family": "orthogonal", "seed": 0, "rows": ['
+        '{"d": 2, "samples": 10, "orthogonal_fraction": 1.0, '
+        '"copyable_fraction": 1.0, "ambiguous_fraction": 0.0}, '
+        '{"d": 3, "samples": 10, "orthogonal_fraction": 1.0, '
+        '"copyable_fraction": 1.0, "ambiguous_fraction": 0.0}, '
+        '{"d": 4, "samples": 10, "orthogonal_fraction": 1.0, '
+        '"copyable_fraction": 0.0, "ambiguous_fraction": 0.0}]}\n',
+        "family: orthogonal\n"
+        "seed: 0\n"
+        "rows:\n"
+        "  d  samples  orthogonal_fraction  copyable_fraction  ambiguous_fraction\n"
+        "  2       10                  1.0                1.0                 0.0\n"
+        "  3       10                  1.0                1.0                 0.0\n"
+        "  4       10                  1.0                0.0                 0.0\n"),
+}
+
+
 class TestSurvey:
+    @pytest.mark.parametrize("argv,call", sorted(PINNED_SURVEYS),
+                             ids=[argv for argv, _ in sorted(PINNED_SURVEYS)])
+    def test_pinned_output(self, capsys, argv, call):
+        from loccopy import survey
+
+        json_text, pretty = PINNED_SURVEYS[argv, call]
+        assert run(capsys, ["survey", *argv.split()]) == (0, json_text, "")
+        assert run(capsys, ["survey", *argv.split(), "--pretty"]) == (0, pretty, "")
+        assert survey(*call) == json.loads(json_text)["rows"]
+
     def test_small_dimensions_always_copyable(self, capsys):
         code, out, _ = run(capsys, ["survey", "--d", "2", "3",
                                     "--samples", "6", "--seed", "16"])
@@ -986,6 +1048,17 @@ class TestErrorHandling:
         assert out == ""
         assert "internal error: synthesized A fails" in err
 
+    def test_bare_memory_error_is_one_line(self, capsys, tmp_path, monkeypatch):
+        from loccopy import copying
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(copying, "synthesize_protocol", exhausted)
+        pair = write_json(tmp_path, "pair.json",
+                          serialization.pair_to_json(*copyable_pair(4, 2, seed=1)))
+        assert run(capsys, ["synthesize", pair]) == (2, "", "error: cannot allocate memory\n")
+
     @pytest.mark.parametrize("command,key,value", [
         ("check-pair", None, 5),
         ("check-pair", "psi1", 5),
@@ -1184,16 +1257,24 @@ def test_numpy_is_the_only_runtime_dependency():
 
 # Runs main on its arguments, then prints which of the heavy modules the
 # process loaded, on the last line of stderr.
-PARSE_ONLY_PROBE = """
+LOADED_MODULES_PROBE = """
 import sys
 from loccopy.cli import main
 try:
     code = main(sys.argv[1:])
 except SystemExit as exc:
     code = exc.code
-print(sorted(m for m in ("numpy", "loccopy.copying") if m in sys.modules), file=sys.stderr)
+heavy = ("numpy", "loccopy.copying", "loccopy.generators")
+print(sorted(m for m in heavy if m in sys.modules), file=sys.stderr)
 sys.exit(code)
 """
+
+
+def run_probe(argv):
+    import subprocess
+
+    return subprocess.run([sys.executable, "-c", LOADED_MODULES_PROBE, *argv], env=src_env(),
+                          capture_output=True, text=True)
 
 
 @pytest.mark.parametrize("argv,code", [
@@ -1201,16 +1282,51 @@ sys.exit(code)
     (["synthesize", "--help"], 0),
     (["check-pair", "--unknown-flag", "pair.json"], 2),
     (["synthesize", "pair.json", "--pretty"], 2),
+    (["survey", "--help"], 0),
+    (["survey", "--d", "2", "--bogus"], 2),
 ])
 def test_parsing_alone_leaves_numpy_unloaded(argv, code):
-    import subprocess
-
-    result = subprocess.run([sys.executable, "-c", PARSE_ONLY_PROBE, *argv], env=src_env(),
-                            capture_output=True, text=True)
+    result = run_probe(argv)
     assert result.returncode == code
     assert result.stderr.splitlines()[-1] == "[]"
     if code == 0:
         assert result.stdout.startswith("usage: loccopy")
     else:
-        flag = next(arg for arg in argv if arg.startswith("--"))
+        flag = [arg for arg in argv if arg.startswith("--")][-1]
         assert f"unrecognized arguments: {flag}" in result.stderr
+
+
+@pytest.mark.parametrize("command", ["check-pair", "synthesize"])
+def test_pair_commands_leave_generators_unloaded(tmp_path, command):
+    # copying.survey imports generators when called, not copying itself
+    pair = write_json(tmp_path, "pair.json",
+                      serialization.pair_to_json(*copyable_pair(4, 2, seed=3)))
+    argv = [command, pair] + (["--out", str(tmp_path / "protocol.json")]
+                              if command == "synthesize" else [])
+    result = run_probe(argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == "['loccopy.copying', 'numpy']"
+
+
+def test_memory_exhaustion_is_one_error_line(tmp_path):
+    # d=100 passes MAX_DIM, but A alone is a 1.49 GiB array: under a 1 GiB
+    # address-space limit synthesize's first d^2 x d^2 allocation fails
+    import resource
+    import subprocess
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    pair = write_json(tmp_path, "pair.json",
+                      serialization.pair_to_json(*copyable_pair(100, 4, seed=0)))
+    out_path = tmp_path / "protocol.json"
+    result = subprocess.run(
+        [sys.executable, "-m", "loccopy.cli", "synthesize", pair, "--out", str(out_path)],
+        env=dict(src_env(), OPENBLAS_NUM_THREADS="1"), preexec_fn=limit_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    [line] = result.stderr.splitlines()
+    assert line.startswith("error: cannot allocate memory")
+    assert not out_path.exists()

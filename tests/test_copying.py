@@ -23,6 +23,7 @@ from loccopy.copying import (
     orthogonality,
     pair_operator,
     spectral_verdict,
+    survey,
     synthesize_a,
     synthesize_protocol,
 )
@@ -224,6 +225,18 @@ class TestSpectralVerdict:
         phases = report.eigenphases
         assert np.all(np.diff(phases) >= 0)
         assert np.all((phases >= 0) & (phases < TAU))
+
+    @pytest.mark.parametrize("eps", [1e-17, -1e-17, 1e-16, -1e-16])
+    def test_phases_near_the_seam_stay_below_tau(self, eps):
+        # x % TAU is TAU exactly for a tiny negative x: an eigenphase or a
+        # cluster representative at -eps, or a rotation of -eps, read 2 pi
+        v = haar_unitary(4, seed=3)
+        lam = np.exp(1j * (TAU / 4 * np.arange(4) + eps))
+        report = spectral_verdict(v @ np.diag(lam) @ v.conj().T)
+        assert report.copyable and report.detected_m == 4
+        for phase in (*report.eigenphases, *(rep for rep, _ in report.clusters),
+                      report.rotation):
+            assert 0.0 <= phase < TAU
 
     def test_non_unitary_rejected(self):
         with pytest.raises(PreconditionError, match="unitary"):
@@ -891,7 +904,24 @@ class TestWorkCounts:
             "eig_normal": 0, "state_checks": 2, "svd": 0, "eigvals": 1, "schur": 0,
         }
 
+    def test_survey_judges_each_sample_by_its_eigenvalues(self, counts):
+        survey("nonprime", [4, 6], 3, seed=0)
+        assert len(counts["eigvals"]) == 6
+        assert len(counts["eig_normal"]) == len(counts["svd"]) == 0
+
     def test_synthesize_a(self, counts):
         synthesize_a(copyable_unitary(6, 2, seed=4))
         assert len(counts["eig_normal"]) == 1
         assert len(counts["eigvals"]) == len(counts["schur"]) == 0
+
+
+class TestSurvey:
+    """copying.survey as a library call; its CLI output is pinned in test_cli."""
+
+    def test_unknown_family_refused(self):
+        with pytest.raises(ValueError, match="'orthogonal' or 'nonprime', got 'copyable'"):
+            survey("copyable", [4], 1, seed=0)
+
+    def test_dimensions_may_be_any_iterable(self):
+        assert survey("orthogonal", iter([2, 4]), 2, seed=1) == survey(
+            "orthogonal", (2, 4), 2, seed=1)
