@@ -7,8 +7,10 @@ default stdout); the other five print it on stdout as one JSON object,
 or with --pretty as the text _pretty derives from the same payload, so
 the two views cannot disagree.  generate refuses a parameter flag its
 family does not read.  Exit codes: 0 for success
-or an affirmative verdict, 1 for a negative verdict, 2 for input errors
-(an unknown flag among them), for a stdout closed before the output
+or an affirmative verdict, 1 for a negative verdict (for synthesize,
+only NotCopyableError: no protocol exists), 2 for input errors (an
+unknown flag and a state that is not maximally entangled among them,
+in every subcommand), for a stdout closed before the output
 is written and for a failed allocation (MemoryError), 3 for an
 internal error (a synthesized protocol failed its own verification;
 see SynthesisError).  File arguments accept "-" for
@@ -38,7 +40,7 @@ import stat
 import sys
 from typing import TYPE_CHECKING
 
-from .config import FIDELITY_TOL, PreconditionError, SynthesisError
+from .config import FIDELITY_TOL, NotCopyableError, SynthesisError
 
 if TYPE_CHECKING:
     import numpy as np
@@ -219,7 +221,7 @@ def cmd_synthesize(args) -> int:
         blank = max_entangled(psi1.d)
     try:
         protocol = synthesize_protocol(psi1, psi2, blank)
-    except PreconditionError as exc:
+    except NotCopyableError as exc:
         print(f"not synthesizable: {exc}", file=sys.stderr)
         return NEGATIVE
     _write_json(serialization.protocol_fields_to_json(protocol), args.out)

@@ -25,6 +25,10 @@ class PreconditionError(ValueError):
     """An input violates an operation's mathematical precondition."""
 
 
+class NotCopyableError(PreconditionError):
+    """The pair is valid input, but no local copying protocol exists for it."""
+
+
 class AmbiguityError(ValueError):
     """Eigenphase clustering is ill-conditioned at PHASE_TOL."""
 

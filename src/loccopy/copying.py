@@ -17,8 +17,9 @@ Synthesis takes the qudit-CNOT pairing: A = sum_s X^s (x) Pi_s, with
 Pi_s the projector onto T~'s eigenspace for the root w^s and X the
 shift from each root's eigenspace to the previous root's.  Which root
 an eigenvalue belongs to is decided once, by the verdict's clustering
-at PHASE_TOL, and synthesis reuses those labels.  A satisfies the
-defining relation to roundoff for the snapped operator
+at PHASE_TOL, and synthesis reuses those labels, both in one function,
+_controlled_shift.  NotCopyableError alone says no protocol exists.
+A satisfies the defining relation to roundoff for the snapped operator
 T^ = sum_s w^s Pi_s, against which it is checked, and for T~ itself to
 within T~'s distance from T^, which the verdict bounds by PHASE_TOL.
 The protocol's A and B are then each a sum of M Kronecker products of
@@ -46,7 +47,7 @@ from .config import (
     TAU,
     UNITARITY_TOL,
     AmbiguityError,
-    PreconditionError,
+    NotCopyableError,
     SynthesisError,
 )
 from .simulator import _simulate
@@ -263,46 +264,42 @@ def degeneracy_form_check(multiplicities: list[int], m: int, d: int) -> bool:
     return True
 
 
-def _decompose(t: np.ndarray) -> tuple[np.ndarray, list[int], SpectrumReport]:
-    """One eigendecomposition of a unitary t, shared by verdict and synthesis.
+def _controlled_shift(t: np.ndarray) -> tuple[SpectrumReport, np.ndarray, np.ndarray, np.ndarray]:
+    """The verdict on a unitary t and, when copyable, the controlled shift
+    C1 = sum_s X^s (x) Pi_s of synthesize_a, from one eigendecomposition.
 
-    Returns the eigenvectors, the verdict's root label of each, and the
-    report.  Raises PreconditionError when the spectral condition fails.
+    Returns the report, V with its columns grouped by root (root 0 first;
+    each column's root is its verdict cluster label) and the stacks of
+    X^s and Pi_s, s = 0..M-1, after checking C1 from them: for unitarity,
+    and against its relation for the snapped T^ = sum_s w^s Pi_s, which
+    holds exactly, so its residual is roundoff judged by UNITARITY_TOL.
+    Raises ValueError for a d whose C1 exceeds MAX_DIM, before the
+    eigendecomposition, and NotCopyableError when the verdict is negative.
     """
     assert_unitary(t, "pair operator")
+    _check_operator_size(t.shape[0])
     lam, v = eig_normal(t)
     report, labels = _verdict(lam, np.trace(t))
     if not report.copyable:
-        raise PreconditionError(
+        raise NotCopyableError(
             "pair operator spectrum is not equally degenerate roots of unity; "
             "no copying protocol exists"
         )
-    return v, labels, report
-
-
-def _synthesize_from(
-    v: np.ndarray, labels: list[int], m: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The controlled shift C1 = sum_s X^s (x) Pi_s, checked from its factors.
-
-    labels gives the root index of each column of V, and each root has
-    d/M of them (the verdict's equal degeneracy).  Returns V with its
-    columns grouped by root (root 0 first) and the stacks of X^s and
-    Pi_s, s = 0..M-1.  The relation is checked against the snapped
-    T^ = sum_s w^s Pi_s, for which it holds exactly, so its residual is
-    roundoff judged by UNITARITY_TOL; T~'s own distance from the root
-    grid is the verdict's to judge, by PHASE_TOL.
-    """
+    m = report.detected_m
     v = v[:, np.argsort(labels, kind="stable")]
     _check_unitary(v, v, "synthesized C1")
     shifts, projectors = _shift_factors(v, v, m)
     t_snapped = np.tensordot(np.exp(1j * TAU / m * np.arange(m)), projectors, axes=1)
     residual = _relation_residual(shifts, projectors, t_snapped)
     if not residual <= UNITARITY_TOL:
-        raise SynthesisError(
-            f"synthesized A fails its defining relation: residual {residual:.3e}"
-        )
-    return v, shifts, projectors
+        raise SynthesisError(f"synthesized A fails its defining relation: residual {residual:.3e}")
+    return report, v, shifts, projectors
+
+
+def _check_operator_size(d: int) -> None:
+    n = d * d
+    if n > MAX_DIM:
+        raise ValueError(f"protocol operators are {n} x {n}, exceeds max dimension {MAX_DIM}")
 
 
 def _shift_factors(left: np.ndarray, right: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -393,11 +390,11 @@ def synthesize_a(t: np.ndarray) -> np.ndarray:
     snapped T^ = sum_s w^s Pi_s, and for T~ itself to within T~'s
     distance from T^, which the verdict bounds by putting every
     cluster within PHASE_TOL of its root.  Deterministic for a given t.
-    Raises PreconditionError when the spectral condition fails.
+    Raises NotCopyableError when the spectral condition fails, and
+    ValueError for an empty t or one whose A would exceed MAX_DIM,
+    before any eigendecomposition.
     """
-    t = np.asarray(t, dtype=complex)
-    v, labels, report = _decompose(t)
-    return _kron_sum(*_synthesize_from(v, labels, report.detected_m)[1:])
+    return _kron_sum(*_controlled_shift(np.asarray(t, dtype=complex))[2:])
 
 
 def synthesize_protocol(
@@ -407,46 +404,38 @@ def synthesize_protocol(
 ) -> CopyProtocol:
     """Construct local unitaries A, B copying both psi1 and psi2 onto blank.
 
-    Requires psi1 and psi2 orthogonal, all three states maximally
-    entangled, and the pair operator copyable.  The abstract eigenspace
-    problem is solved for W = U2^dag U1, whose solution is the
-    controlled shift C_1 = sum_s X^s (x) Pi_s of synthesize_a; then
-    A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag and B = conj(C_1), with
-    theta_1 = 0 and theta_2 = -rotation.  W is similar to the pair
-    operator T = U1 U2^dag, so its trace and spectrum decide
-    orthogonality and copyability in T's place.
+    The abstract eigenspace problem is solved for W = U2^dag U1, whose
+    solution is the controlled shift C_1 = sum_s X^s (x) Pi_s of
+    synthesize_a; then A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag and
+    B = conj(C_1), with theta_1 = 0 and theta_2 = -rotation.  W is
+    similar to the pair operator T = U1 U2^dag, so its trace and spectrum
+    decide orthogonality and copyability in T's place.
 
     Each state is validated once by unitary_of_state, as pair_operator
-    validates its two, from one Gram matrix that also gives its unitary
-    one Newton-Schulz step toward unitarity before W is formed, so
-    states that pass MAX_ENT_TOL yield a unitary W and A.  A and B are
-    each a sum of M Kronecker products of d x d factors.  From those
-    factors alone, C_1 and A are checked for unitarity by a certified
-    bound (B = conj(C_1) shares C_1's residual) and C_1 against its
-    defining relation for the snapped W^, as in synthesize_a.  Only then are the d^2 x d^2 operators A and B
-    assembled, at O(M d^4), and the returned A and B verified on both
-    states by the closed-form four-party overlap of run_copy
-    (simulator._simulate), at O(d^5) in three d^2 x d^2 work arrays.
-    A failed check raises SynthesisError.  Raises ValueError when the
-    operators would exceed MAX_DIM.
+    validates its two, and its unitary polished, so states that pass
+    MAX_ENT_TOL yield a unitary W and A.  C_1 and A are checked from
+    their d x d factors (B = conj(C_1) shares C_1's residual) before the
+    d^2 x d^2 A and B are assembled, at O(M d^4), and verified on both
+    states by the four-party overlap of simulator._simulate, at O(d^5);
+    a failed check raises SynthesisError.
+
+    NotCopyableError, and no other error, says that no protocol exists:
+    the states are not orthogonal (an identical pair included, which
+    spectral_verdict calls copyable with M = 1) or their spectrum is not
+    copyable.  Invalid input raises ValueError (unequal dimensions, or
+    operators beyond MAX_DIM, before any state is validated),
+    PreconditionError (a state not maximally entangled) or AmbiguityError.
     """
     if not psi1.d == psi2.d == blank.d:
-        raise ValueError(
-            f"dimension mismatch: {psi1.d}, {psi2.d} and blank {blank.d}"
-        )
-    n = psi1.d * psi1.d
-    if n > MAX_DIM:
-        raise ValueError(f"protocol operators are {n} x {n}, exceeds max dimension {MAX_DIM}")
+        raise ValueError(f"dimension mismatch: {psi1.d}, {psi2.d} and blank {blank.d}")
+    _check_operator_size(psi1.d)
     u1, u2, ub = (unitary_of_state(s) for s in (psi1, psi2, blank))
 
     w = u2.conj().T @ u1
     kind = orthogonality(w)
     if kind != ORTHOGONAL:
-        raise PreconditionError(
-            f"states to copy must be orthogonal, got verdict {kind!r}"
-        )
-    v, labels, report = _decompose(w)
-    v, shifts, projectors = _synthesize_from(v, labels, report.detected_m)
+        raise NotCopyableError(f"states to copy must be orthogonal, got verdict {kind!r}")
+    report, v, shifts, projectors = _controlled_shift(w)
 
     # A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag = (U1 V (x) U1 V) P (U1 V (x) U_b V)^dag
     u1v, ubv = u1 @ v, ub @ v

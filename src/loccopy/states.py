@@ -137,10 +137,12 @@ def _max_entangled_defect(s: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
 
 def assert_unitary(u: np.ndarray, what: str = "matrix") -> None:
     """Raise PreconditionError unless ||U^dag U - I||_F <= UNITARITY_TOL;
-    a NaN residual fails."""
+    a NaN residual fails.  A non-square or empty U raises ValueError."""
     u = np.asarray(u)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"{what} must be square, got shape {u.shape}")
+    if u.size == 0:
+        raise ValueError(f"{what} must not be empty, got shape {u.shape}")
     e = _gram_defect(u)
     residual = math.sqrt(np.vdot(e, e).real)
     if not residual <= UNITARITY_TOL:

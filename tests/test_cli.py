@@ -13,7 +13,7 @@ from loccopy.cli import main
 from loccopy.copying import synthesize_protocol
 from loccopy.config import TAU
 from loccopy.generators import copyable_pair, haar_unitary, nonprime_counterexample, orthogonal_pair
-from loccopy.states import from_unitary, max_entangled
+from loccopy.states import BipartiteState, from_unitary, max_entangled
 
 
 def run(capsys, argv):
@@ -1207,6 +1207,57 @@ def test_error_input_prints_no_traceback(capsys, tmp_path, case):
     assert "error: " in lines[-1]
     # one line, or argparse's usage lines before its error line
     assert len(lines) == 1 or lines[0].startswith("usage: ")
+
+
+def outcome_files(tmp_path) -> dict:
+    """Paths of the inputs of test_one_exit_code_per_outcome, by name."""
+    psi1, psi2 = orthogonal_pair(2, seed=2)
+    weak = BipartiteState(np.diag([0.8, 0.6]))  # normalized, not maximally entangled
+    # two eigenphase clusters 1.5e-7 rad apart: between PHASE_TOL and twice that
+    near = from_unitary(np.diag(np.exp(1j * np.array([0.0, 1.5e-7, np.pi, np.pi + 1.5e-7]))))
+    objects = {
+        "pair": serialization.pair_to_json(psi1, psi2),
+        "weak_pair": serialization.pair_to_json(weak, psi2),
+        "state": serialization.state_to_json(psi1),
+        "weak": serialization.state_to_json(weak),
+        "protocol": serialization.protocol_to_json(
+            synthesize_protocol(psi1, psi2, max_entangled(2))),
+        "nonprime": serialization.pair_to_json(
+            *nonprime_counterexample(2, 3, delta=0.5, seed=8)),
+        "identical": serialization.pair_to_json(psi1, psi1),
+        "ambiguous": serialization.pair_to_json(near, max_entangled(4)),
+    }
+    return {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in objects.items()}
+
+
+NOT_MAX_ENT = "error: state is not maximally entangled"
+# argv, exit code and the start of the one stderr line; only "no protocol
+# exists" is synthesize's negative verdict, and invalid input exits 2 in
+# every subcommand
+OUTCOMES = {
+    "weak state, check-pair": (["check-pair", "{weak_pair}"], 2, NOT_MAX_ENT),
+    "weak state, synthesize pair file": (["synthesize", "{weak_pair}"], 2, NOT_MAX_ENT),
+    "weak state, synthesize state files": (["synthesize", "{state}", "{weak}"], 2, NOT_MAX_ENT),
+    "weak blank, synthesize": (["synthesize", "{pair}", "--blank", "{weak}"], 2, NOT_MAX_ENT),
+    "weak state, simulate": (["simulate", "{protocol}", "{weak}"], 2, NOT_MAX_ENT),
+    "nonprime pair, synthesize": (["synthesize", "{nonprime}"], 1,
+                                  "not synthesizable: pair operator spectrum is not"),
+    "identical pair, synthesize": (["synthesize", "{identical}"], 1,
+                                   "not synthesizable: states to copy must be orthogonal"),
+    "ambiguous clustering, synthesize": (["synthesize", "{ambiguous}"], 2,
+                                         "error: two eigenphase clusters"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTCOMES))
+def test_one_exit_code_per_outcome(capsys, tmp_path, case):
+    argv, expected_code, prefix = OUTCOMES[case]
+    paths = outcome_files(tmp_path)
+    code, out, err = run_as_process(capsys, [arg.format(**paths) for arg in argv])
+    assert code == expected_code
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith(prefix)
 
 
 def src_env() -> dict:

@@ -10,6 +10,7 @@ from loccopy.config import (
     FIDELITY_TOL,
     PHASE_TOL,
     AmbiguityError,
+    NotCopyableError,
     PreconditionError,
     SynthesisError,
 )
@@ -246,6 +247,11 @@ class TestSpectralVerdict:
         with pytest.raises(PreconditionError, match="not unitary"):
             spectral_verdict(np.full((2, 2), np.nan))
 
+    @pytest.mark.parametrize("judge", [spectral_verdict, synthesize_a])
+    def test_empty_operator_rejected(self, judge):
+        with pytest.raises(ValueError, match="must not be empty, got shape"):
+            judge(np.empty((0, 0)))
+
 
 @st.composite
 def planted_spectra(draw, max_d=12):
@@ -408,7 +414,7 @@ class TestSynthesizeA:
         assert np.array_equal(synthesize_a(t), synthesize_a(t))
 
     def test_non_copyable_rejected(self):
-        with pytest.raises(PreconditionError, match="no copying protocol"):
+        with pytest.raises(NotCopyableError, match="no copying protocol"):
             synthesize_a(nonprime_unitary(2, 2, delta=0.5, seed=1))
 
 
@@ -453,19 +459,28 @@ class TestSynthesizeProtocol:
 
     def test_identical_pair_rejected(self):
         psi = from_unitary(haar_unitary(3, seed=30))
-        with pytest.raises(PreconditionError, match="orthogonal"):
+        with pytest.raises(NotCopyableError, match="orthogonal"):
             synthesize_protocol(psi, psi, max_entangled(3))
 
     def test_partial_overlap_rejected(self):
         psi1 = from_unitary(np.diag([1, np.exp(1j * np.pi / 3)]))
         psi2 = max_entangled(2)
-        with pytest.raises(PreconditionError, match="orthogonal"):
+        with pytest.raises(NotCopyableError, match="orthogonal"):
             synthesize_protocol(psi1, psi2, max_entangled(2))
+
+    @pytest.mark.parametrize("which", [0, 1, 2])
+    def test_state_not_maximally_entangled_is_not_a_negative_verdict(self, which):
+        # invalid input is refused as such, never as "no protocol exists"
+        states = [*copyable_pair(4, 2, seed=3), max_entangled(4)]
+        states[which] = BipartiteState(np.diag([0.8, 0.6, 0.0, 0.0]))
+        with pytest.raises(PreconditionError, match="not maximally entangled") as exc:
+            synthesize_protocol(*states)
+        assert not isinstance(exc.value, NotCopyableError)
 
     def test_orthogonal_but_uncopyable_rejected(self):
         psi1, psi2 = nonprime_counterexample(2, 2, delta=0.7, seed=4)
         assert orthogonality(pair_operator(psi1, psi2)) == ORTHOGONAL
-        with pytest.raises(PreconditionError, match="no copying protocol"):
+        with pytest.raises(NotCopyableError, match="no copying protocol"):
             synthesize_protocol(psi1, psi2, max_entangled(4))
 
     @pytest.mark.parametrize("d", [4, 12])
@@ -591,6 +606,18 @@ class TestSynthesisChecks:
         with pytest.raises(ValueError, match="9 x 9, exceeds max dimension 8"):
             synthesize_protocol(psi1, psi2, max_entangled(3))
         assert len(eig_calls) == len(state_checks) == 0
+
+    def test_synthesize_a_size_checked_before_eigendecomposition(self, monkeypatch):
+        # d^2 x d^2 A is assembled only after the eigendecomposition, so a d
+        # beyond MAX_DIM must be refused before it
+        import loccopy.copying
+        import loccopy.tensor
+
+        eig_calls = count_calls(monkeypatch, loccopy.tensor, "eig_normal")
+        monkeypatch.setattr(loccopy.copying, "MAX_DIM", 8)
+        with pytest.raises(ValueError, match="9 x 9, exceeds max dimension 8"):
+            synthesize_a(copyable_unitary(3, 3, seed=4))
+        assert len(eig_calls) == 0
 
 
 class TestFactoredChecks:
@@ -726,23 +753,19 @@ class TestRootGrid:
         rng = np.random.default_rng(seed)
         phases = (TAU * np.repeat(np.arange(m), d // m) / m + rotation
                   + rng.uniform(-noise, noise, d))
-        verdicts, used = [], []
-        verdict, synthesize_from = loccopy.copying._verdict, loccopy.copying._synthesize_from
+        verdicts = []
+        verdict = loccopy.copying._verdict
 
         def record_verdict(lam, trace):
+            # the labels synthesis groups V's columns by are the verdict's
             result = verdict(lam, trace)
-            verdicts.append((lam, result[0]))
+            verdicts.append((lam, *result))
             return result
-
-        def record_labels(v, labels, m):
-            used.append(labels)
-            return synthesize_from(v, labels, m)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(loccopy.copying, "_verdict", record_verdict)
-            mp.setattr(loccopy.copying, "_synthesize_from", record_labels)
             synthesize_a(planted_operator(phases, seed))
-        [(lam, report)], [labels] = verdicts, used
+        [(lam, report, labels)] = verdicts
         assert report.detected_m == m
         rounded = np.round(((np.angle(lam) + report.rotation) % TAU) * m / TAU).astype(int) % m
         assert list(labels) == rounded.tolist()
@@ -925,3 +948,34 @@ class TestSurvey:
     def test_dimensions_may_be_any_iterable(self):
         assert survey("orthogonal", iter([2, 4]), 2, seed=1) == survey(
             "orthogonal", (2, 4), 2, seed=1)
+
+    @pytest.mark.parametrize("family,ds", [("orthogonal", [2, 3, 12]), ("nonprime", [4, 6])])
+    def test_judges_the_seeded_draws(self, monkeypatch, family, ds):
+        # every fraction of these families reads 0.0 or 1.0 whatever is
+        # drawn, so the rows cannot see a change in the draws; the states
+        # handed to pair_operator can
+        import loccopy.copying
+        from loccopy.generators import _draw_delta, _nonprime_split
+
+        judged = []
+
+        def record(psi1, psi2):
+            judged.append((psi1.grid, psi2.grid))
+            return pair_operator(psi1, psi2)
+
+        monkeypatch.setattr(loccopy.copying, "pair_operator", record)
+        survey(family, ds, 3, seed=5)
+        expected = []
+        for d in ds:
+            for k in range(3):
+                sample_seed = int(np.random.SeedSequence((5, d, k)).generate_state(1)[0])
+                if family == "orthogonal":
+                    pair = orthogonal_pair(d, sample_seed)
+                else:
+                    delta = _draw_delta(np.random.default_rng(sample_seed), d)
+                    pair = nonprime_counterexample(*_nonprime_split(d), delta, sample_seed)
+                expected.append(tuple(psi.grid for psi in pair))
+        assert len(judged) == len(expected)
+        for got, want in zip(judged, expected):
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes()
