@@ -393,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except MemoryError as exc:  # a d within MAX_DIM can still outgrow the machine
+    except MemoryError as exc:  # a d within DENSE_BYTES can still outgrow the machine
         print("error: cannot allocate memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
         return INPUT_ERROR
     except SynthesisError as exc:

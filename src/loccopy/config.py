@@ -3,7 +3,7 @@
 The paper's copyability condition has no free parameter, so the
 tolerances below only absorb floating-point roundoff.  They are module
 constants, read where they are used; no argument, flag or environment
-variable sets them.
+variable sets them; DENSE_BYTES is read by check_dense_bytes alone.
 """
 from __future__ import annotations
 
@@ -18,7 +18,18 @@ PHASE_TOL = 1e-7        # eigenphase clustering gap cut, radians; |Tr T|/d bound
 SUM_TOL = 1e-10         # one-sided slack on majorization partial sums
 MAX_ENT_TOL = 1e-8      # max deviation of Schmidt probs from 1/d
 FIDELITY_TOL = 1e-9     # copy verification: require f >= 1 - FIDELITY_TOL
-MAX_DIM = 20736         # largest dense matrix dimension (12^4)
+DENSE_BYTES = 2**31     # bytes of dense arrays one call may hold; a protocol's five admit d <= 71
+
+
+def protocol_bytes(d: int) -> int:
+    """A, B and simulator._simulate's three work arrays: five complex d^2 x d^2."""
+    return 5 * 16 * d**4
+
+
+def check_dense_bytes(what: str, needed: int) -> None:
+    """ValueError when needed, the exact bytes of a call's dense arrays, exceeds DENSE_BYTES."""
+    if needed > DENSE_BYTES:
+        raise ValueError(f"{what} needs {needed} bytes, over the budget of {DENSE_BYTES} bytes")
 
 
 class PreconditionError(ValueError):

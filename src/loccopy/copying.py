@@ -42,13 +42,14 @@ import numpy as np
 
 from .config import (
     FIDELITY_TOL,
-    MAX_DIM,
     PHASE_TOL,
     TAU,
     UNITARITY_TOL,
     AmbiguityError,
     NotCopyableError,
     SynthesisError,
+    check_dense_bytes,
+    protocol_bytes,
 )
 from .simulator import _simulate
 from .states import BipartiteState, _gram_defect, assert_unitary, unitary_of_state
@@ -273,11 +274,11 @@ def _controlled_shift(t: np.ndarray) -> tuple[SpectrumReport, np.ndarray, np.nda
     X^s and Pi_s, s = 0..M-1, after checking C1 from them: for unitarity,
     and against its relation for the snapped T^ = sum_s w^s Pi_s, which
     holds exactly, so its residual is roundoff judged by UNITARITY_TOL.
-    Raises ValueError for a d whose C1 exceeds MAX_DIM, before the
+    Raises ValueError for a t whose C1 exceeds DENSE_BYTES, before the
     eigendecomposition, and NotCopyableError when the verdict is negative.
     """
     assert_unitary(t, "pair operator")
-    _check_operator_size(t.shape[0])
+    check_dense_bytes(f"C1 for a {t.shape} pair operator", 16 * t.size**2)
     lam, v = eig_normal(t)
     report, labels = _verdict(lam, np.trace(t))
     if not report.copyable:
@@ -294,12 +295,6 @@ def _controlled_shift(t: np.ndarray) -> tuple[SpectrumReport, np.ndarray, np.nda
     if not residual <= UNITARITY_TOL:
         raise SynthesisError(f"synthesized A fails its defining relation: residual {residual:.3e}")
     return report, v, shifts, projectors
-
-
-def _check_operator_size(d: int) -> None:
-    n = d * d
-    if n > MAX_DIM:
-        raise ValueError(f"protocol operators are {n} x {n}, exceeds max dimension {MAX_DIM}")
 
 
 def _shift_factors(left: np.ndarray, right: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -391,7 +386,7 @@ def synthesize_a(t: np.ndarray) -> np.ndarray:
     distance from T^, which the verdict bounds by putting every
     cluster within PHASE_TOL of its root.  Deterministic for a given t.
     Raises NotCopyableError when the spectral condition fails, and
-    ValueError for an empty t or one whose A would exceed MAX_DIM,
+    ValueError for an empty t or one whose A would exceed DENSE_BYTES,
     before any eigendecomposition.
     """
     return _kron_sum(*_controlled_shift(np.asarray(t, dtype=complex))[2:])
@@ -423,12 +418,12 @@ def synthesize_protocol(
     the states are not orthogonal (an identical pair included, which
     spectral_verdict calls copyable with M = 1) or their spectrum is not
     copyable.  Invalid input raises ValueError (unequal dimensions, or
-    operators beyond MAX_DIM, before any state is validated),
+    protocol_bytes(d) beyond DENSE_BYTES, before any state is validated),
     PreconditionError (a state not maximally entangled) or AmbiguityError.
     """
     if not psi1.d == psi2.d == blank.d:
         raise ValueError(f"dimension mismatch: {psi1.d}, {psi2.d} and blank {blank.d}")
-    _check_operator_size(psi1.d)
+    check_dense_bytes(f"synthesis at d = {psi1.d}", protocol_bytes(psi1.d))
     u1, u2, ub = (unitary_of_state(s) for s in (psi1, psi2, blank))
 
     w = u2.conj().T @ u1
@@ -466,7 +461,7 @@ def survey(family: str, ds, samples: int, seed: int) -> list[dict]:
     Sample k at d draws from SeedSequence((seed, d, k)) and is judged by
     pair_operator, orthogonality and spectral_verdict; AmbiguityError
     counts it ambiguous, not copyable.  ValueError refuses samples < 1,
-    d < 2, d^2 > MAX_DIM and a prime nonprime d before the first draw."""
+    d < 2, a d past DENSE_BYTES and a prime nonprime d before the first draw."""
     from . import generators  # here, so that check-pair and synthesize never load it
 
     if family not in ("orthogonal", "nonprime"):

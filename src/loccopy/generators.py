@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .config import MAX_DIM, TAU
+from .config import TAU, check_dense_bytes, protocol_bytes
 from .states import BipartiteState, from_unitary
 
 
@@ -27,14 +27,11 @@ def _haar(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _check_dimension(d: int) -> None:
-    """Refuse a subsystem dimension below 2, or one whose d^2 x d^2
-    protocol operators synthesize would refuse (d^2 above MAX_DIM),
-    before any generator draws or allocates its d x d matrices."""
+    """Refuse a subsystem dimension below 2, or one that synthesize would
+    refuse by DENSE_BYTES, before any generator draws or allocates."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    if d * d > MAX_DIM:
-        raise ValueError(f"dimension {d} gives {d * d} x {d * d} protocol operators, "
-                         f"exceeds max dimension {MAX_DIM}")
+    check_dense_bytes(f"synthesis at d = {d}", protocol_bytes(d))
 
 
 def _nonprime_split(d: int) -> tuple[int, int]:

@@ -2,10 +2,10 @@
 criterion for Schmidt probability vectors.
 
 For sorted probability vectors, w majorizes v (v -< w) when every
-partial sum of w dominates the corresponding partial sum of v and the
-totals agree.  Nielsen's theorem: |phi_src> -> |phi_dst> is possible by
-deterministic LOCC iff lambda_src -< lambda_dst.  Copying psi onto a
-blank b with psi itself present is possible iff
+partial sum of w dominates that of v (the totals agree: SchmidtVector
+divides by the sum).  Nielsen's theorem: |phi_src> -> |phi_dst> is
+possible by deterministic LOCC iff lambda_src -< lambda_dst.  Copying
+psi onto a blank b with psi itself present is possible iff
 lambda_psi (x) lambda_b -< lambda_psi (x) lambda_psi, which can hold
 even when lambda_b -< lambda_psi fails: the retained copy acts as its
 own catalyst.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import SUM_TOL
+from .config import SUM_TOL, check_dense_bytes
 from .states import SchmidtVector
 
 DIRECT = "direct"
@@ -32,16 +32,14 @@ def _probs(v) -> np.ndarray:
 def _partial_sums(v: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partial sums of v and w, each sorted descending and zero-padded
     to the longer length n, and whether each of the n conditions of
-    "w majorizes v" holds: for r < n the one-sided sum_v[r] <= sum_w[r]
-    + SUM_TOL, and at r = n equal totals within SUM_TOL."""
+    "w majorizes v", sum_v[r] <= sum_w[r] + SUM_TOL, holds; the last is
+    the equal totals of two distributions, up to cumsum roundoff."""
     a = np.sort(v)[::-1]
     b = np.sort(w)[::-1]
     n = max(a.size, b.size)
     sums_v = np.cumsum(np.pad(a, (0, n - a.size)))
     sums_w = np.cumsum(np.pad(b, (0, n - b.size)))
-    holds = sums_v <= sums_w + SUM_TOL
-    holds[-1] = abs(sums_v[-1] - sums_w[-1]) <= SUM_TOL
-    return sums_v, sums_w, holds
+    return sums_v, sums_w, sums_v <= sums_w + SUM_TOL
 
 
 def partial_sums(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -52,15 +50,12 @@ def partial_sums(v, w) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def majorizes(w, v) -> bool:
-    """True iff w majorizes v: partial sums of w dominate, totals equal.
+    """True iff w majorizes v: partial sums of w dominate.
 
     Inputs may be SchmidtVector or array-like; an array-like is checked
-    as a SchmidtVector is, and raises ValueError when it is not finite,
-    has a negative entry or does not sum to 1.  They are sorted
-    descending and zero-padded to equal length n internally.  The first
-    n - 1 partial sums compare one-sided with slack SUM_TOL; the totals,
-    the n-th condition, must agree within SUM_TOL.  partial_sums gives
-    each condition.
+    and divided by its sum as a SchmidtVector is, and raises ValueError
+    when it is not finite, has a negative entry or does not sum to 1
+    within NORM_TOL.  partial_sums gives each condition.
     """
     return bool(partial_sums(v, w)[2].all())
 
@@ -75,7 +70,10 @@ def _catalysis(
 ) -> tuple[str, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """catalytic_copy_check on validated probabilities, and the partial
     sums of psi (x) blank -< psi (x) psi as _partial_sums gives them,
-    computed even when the direct check decides the verdict."""
+    computed even when the direct check decides the verdict, once the
+    budget admits their six float arrays (outer products, sorts, cumsums)."""
+    check_dense_bytes(f"catalysis of {p.size} and {b.size} entries",
+                      48 * p.size * max(p.size, b.size))
     tensored = _partial_sums(np.outer(p, b).ravel(), np.outer(p, p).ravel())
     if _partial_sums(b, p)[2].all():
         return DIRECT, tensored

@@ -50,7 +50,7 @@ class BipartiteState:
 
 @dataclass
 class SchmidtVector:
-    """Schmidt probabilities (squared Schmidt coefficients), descending."""
+    """Schmidt probabilities (squared Schmidt coefficients), descending, divided by their sum."""
 
     probs: np.ndarray
 
@@ -67,7 +67,8 @@ class SchmidtVector:
         total = float(p.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"probs must sum to 1, got {total!r}")
-        self.probs = np.sort(np.clip(p, 0.0, None))[::-1]
+        p = np.clip(p, 0.0, None)
+        self.probs = np.sort(p / math.fsum(p))[::-1]  # by the correctly rounded sum
 
 
 def max_entangled(d: int) -> BipartiteState:

@@ -13,21 +13,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import MAX_DIM, NORMALITY_TOL, PreconditionError
+from .config import NORMALITY_TOL, PreconditionError, check_dense_bytes
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product of two operators, first factor fastest.
 
     Returns the matrix of a (x) b in the mu = i + d1*(j-1) convention,
-    which is np.kron(b, a).
+    which is np.kron(b, a), after check_dense_bytes admits its bytes.
     """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > MAX_DIM:
-        raise ValueError(f"kron result is {rows} x {cols}, exceeds max dimension {MAX_DIM}")
+    a, b = np.asarray(a), np.asarray(b)
+    nbytes = a.size * b.size * np.result_type(a, b).itemsize
+    check_dense_bytes(f"the kron of {a.shape} and {b.shape}", nbytes)
     return np.kron(b, a)
 
 

@@ -6,8 +6,10 @@ D C1 C2^dag (copying.pair_operator).  The routines here compute the
 same quantities the long way: assemble and apply_local build the whole
 four-particle state and re-wire its factor order through the (1,3,2,4)
 permutation and back, and partial_trace_second traces out the second
-factor of a dense operator.  They live with the tests, as oracles, and
-no package path calls them.
+factor of a dense operator, and power_trace_certificate decides the
+copyability condition from matrix powers and traces, with no
+eigenvalue.  They live with the tests, as oracles, and no package
+path calls them.
 
 Particles are ordered (1,2,3,4): the state to copy lives on (1,2), the
 blank on (3,4); A acts on (1,3) and B on (2,4).  Flat vectors follow the
@@ -15,6 +17,7 @@ package's index convention, first factor fastest (see loccopy.tensor).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +40,33 @@ def partial_trace_second(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
     # row mu = i + d1*k (0-based), so a C-order reshape exposes [k, i, k', i']
     m4 = m.reshape(d2, d1, d2, d1)
     return np.einsum("kikj->ij", m4)
+
+
+def power_trace_certificate(t: np.ndarray) -> tuple[int, float]:
+    """The paper's condition on a d x d unitary T, decided without
+    eigenvalues: (M, residual) for the M dividing d that fits it best.
+
+    T is copyable with M iff T^M = c I and tr T^k = 0 for 0 < k < M.
+    T^M = c I puts the spectrum on the M-th roots of unity rotated by a
+    common phase, and tr T^k is then the discrete Fourier transform of
+    the roots' multiplicities, which vanishes for every 0 < k < M iff
+    the multiplicities are equal.  The residual for M is the largest of
+    ||T^M - c I||_F / sqrt(d), c = tr(T^M) / d, and |tr T^k| / d for
+    0 < k < M: 0 exactly when the condition holds.  O(M d^3) per M.
+    """
+    d = t.shape[0]
+    best = (0, math.inf)
+    for m in (m for m in range(1, d + 1) if d % m == 0):
+        power, residuals = np.eye(d, dtype=complex), []
+        for _ in range(m - 1):
+            power = power @ t
+            residuals.append(abs(np.trace(power)) / d)
+        power = power @ t
+        scalar = np.trace(power) / d * np.eye(d)
+        residuals.append(np.linalg.norm(power - scalar) / math.sqrt(d))
+        if max(residuals) < best[1]:
+            best = (m, max(residuals))
+    return best
 
 
 def permute_factors(v: np.ndarray, dims: list[int], perm: tuple[int, ...]) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 from loccopy import serialization
 from loccopy.cli import main
 from loccopy.copying import synthesize_protocol
-from loccopy.config import TAU
+from loccopy.config import DENSE_BYTES, TAU
 from loccopy.generators import copyable_pair, haar_unitary, nonprime_counterexample, orthogonal_pair
 from loccopy.states import BipartiteState, from_unitary, max_entangled
 
@@ -26,6 +26,11 @@ def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def budget_error(what, d):
+    """The refusal of a protocol's five complex d^2 x d^2 arrays."""
+    return f"{what} at d = {d} needs {80 * d**4} bytes, over the budget of {DENSE_BYTES} bytes"
 
 
 @pytest.fixture
@@ -94,24 +99,59 @@ class TestPartialSums:
         ]
 
     def test_majorize_verdict_is_every_row(self, capsys, tmp_path):
-        # totals 0.99999999991 and 1.00000000009 differ by more than SUM_TOL
-        src = write_json(tmp_path, "src.json", {"probs": [0.49999999995, 0.49999999996]})
-        dst = write_json(tmp_path, "dst.json", {"probs": [0.50000000004, 0.50000000005]})
+        # only the first row fails: 0.7 > 0.6
+        src = write_json(tmp_path, "src.json", {"probs": [0.7, 0.2, 0.1]})
+        dst = write_json(tmp_path, "dst.json", {"probs": [0.6, 0.3, 0.1]})
         code, out, _ = run(capsys, ["majorize", src, dst])
         payload = json.loads(out)
         assert code == 1
         assert payload["majorizes"] is False
-        assert [row["satisfied"] for row in payload["partial_sums"]] == [True, False]
+        assert [row["satisfied"] for row in payload["partial_sums"]] == [False, True, True]
 
     def test_catalysis_impossible_only_with_an_unsatisfied_row(self, capsys, tmp_path):
-        psi = write_json(tmp_path, "psi.json", {"probs": [0.60000000006, 0.40000000003]})
-        blank = write_json(tmp_path, "blank.json", {"probs": [0.5, 0.49999999991]})
+        psi = write_json(tmp_path, "psi.json", {"probs": [0.5, 0.5]})
+        blank = write_json(tmp_path, "blank.json", {"probs": [0.9, 0.1]})
         code, out, _ = run(capsys, ["catalysis", psi, blank])
         payload = json.loads(out)
         assert code == 1
         assert payload["verdict"] == "impossible"
         assert [row["satisfied"] for row in payload["tensored_partial_sums"]] == [
-            True, True, True, False]
+            False, False, False, True]
+
+    def test_catalysis_refused_by_the_budget(self, capsys, tmp_path, monkeypatch):
+        # six float arrays of 3 * max(3, 2) entries: 432 bytes
+        import loccopy.config
+
+        psi = write_json(tmp_path, "psi.json", {"probs": [0.6, 0.3, 0.1]})
+        blank = write_json(tmp_path, "blank.json", {"probs": [0.5, 0.5]})
+        monkeypatch.setattr(loccopy.config, "DENSE_BYTES", 432)
+        assert run(capsys, ["catalysis", psi, blank])[0] == 1
+        monkeypatch.setattr(loccopy.config, "DENSE_BYTES", 431)
+        code, out, err = run(capsys, ["catalysis", psi, blank])
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: catalysis of 3 and 2 entries needs 432 bytes, over the budget of 431 bytes"]
+
+    @pytest.mark.parametrize("argv,key,verdict", [
+        (["majorize", "{v}", "{w}"], "majorizes", True),
+        (["majorize", "{w}", "{v}"], "majorizes", True),
+        (["catalysis", "{v}", "{w}"], "verdict", "direct"),
+        (["catalysis", "{w}", "{v}"], "verdict", "direct"),
+    ])
+    def test_vectors_within_the_normalization_slack_compare_as_equal(
+            self, capsys, tmp_path, argv, key, verdict):
+        # both sums are within NORM_TOL of 1 (1 + 9e-11 and 1 - 9e-11), and
+        # both vectors are the uniform distribution: the raw totals differ by
+        # 1.8e-10 > SUM_TOL, and at r = 3 of catalysis w v the tensored
+        # sums did too, until each vector was divided by its sum
+        paths = {"v": write_json(tmp_path, "v.json", {"probs": [0.500000000045] * 2}),
+                 "w": write_json(tmp_path, "w.json", {"probs": [0.499999999955] * 2})}
+        code, out, _ = run(capsys, [arg.format(**paths) for arg in argv])
+        payload = json.loads(out)
+        assert code == 0
+        assert payload[key] == verdict
+        rows = payload.get("partial_sums") or payload["tensored_partial_sums"]
+        assert all(row["satisfied"] for row in rows)
 
 
 @pytest.mark.parametrize("argv,calls", [
@@ -672,16 +712,17 @@ class TestGenerate:
         code, out, err = run(capsys, ["generate"] + family_args)
         assert code == 2
         assert out == ""
-        assert "exceeds max dimension 20736" in err
+        assert f"over the budget of {DENSE_BYTES} bytes" in err
 
     @pytest.mark.parametrize("family_args,d", [
-        (["--family", "orthogonal", "--d", "145"], 145),
-        (["--family", "copyable", "--d", "145", "--m", "5"], 145),
-        (["--family", "nonprime", "--d1", "12", "--d2", "13"], 156),
+        (["--family", "orthogonal", "--d", "72"], 72),
+        (["--family", "copyable", "--d", "72", "--m", "4"], 72),
+        (["--family", "nonprime", "--d1", "8", "--d2", "9"], 72),
     ], ids=["orthogonal", "copyable", "nonprime"])
     def test_dimension_synthesize_refuses_rejected_before_generation(
             self, capsys, monkeypatch, family_args, d):
-        # synthesize refuses d^2 > MAX_DIM, and so does generate
+        # synthesize refuses a d whose five d^2 x d^2 arrays exceed
+        # DENSE_BYTES, the first being 72, and so does generate
         from loccopy import generators
 
         calls = []
@@ -693,8 +734,7 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert calls == []
-        assert err.splitlines() == [f"error: dimension {d} gives {d * d} x {d * d} protocol "
-                                    "operators, exceeds max dimension 20736"]
+        assert err.splitlines() == [f"error: {budget_error('synthesis', d)}"]
 
     @pytest.mark.parametrize("family_args,flag", [
         (["--family", "orthogonal", "--d", "3", "--m", "7"], "--m"),
@@ -871,11 +911,9 @@ class TestSurvey:
         ("nonprime", "5", "nonprime family requires composite d, got 5"),
         ("nonprime", "-3", "dimension must be at least 2, got -3"),
         ("orthogonal", "1", "dimension must be at least 2, got 1"),
-        # 145^2 > MAX_DIM: synthesize would refuse the pair
-        ("orthogonal", "145", "dimension 145 gives 21025 x 21025 protocol operators, "
-                              "exceeds max dimension 20736"),
-        ("nonprime", "145", "dimension 145 gives 21025 x 21025 protocol operators, "
-                            "exceeds max dimension 20736"),
+        # past DENSE_BYTES: synthesize would refuse the pair
+        ("orthogonal", "72", budget_error("synthesis", 72)),
+        ("nonprime", "72", budget_error("synthesis", 72)),
     ], ids=["prime", "negative", "one", "past-synthesis-orthogonal", "past-synthesis-nonprime"])
     def test_bad_dimension_rejected_before_sampling(self, capsys, monkeypatch, family, d,
                                                     message):
@@ -907,8 +945,7 @@ class TestSurvey:
                                       "--samples", "2"])
         assert code == 2
         assert out == ""
-        assert "dimension 20737 gives 430023169 x 430023169 protocol operators, " \
-               "exceeds max dimension 20736" in err
+        assert budget_error("synthesis", 20737) in err
 
     def test_pretty_table(self, capsys):
         code, out, _ = run(capsys, ["survey", "--d", "2", "--samples", "3",
@@ -1359,25 +1396,61 @@ def test_pair_commands_leave_generators_unloaded(tmp_path, command):
     assert result.stderr.splitlines()[-1] == "['loccopy.copying', 'numpy']"
 
 
-def test_memory_exhaustion_is_one_error_line(tmp_path):
-    # d=100 passes MAX_DIM, but A alone is a 1.49 GiB array: under a 1 GiB
-    # address-space limit synthesize's first d^2 x d^2 allocation fails
+def run_in_one_gib(argv):
+    """loccopy's CompletedProcess for argv in a child whose address space
+    is limited to 1 GiB."""
     import resource
     import subprocess
 
     def limit_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    pair = write_json(tmp_path, "pair.json",
-                      serialization.pair_to_json(*copyable_pair(100, 4, seed=0)))
-    out_path = tmp_path / "protocol.json"
-    result = subprocess.run(
-        [sys.executable, "-m", "loccopy.cli", "synthesize", pair, "--out", str(out_path)],
+    return subprocess.run(
+        [sys.executable, "-m", "loccopy.cli", *argv],
         env=dict(src_env(), OPENBLAS_NUM_THREADS="1"), preexec_fn=limit_address_space,
         capture_output=True, text=True, timeout=120)
+
+
+def test_memory_exhaustion_is_one_error_line(tmp_path):
+    # d=64 is inside DENSE_BYTES, but its five d^2 x d^2 arrays take
+    # 1.25 GiB: under a 1 GiB address-space limit one of synthesize's
+    # allocations fails
+    pair = write_json(tmp_path, "pair.json",
+                      serialization.pair_to_json(*copyable_pair(64, 4, seed=0)))
+    out_path = tmp_path / "protocol.json"
+    result = run_in_one_gib(["synthesize", pair, "--out", str(out_path)])
     assert result.returncode == 2
     assert result.stdout == ""
     assert "Traceback" not in result.stderr
     [line] = result.stderr.splitlines()
     assert line.startswith("error: cannot allocate memory")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("command", ["synthesize", "generate", "survey", "simulate"])
+def test_budget_refuses_before_allocating(tmp_path, command):
+    # d=100 needs 7.45 GiB of d^2 x d^2 arrays: each path refuses it by
+    # DENSE_BYTES before its first allocation, so the 1 GiB limit is
+    # never reached
+    out_path = tmp_path / "out.json"
+    if command == "synthesize":
+        pair = write_json(tmp_path, "pair.json",
+                          serialization.pair_to_json(*copyable_pair(100, 4, seed=0)))
+        argv, what = ["synthesize", pair, "--out", str(out_path)], "synthesis"
+    elif command == "generate":
+        argv = ["generate", "--family", "copyable", "--d", "100", "--m", "4",
+                "--out", str(out_path)]
+        what = "synthesis"
+    elif command == "survey":
+        argv, what = ["survey", "--d", "100"], "synthesis"
+    else:  # short lists: the budget is checked before their lengths
+        protocol = write_json(tmp_path, "protocol.json", {
+            "d": 100, "blank": serialization.state_to_json(max_entangled(2)),
+            "A": [], "B": [], "phases": [0.0, 0.0]})
+        state = write_json(tmp_path, "state.json", serialization.state_to_json(max_entangled(2)))
+        argv, what = ["simulate", protocol, state], "a protocol"
+    result = run_in_one_gib(argv)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [f"error: {budget_error(what, 100)}"]
     assert not out_path.exists()

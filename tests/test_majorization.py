@@ -64,12 +64,15 @@ class TestPartialSums:
         assert holds.tolist() == [True, True, True]
 
     def test_last_condition_is_equal_totals(self):
-        # each partial sum of v is below w's, but the totals differ by
-        # 1.8e-10 > SUM_TOL: the last condition fails, and so does majorizes
+        # the raw totals differ by 1.8e-10 > SUM_TOL, but both pass
+        # NORM_TOL and compare as distributions: each total is 1
         v = [0.49999999995, 0.49999999996]
         w = [0.50000000004, 0.50000000005]
-        assert partial_sums(v, w)[2].tolist() == [True, False]
-        assert not majorizes(w, v)
+        sums_v, sums_w, holds = partial_sums(v, w)
+        assert sums_v[-1] == pytest.approx(1.0, abs=1e-15)
+        assert sums_w[-1] == pytest.approx(1.0, abs=1e-15)
+        assert holds.tolist() == [True, True]
+        assert majorizes(w, v) and majorizes(v, w)
 
 
 class TestNielsen:

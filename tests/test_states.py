@@ -54,6 +54,18 @@ class TestSchmidtVector:
         v = SchmidtVector([0.1, 0.5, 0.4])
         assert np.array_equal(v.probs, [0.5, 0.4, 0.1])
 
+    @pytest.mark.parametrize("probs", [[0.500000000045] * 2, [0.499999999955] * 2,
+                                       [0.3, 0.3, 0.4 - 6e-11, 1e-11]])
+    def test_divided_by_its_sum(self, probs):
+        # within NORM_TOL of 1, the sum is divided out
+        assert np.sum(SchmidtVector(probs).probs) == pytest.approx(1.0, abs=4e-16)
+
+    def test_exact_sum_leaves_the_values(self):
+        # the correctly rounded sum of 0.7, 0.2 and 0.1 is 1.0, so dividing
+        # by it changes no bit, although numpy sums them in this order to
+        # 0.9999999999999999
+        assert np.array_equal(SchmidtVector([0.7, 0.2, 0.1]).probs, [0.7, 0.2, 0.1])
+
     def test_sum_enforced(self):
         with pytest.raises(ValueError, match="sum"):
             SchmidtVector([0.5, 0.4])

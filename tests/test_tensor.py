@@ -34,12 +34,15 @@ class TestKron:
         assert out.shape == (p * r, q * s)
 
     def test_oversized_result_rejected(self, monkeypatch):
-        import loccopy.tensor
+        import loccopy.config
 
-        monkeypatch.setattr(loccopy.tensor, "MAX_DIM", 8)
-        with pytest.raises(ValueError, match="max dimension"):
+        # an 8 x 8 float64 result is 512 bytes
+        monkeypatch.setattr(loccopy.config, "DENSE_BYTES", 512)
+        with pytest.raises(ValueError, match="needs 2048 bytes, over the budget of 512 bytes"):
             kron(np.eye(4), np.eye(4))
         assert kron(np.eye(2), np.eye(4)).shape == (8, 8)
+        with pytest.raises(ValueError, match="needs 1024 bytes"):  # complex entries are 16
+            kron(np.eye(2), np.eye(4, dtype=complex))
 
 
 class TestKronSum:
