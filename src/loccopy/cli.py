@@ -14,11 +14,12 @@ in every subcommand), for a stdout closed before the output
 is written and for a failed allocation (MemoryError), 3 for an
 internal error (a synthesized protocol failed its own verification;
 see SynthesisError).  File arguments accept "-" for
-stdin; check-pair and synthesize read one pair file or two state files
-and refuse more.  The default seed comes from $LOCCOPY_SEED when set,
-else 0; a negative seed, or a $LOCCOPY_SEED that is not an integer, is
-an input error, exit code 2, as is an ambiguous eigenphase clustering
-(AmbiguityError) in check-pair or synthesize; survey counts it instead.
+stdin, which a command may name once; check-pair and synthesize read
+one pair file or two state files and refuse more.  The seed defaults
+to 0; a negative seed is an input error, exit code 2, as is an
+ambiguous eigenphase clustering (AmbiguityError) in check-pair or
+synthesize; survey counts it instead.  No input comes from the
+environment.
 
 All JSON output goes through _write_json, which streams it (a
 protocol's A and B one matrix row at a time) with the same bytes as
@@ -131,20 +132,21 @@ def _emit(args, payload: dict) -> None:
 
 
 def _seed(args) -> int:
-    """--seed, else $LOCCOPY_SEED, else 0; a negative or non-integer seed
-    is an input error that names its source."""
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be non-negative, got {args.seed}")
-        return args.seed
-    raw = os.environ.get("LOCCOPY_SEED", "0")
-    try:
-        seed = int(raw)
-    except ValueError:
-        raise ValueError(f"$LOCCOPY_SEED must be an integer, got {raw!r}") from None
-    if seed < 0:
-        raise ValueError(f"$LOCCOPY_SEED must be a non-negative integer, got {raw!r}")
-    return seed
+    """--seed; a negative seed is an input error."""
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
+def _check_stdin_once(args) -> None:
+    """Refuse a command that names "-" for more than one of its input
+    files (args.inputs), before anything is read."""
+    named = []
+    for name in getattr(args, "inputs", ()):
+        value = getattr(args, name)
+        named += value if isinstance(value, list) else [value]
+    if named.count("-") > 1:
+        raise ValueError(f"stdin can be read once, but '-' names {named.count('-')} inputs")
 
 
 def _load_pair(paths: list[str]):
@@ -311,19 +313,19 @@ def build_parser() -> argparse.ArgumentParser:
                     help="does dst majorize src (Nielsen: src -> dst possible)?")
     p.add_argument("src", help="Schmidt JSON file or -")
     p.add_argument("dst", help="Schmidt JSON file or -")
-    p.set_defaults(handler=cmd_majorize)
+    p.set_defaults(handler=cmd_majorize, inputs=("src", "dst"))
 
     p = _add_parser(sub, "catalysis",
                     help="classify copying psi onto blank: direct, catalytic, impossible")
     p.add_argument("psi", help="Schmidt JSON file or -")
     p.add_argument("blank", help="Schmidt JSON file or -")
-    p.set_defaults(handler=cmd_catalysis)
+    p.set_defaults(handler=cmd_catalysis, inputs=("psi", "blank"))
 
     p = _add_parser(sub, "check-pair",
                     help="orthogonality and spectral copyability of a state pair")
     p.add_argument("states", nargs="+",
                    help="one pair JSON file, or two state JSON files ('-' for stdin)")
-    p.set_defaults(handler=cmd_check_pair)
+    p.set_defaults(handler=cmd_check_pair, inputs=("states",))
 
     p = _add_parser(sub, "synthesize",
                     help="build the copying protocol for an orthogonal pair", pretty=False)
@@ -332,13 +334,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blank", default=None,
                    help="blank state JSON (default: the reference maximally entangled state)")
     p.add_argument("--out", default=None, help="write protocol JSON here (default stdout)")
-    p.set_defaults(handler=cmd_synthesize)
+    p.set_defaults(handler=cmd_synthesize, inputs=("states", "blank"))
 
     p = _add_parser(sub, "simulate",
                     help="verify a protocol against a state by the four-party overlap")
     p.add_argument("protocol", help="protocol JSON file or -")
     p.add_argument("state", help="state JSON file or -")
-    p.set_defaults(handler=cmd_simulate)
+    p.set_defaults(handler=cmd_simulate, inputs=("protocol", "state"))
 
     p = _add_parser(sub, "generate", help="generate a test state pair", pretty=False)
     p.add_argument("--family", required=True,
@@ -349,8 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d2", type=int, default=None, help="second factor of D (nonprime)")
     p.add_argument("--delta", type=float, default=None,
                    help="spectral spacing in (0, 2pi/D) (nonprime; default random)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default $LOCCOPY_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
     p.add_argument("--out", default=None, help="write pair JSON here (default stdout)")
     p.set_defaults(handler=cmd_generate)
 
@@ -364,8 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "regular pentagon (copyable, M = 5) are never drawn and "
                         "copyable_fraction covers only this family; nonprime: the "
                         "composite-d counterexamples (default: %(default)s)")
-    p.add_argument("--seed", type=int, default=None,
-                   help="random seed (default $LOCCOPY_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
     p.set_defaults(handler=cmd_survey)
 
     return parser
@@ -375,6 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_stdin_once(args)
         code = args.handler(args)
         sys.stdout.flush()  # so that a closed stdout fails here, not at exit
         return code

@@ -26,10 +26,17 @@ def protocol_bytes(d: int) -> int:
     return 5 * 16 * d**4
 
 
+def int_text(n: int) -> str:
+    """n in decimal, or, past 14000 bits, whose decimal could pass Python's
+    4300-digit int-to-str limit, as at least a power of two."""
+    bits = n.bit_length()
+    return str(n) if bits <= 14000 else f"at least 2**{bits - 1}"
+
+
 def check_dense_bytes(what: str, needed: int) -> None:
     """ValueError when needed, the exact bytes of a call's dense arrays, exceeds DENSE_BYTES."""
     if needed > DENSE_BYTES:
-        raise ValueError(f"{what} needs {needed} bytes, over the budget of {DENSE_BYTES} bytes")
+        raise ValueError(f"{what} needs {int_text(needed)} bytes, over the budget of {DENSE_BYTES} bytes")
 
 
 class PreconditionError(ValueError):

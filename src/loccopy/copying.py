@@ -49,6 +49,7 @@ from .config import (
     NotCopyableError,
     SynthesisError,
     check_dense_bytes,
+    int_text,
     protocol_bytes,
 )
 from .simulator import _simulate
@@ -423,7 +424,7 @@ def synthesize_protocol(
     """
     if not psi1.d == psi2.d == blank.d:
         raise ValueError(f"dimension mismatch: {psi1.d}, {psi2.d} and blank {blank.d}")
-    check_dense_bytes(f"synthesis at d = {psi1.d}", protocol_bytes(psi1.d))
+    check_dense_bytes(f"synthesis at d = {int_text(psi1.d)}", protocol_bytes(psi1.d))
     u1, u2, ub = (unitary_of_state(s) for s in (psi1, psi2, blank))
 
     w = u2.conj().T @ u1

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .config import TAU, check_dense_bytes, protocol_bytes
+from .config import TAU, check_dense_bytes, int_text, protocol_bytes
 from .states import BipartiteState, from_unitary
 
 
@@ -31,7 +31,7 @@ def _check_dimension(d: int) -> None:
     refuse by DENSE_BYTES, before any generator draws or allocates."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    check_dense_bytes(f"synthesis at d = {d}", protocol_bytes(d))
+    check_dense_bytes(f"synthesis at d = {int_text(d)}", protocol_bytes(d))
 
 
 def _nonprime_split(d: int) -> tuple[int, int]:

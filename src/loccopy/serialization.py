@@ -26,7 +26,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from .config import NORM_TOL, check_dense_bytes, protocol_bytes
+from .config import NORM_TOL, check_dense_bytes, int_text, protocol_bytes
 from .copying import CopyProtocol, SpectrumReport
 from .states import BipartiteState, SchmidtVector
 
@@ -171,7 +171,7 @@ def stream_to_json(obj: dict) -> Iterator[str]:
 
 def protocol_from_json(obj: dict) -> CopyProtocol:
     d = _require(obj, "d", "protocol", int)
-    check_dense_bytes(f"a protocol at d = {d}", protocol_bytes(d))
+    check_dense_bytes(f"a protocol at d = {int_text(d)}", protocol_bytes(d))
     n = d * d
     blank = state_from_json(_require(obj, "blank", "protocol"))
     a_op = _matrix_from_json(_require(obj, "A", "protocol"), n, "protocol matrix A")

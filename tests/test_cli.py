@@ -764,22 +764,15 @@ class TestGenerate:
         payload = json.loads((tmp_path / "pair.json").read_text())
         serialization.pair_from_json(payload)
 
-    def test_env_seed_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("LOCCOPY_SEED", "21")
-        _, from_env, _ = run(capsys, ["generate", "--family", "orthogonal", "--d", "2"])
-        monkeypatch.delenv("LOCCOPY_SEED")
-        _, explicit, _ = run(capsys, ["generate", "--family", "orthogonal",
-                                      "--d", "2", "--seed", "21"])
-        assert from_env == explicit
-
+    @pytest.mark.parametrize("value", ["21", "abc", "-1"])
     @pytest.mark.parametrize("argv", [["generate", "--family", "orthogonal", "--d", "2"],
                                       ["survey", "--d", "2", "--samples", "1"]])
-    def test_env_seed_not_an_integer_is_input_error(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("LOCCOPY_SEED", "abc")
-        code, out, err = run(capsys, argv)
-        assert code == 2
-        assert out == ""
-        assert err == "error: $LOCCOPY_SEED must be an integer, got 'abc'\n"
+    def test_env_seed_is_ignored(self, capsys, monkeypatch, argv, value):
+        monkeypatch.delenv("LOCCOPY_SEED", raising=False)
+        unset = run(capsys, argv)
+        monkeypatch.setenv("LOCCOPY_SEED", value)
+        assert run(capsys, argv) == unset
+        assert unset[0] == 0
 
     @pytest.mark.parametrize("argv,source", [
         (["generate", "--family", "orthogonal", "--d", "2", "--seed", "-3"],
@@ -792,15 +785,6 @@ class TestGenerate:
         assert code == 2
         assert out == ""
         assert err == f"error: {source}\n"
-
-    @pytest.mark.parametrize("argv", [["generate", "--family", "orthogonal", "--d", "2"],
-                                      ["survey", "--d", "2", "--samples", "1"]])
-    def test_env_seed_negative_is_input_error(self, capsys, monkeypatch, argv):
-        monkeypatch.setenv("LOCCOPY_SEED", "-1")
-        code, out, err = run(capsys, argv)
-        assert code == 2
-        assert out == ""
-        assert err == "error: $LOCCOPY_SEED must be a non-negative integer, got '-1'\n"
 
     def test_generated_pair_feeds_check_pair(self, capsys, tmp_path, monkeypatch):
         _, out, _ = run(capsys, ["generate", "--family", "copyable",
@@ -1022,6 +1006,26 @@ class TestErrorHandling:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: two eigenphase clusters")
+
+    @pytest.mark.parametrize("argv", [
+        ["majorize", "-", "-"], ["catalysis", "-", "-"], ["check-pair", "-", "-"],
+        ["simulate", "-", "-"], ["synthesize", "-", "--blank", "-"],
+    ], ids=lambda argv: argv[0])
+    def test_stdin_named_twice_is_input_error(self, capsys, monkeypatch, argv):
+        stdin = io.StringIO('{"probs": [0.5, 0.5]}')
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert err == "error: stdin can be read once, but '-' names 2 inputs\n"
+        assert stdin.tell() == 0  # refused before the first read
+
+    def test_out_dash_is_not_a_stdin_read(self, capsys, monkeypatch):
+        pair = json.dumps(serialization.pair_to_json(*copyable_pair(2, 2, seed=3)))
+        monkeypatch.setattr(sys, "stdin", io.StringIO(pair))
+        code, out, err = run(capsys, ["synthesize", "-", "--out", "-"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["d"] == 2
 
     def test_zero_samples_is_input_error(self, capsys):
         code, out, err = run(capsys, ["survey", "--d", "3", "--samples", "0"])
@@ -1454,3 +1458,23 @@ def test_budget_refuses_before_allocating(tmp_path, command):
     assert result.stdout == ""
     assert result.stderr.splitlines() == [f"error: {budget_error(what, 100)}"]
     assert not out_path.exists()
+
+
+BIG = str(10**4000)
+
+
+@pytest.mark.parametrize("argv,d,d_text", [
+    (["survey", "--d", BIG], 10**4000, BIG),
+    (["generate", "--family", "orthogonal", "--d", BIG], 10**4000, BIG),
+    (["generate", "--family", "nonprime", "--d1", BIG, "--d2", BIG], 10**8000, "at least 2**26575"),
+], ids=["survey", "generate", "nonprime"])
+def test_budget_refusal_names_the_budget_at_any_d(capsys, argv, d, d_text):
+    # 80 d^4 has 16002 digits at d = 10**4000, and the nonprime family's
+    # d = 10**8000 has 8001: both are past Python's 4300-digit int-to-str
+    # limit, so the refusal names each as at least a power of two
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    [line] = err.splitlines()
+    bits = (80 * d**4).bit_length()
+    assert line == (f"error: synthesis at d = {d_text} needs at least 2**{bits - 1} bytes, "
+                    f"over the budget of {DENSE_BYTES} bytes")

@@ -38,3 +38,13 @@ def test_readme_table_lists_the_constants():
                  if name.isupper() and isinstance(value, (int, float)) and name != "TAU"}
     assert sorted(name for name, _ in rows) == sorted(constants)
     assert {name: float(value) for name, value in rows} == constants
+
+
+@pytest.mark.parametrize("needed,amount", [(2**14000 - 1, str(2**14000 - 1)),
+                                           (2**14000, "at least 2**14000")])
+def test_budget_refusal_names_any_byte_count(needed, amount):
+    # the exact count while its decimal is within Python's 4300-digit
+    # int-to-str limit, a power of two below it after
+    with pytest.raises(ValueError) as exc:
+        config.check_dense_bytes("x", needed)
+    assert str(exc.value) == f"x needs {amount} bytes, over the budget of {config.DENSE_BYTES} bytes"
