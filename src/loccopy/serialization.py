@@ -2,27 +2,26 @@
 
 Complex data is serialized as [re, im] pairs.  State amplitudes are
 listed in the flat mu = i + d*(j-1) order; matrices are row-major over
-the same basis.  All loaders validate structure and raise ValueError
-with the offending key named: a value that is not a JSON object, a
-missing key, a "d" that is not an integer (true and false are not), a
-protocol's "phases" that are not two finite numbers or "wiring" that is
-not the one CopyProtocol.wiring, and a Schmidt or protocol matrix
-entry above 1 in magnitude, which is refused before any arithmetic
-that could overflow.
+the same basis.  All loaders raise ValueError with the offending key
+named for a value that is not a JSON object, a missing key, a "d" that
+is not an integer of at least 2, a protocol's "phases" that are not two
+numbers or "wiring" that is not the one CopyProtocol.wiring.  Every
+number is read by _numbers: it must be a finite JSON number (true,
+false, strings and null are not), and an amplitude, operator entry or
+Schmidt entry at most 1 in magnitude, checked before any arithmetic.
 
-A protocol's field order is stated once, in protocol_fields_to_json,
-which leaves A and B as complex arrays.  protocol_to_json expands them
-to pair lists; stream_to_json yields the same text as json.dumps of
-that dict one matrix row at a time, so a d=12 protocol (1.9 MB of
-text) is written without its 41,472 pairs ever existing as Python
-lists at once.  Loaders reinterpret the [re, im] pairs as complex
-numbers bit for bit.
+A protocol's JSON object is built once, in protocol_fields_to_json,
+which leaves A and B as complex arrays; stream_to_json writes it with
+each matrix as its list of [re, im] pairs, one row at a time, so a d=12
+protocol (1.9 MB of text) is written without its 41,472 pairs ever
+existing as Python lists at once.  Loaders reinterpret the [re, im]
+pairs as complex numbers bit for bit.
 """
 from __future__ import annotations
 
 import json
-import math
 from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -31,53 +30,71 @@ from .copying import CopyProtocol, SpectrumReport
 from .states import BipartiteState, SchmidtVector
 
 
-def _complex_to_pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
-    """[re, im] pairs of values in row-major order, as _complex_to_pair gives
-    them one by one; one tolist call instead of a Python loop."""
+    """[float(re), float(im)] pairs of values in row-major order; one
+    tolist call instead of a Python loop."""
     flat = np.asarray(values, dtype=complex).ravel(order="C")
     return np.stack((flat.real, flat.imag), axis=-1).tolist()
 
 
-def _pairs_to_array(pairs, what: str) -> np.ndarray:
+def _numbers(value, what: str, depth: int = 1, bounded: bool = True) -> np.ndarray:
+    """value, JSON lists nested depth deep, as a C-ordered float array of
+    the same shape.  ValueError naming what unless the lists are regular,
+    every leaf is an int or a float (true, false, strings and null are
+    not), every entry is finite and, when bounded, at most 1 + NORM_TOL in
+    magnitude.  Each level is one pass over its items; no arithmetic runs
+    before the bound is checked."""
+    form = "a list of [re, im] pairs" if depth == 2 else "a list of numbers"
+    items, shape = [value], []
+    for _ in range(depth):
+        if set(map(type, items)) - {list}:
+            raise ValueError(f"{what} must be {form}")
+        widths = set(map(len, items))
+        if len(widths) > 1:
+            raise ValueError(f"{what} must be {form}, not lists of unequal lengths")
+        shape.append(widths.pop() if widths else 0)
+        items = list(chain.from_iterable(items))
+    kinds = set(map(type, items))
+    if bool in kinds or not all(issubclass(kind, (int, float)) for kind in kinds):
+        bad = next(x for x in items if type(x) is bool or not isinstance(x, (int, float)))
+        raise ValueError(f"{what} entries must be numbers, got {type(bad).__name__}")
     try:
-        arr = np.array(pairs, dtype=float, order="C")
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{what} must be a list of [re, im] pairs: {exc}") from None
-    if arr.ndim != 2 or arr.shape[1] != 2:
+        arr = np.array(items, dtype=float).reshape(shape)
+    except OverflowError:  # an int beyond the float range
+        raise ValueError(f"{what} entries must be finite") from None
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} entries must be finite")
+    if bounded and (np.abs(arr) > 1.0 + NORM_TOL).any():
+        raise ValueError(f"{what} entries must be at most 1 in magnitude")
+    return arr
+
+
+def _pairs_to_array(pairs, what: str) -> np.ndarray:
+    arr = _numbers(pairs, what, depth=2)
+    if arr.shape[1] != 2:
         raise ValueError(f"{what} must be a list of [re, im] pairs, got shape {arr.shape}")
     # Each C-ordered [re, im] row is one complex number's memory: the view
-    # keeps every bit (a -0.0 imaginary part, an infinite entry) and does
-    # no arithmetic.
+    # keeps every bit (a -0.0 imaginary part) and does no arithmetic.
     return arr.view(complex)[:, 0]
 
 
-def _require(obj: dict, key: str, what: str, kind: type | None = None):
-    """obj[key], raising ValueError when obj is not a JSON object, key is
-    missing, or the value is not of type kind (when given); a bool (JSON
-    true or false) is not an int here."""
+def _require(obj: dict, key: str, what: str):
+    """obj[key], raising ValueError when obj is not a JSON object or key is missing."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
     if key not in obj:
         raise ValueError(f"{what} is missing required key {key!r}")
-    value = obj[key]
-    if kind is not None and (not isinstance(value, kind) or isinstance(value, bool)):
-        raise ValueError(f"{what} key {key!r} must be {kind.__name__}, got {value!r}")
-    return value
+    return obj[key]
 
 
-def _is_finite_number(x) -> bool:
-    """x is a JSON number within the float range and finite; true and
-    false are not numbers here."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)):
-        return False
-    try:
-        return math.isfinite(x)
-    except OverflowError:  # an int beyond the float range
-        return False
+def _dimension(obj: dict, what: str) -> int:
+    """obj["d"], an int of at least 2; a bool (JSON true or false) is not an int here."""
+    d = _require(obj, "d", what)
+    if not isinstance(d, int) or isinstance(d, bool):
+        raise ValueError(f"{what} key 'd' must be int, got {d!r}")
+    if d < 2:
+        raise ValueError(f"{what} key 'd' must be at least 2")
+    return d
 
 
 def state_to_json(s: BipartiteState) -> dict:
@@ -88,10 +105,11 @@ def state_to_json(s: BipartiteState) -> dict:
 
 
 def state_from_json(obj: dict) -> BipartiteState:
-    d = _require(obj, "d", "state", int)
+    d = _dimension(obj, "state")
     flat = _pairs_to_array(_require(obj, "amplitudes", "state"), "state amplitudes")
     if flat.size != d * d:
-        raise ValueError(f"state amplitudes have length {flat.size}, expected d*d = {d * d}")
+        raise ValueError(
+            f"state amplitudes have length {flat.size}, expected d*d = {int_text(d * d)}")
     return BipartiteState(flat.reshape((d, d), order="F"))
 
 
@@ -104,13 +122,7 @@ def schmidt_from_json(obj: dict) -> SchmidtVector:
         raise ValueError(f"Schmidt vector must be a JSON object, got {type(obj).__name__}")
     for key, power in (("probs", 1), ("coeffs", 2)):
         if key in obj:
-            try:
-                values = np.asarray(obj[key], dtype=float)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValueError(f"Schmidt vector {key!r} must be numbers: {exc}") from None
-            if np.any(np.abs(values) > 1.0 + NORM_TOL):  # before squaring, which could overflow
-                raise ValueError(f"Schmidt vector {key!r} entries must be at most 1")
-            return SchmidtVector(values**power)
+            return SchmidtVector(_numbers(obj[key], f"Schmidt vector {key!r}") ** power)
     raise ValueError("Schmidt vector needs a 'probs' or 'coeffs' array")
 
 
@@ -118,17 +130,12 @@ def _matrix_from_json(pairs, n: int, what: str) -> np.ndarray:
     flat = _pairs_to_array(pairs, what)
     if flat.size != n * n:
         raise ValueError(f"{what} has {flat.size} entries, expected {n}*{n} = {n * n}")
-    # no part of a unitary's entry exceeds 1: a larger one is refused
-    # before the unitarity check's product, which could overflow
-    if np.any(np.abs(flat.real) > 1.0 + NORM_TOL) or np.any(np.abs(flat.imag) > 1.0 + NORM_TOL):
-        raise ValueError(f"{what} entries must be at most 1 in magnitude")
     return flat.reshape((n, n))
 
 
 def protocol_fields_to_json(p: CopyProtocol) -> dict:
     """The protocol's JSON object, in field order, with A and B still the
-    complex arrays: stream_to_json writes it row by row, and
-    protocol_to_json expands it to pair lists."""
+    complex arrays, which stream_to_json writes row by row."""
     return {
         "d": p.d,
         "blank": state_to_json(p.blank),
@@ -136,13 +143,6 @@ def protocol_fields_to_json(p: CopyProtocol) -> dict:
         "B": p.b_op,
         "phases": [float(x) for x in p.phases],
         "wiring": p.wiring,
-    }
-
-
-def protocol_to_json(p: CopyProtocol) -> dict:
-    return {
-        key: _complex_to_pairs(value) if isinstance(value, np.ndarray) else value
-        for key, value in protocol_fields_to_json(p).items()
     }
 
 
@@ -170,17 +170,15 @@ def stream_to_json(obj: dict) -> Iterator[str]:
 
 
 def protocol_from_json(obj: dict) -> CopyProtocol:
-    d = _require(obj, "d", "protocol", int)
+    d = _dimension(obj, "protocol")
     check_dense_bytes(f"a protocol at d = {int_text(d)}", protocol_bytes(d))
     n = d * d
     blank = state_from_json(_require(obj, "blank", "protocol"))
     a_op = _matrix_from_json(_require(obj, "A", "protocol"), n, "protocol matrix A")
     b_op = _matrix_from_json(_require(obj, "B", "protocol"), n, "protocol matrix B")
-    phases = _require(obj, "phases", "protocol", list)
-    if len(phases) != 2:
-        raise ValueError(f"protocol phases must have 2 entries, got {len(phases)}")
-    if not all(_is_finite_number(x) for x in phases):
-        raise ValueError(f"protocol phases must be finite numbers, got {phases!r}")
+    phases = _numbers(_require(obj, "phases", "protocol"), "protocol phases", bounded=False)
+    if phases.size != 2:
+        raise ValueError(f"protocol phases must have 2 entries, got {phases.size}")
     wiring = obj.get("wiring", CopyProtocol.wiring)
     if wiring != CopyProtocol.wiring:
         raise ValueError(
@@ -202,7 +200,7 @@ def report_to_json(r: SpectrumReport) -> dict:
         "rotation": float(r.rotation),
         "detected_m": r.detected_m,
         "copyable": r.copyable,
-        "trace": _complex_to_pair(r.trace),
+        "trace": [float(r.trace.real), float(r.trace.imag)],
     }
 
 

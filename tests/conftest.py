@@ -1,6 +1,14 @@
+import json
 import re
 
+from loccopy.serialization import protocol_fields_to_json, stream_to_json
+
 CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
+
+
+def protocol_json(protocol) -> dict:
+    """The protocol's JSON object as the CLI writes it, parsed back."""
+    return json.loads("".join(stream_to_json(protocol_fields_to_json(protocol))))
 
 
 def pytest_terminal_summary(terminalreporter):

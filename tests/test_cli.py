@@ -15,6 +15,8 @@ from loccopy.config import DENSE_BYTES, TAU
 from loccopy.generators import copyable_pair, haar_unitary, nonprime_counterexample, orthogonal_pair
 from loccopy.states import BipartiteState, from_unitary, max_entangled
 
+from conftest import protocol_json
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -178,7 +180,7 @@ def pretty_argv(tmp_path) -> dict:
     psi1, psi2 = copyable_pair(4, 2, seed=3)
     pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
     state = write_json(tmp_path, "state.json", serialization.state_to_json(psi1))
-    protocol = write_json(tmp_path, "protocol.json", serialization.protocol_to_json(
+    protocol = write_json(tmp_path, "protocol.json", protocol_json(
         synthesize_protocol(psi1, psi2, max_entangled(4))))
     src = write_json(tmp_path, "src.json", {"probs": [0.7, 0.2, 0.1]})
     dst = write_json(tmp_path, "dst.json", {"probs": [0.8, 0.2]})
@@ -475,8 +477,7 @@ class TestSynthesizeAndSimulate:
 
     def test_simulate_blank_of_another_dimension_is_input_error(self, capsys, tmp_path):
         psi1, psi2 = orthogonal_pair(3, seed=7)
-        protocol = serialization.protocol_to_json(
-            synthesize_protocol(psi1, psi2, max_entangled(3)))
+        protocol = protocol_json(synthesize_protocol(psi1, psi2, max_entangled(3)))
         protocol["blank"] = serialization.state_to_json(max_entangled(2))
         proto_path = write_json(tmp_path, "protocol.json", protocol)
         state = write_json(tmp_path, "s1.json", serialization.state_to_json(psi1))
@@ -502,7 +503,7 @@ class TestStreamedOutput:
                 from_unitary(haar_unitary(d, seed=60 + d))))
             blank_args = ["--blank", path]
             blank = serialization.state_from_json(json.loads((tmp_path / "blank.json").read_text()))
-        expected = json.dumps(serialization.protocol_to_json(
+        expected = json.dumps(protocol_json(
             synthesize_protocol(psi1, psi2, blank))) + "\n"
 
         out_path = tmp_path / "protocol.json"
@@ -581,7 +582,7 @@ class TestStreamedOutput:
         psi1, psi2 = copyable_pair(4, 2, seed=3)
         pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
         state = write_json(tmp_path, "state.json", serialization.state_to_json(psi1))
-        protocol = write_json(tmp_path, "protocol.json", serialization.protocol_to_json(
+        protocol = write_json(tmp_path, "protocol.json", protocol_json(
             synthesize_protocol(psi1, psi2, max_entangled(4))))
         for argv in (["majorize", *five_level_vectors], ["catalysis", *five_level_vectors],
                      ["check-pair", pair], ["simulate", protocol, state],
@@ -1112,8 +1113,7 @@ class TestErrorHandling:
         if command == "check-pair":
             obj, rest = serialization.pair_to_json(psi1, psi2), []
         else:
-            obj = serialization.protocol_to_json(
-                synthesize_protocol(psi1, psi2, max_entangled(2)))
+            obj = protocol_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
             rest = [write_json(tmp_path, "state.json", serialization.state_to_json(psi1))]
         if key is None:
             obj = value
@@ -1127,13 +1127,18 @@ class TestErrorHandling:
 
     def test_nan_operator_is_input_error(self, capsys, tmp_path):
         psi1, psi2 = orthogonal_pair(2, seed=3)
-        obj = serialization.protocol_to_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
+        obj = protocol_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
         obj["A"][0] = [float("nan"), 0.0]
         state = write_json(tmp_path, "state.json", serialization.state_to_json(psi1))
         code, out, err = run(capsys, ["simulate", write_json(tmp_path, "p.json", obj), state])
         assert code == 2
         assert out == ""
-        assert "A operator is not unitary" in err
+        assert err == "error: protocol matrix A entries must be finite\n"
+
+    def test_negative_dimension_is_named(self, capsys, tmp_path):
+        state = write_json(tmp_path, "state.json", {"d": -3, "amplitudes": [[1 / 3, 0.0]] * 9})
+        code, out, err = run(capsys, ["check-pair", state, state])
+        assert (code, out, err) == (2, "", "error: state key 'd' must be at least 2\n")
 
     @pytest.mark.parametrize("command", ["majorize", "catalysis"])
     def test_nan_probabilities_are_input_error(self, capsys, tmp_path, command):
@@ -1166,7 +1171,7 @@ def error_files() -> dict:
     """The input files of the error cases, as JSON objects or as raw text."""
     psi1, psi2 = orthogonal_pair(2, seed=2)
     pair = serialization.pair_to_json(psi1, psi2)
-    protocol = serialization.protocol_to_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
+    protocol = protocol_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
     inf_psi1 = {**pair["psi1"], "amplitudes": [[0.5, float("inf")], *pair["psi1"]["amplitudes"][1:]]}
     return {
         "bad": "{not json",
@@ -1261,7 +1266,7 @@ def outcome_files(tmp_path) -> dict:
         "weak_pair": serialization.pair_to_json(weak, psi2),
         "state": serialization.state_to_json(psi1),
         "weak": serialization.state_to_json(weak),
-        "protocol": serialization.protocol_to_json(
+        "protocol": protocol_json(
             synthesize_protocol(psi1, psi2, max_entangled(2))),
         "nonprime": serialization.pair_to_json(
             *nonprime_counterexample(2, 3, delta=0.5, seed=8)),

@@ -4,7 +4,9 @@ Any JSON value, or a valid document with one node replaced, removed or
 given an extra key, either loads or raises ValueError, and through the
 CLI, with or without --pretty, it ends in exit code 0, 1 or 2 with at
 most one stderr line: never a traceback, and never a numpy warning
-(pytest turns warnings into errors).
+(pytest turns warnings into errors).  A valid document with one number
+replaced by true, false, null or the number's text never loads, and
+through the CLI it exits 2 with one error line naming the key.
 """
 import copy
 import io
@@ -14,6 +16,7 @@ import tempfile
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
@@ -22,7 +25,9 @@ from loccopy import serialization
 from loccopy.cli import main
 from loccopy.copying import synthesize_protocol
 from loccopy.generators import orthogonal_pair
-from loccopy.states import max_entangled
+from loccopy.states import from_unitary, max_entangled
+
+from conftest import protocol_json
 
 SCALARS = st.one_of(
     st.none(),
@@ -46,7 +51,7 @@ VALID = {
     "pair": serialization.pair_to_json(PSI1, PSI2),
     "probs": {"probs": [0.5, 0.5]},
     "coeffs": {"coeffs": [0.8, 0.6]},
-    "protocol": serialization.protocol_to_json(synthesize_protocol(PSI1, PSI2, max_entangled(2))),
+    "protocol": protocol_json(synthesize_protocol(PSI1, PSI2, max_entangled(2))),
 }
 
 
@@ -188,3 +193,78 @@ def test_cli_exits_with_a_documented_code(command, data):
         assert not lines
     if code == 2:
         assert lines
+
+
+# Per valid document: its loader, and the CLI call that reads it as {doc}.
+READERS = {
+    "state": ("state_from_json", ["check-pair", "{doc}", "{state}"]),
+    "pair": ("pair_from_json", ["check-pair", "{doc}"]),
+    "probs": ("schmidt_from_json", ["majorize", "{doc}", "{probs}"]),
+    "coeffs": ("schmidt_from_json", ["catalysis", "{doc}", "{probs}"]),
+    "protocol": ("protocol_from_json", ["simulate", "{doc}", "{state}"]),
+}
+# the text by which an error names the key that holds the number
+KEY_TEXT = {"d": "'d'", "amplitudes": "state amplitudes", "A": "protocol matrix A",
+            "B": "protocol matrix B", "phases": "protocol phases",
+            "probs": "'probs'", "coeffs": "'coeffs'"}
+
+
+def number_paths(node, path=()):
+    """Paths to the number leaves of node."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return [path] if type(node) in (int, float) else []
+    return [leaf for key, child in items for leaf in number_paths(child, (*path, key))]
+
+
+@st.composite
+def non_number_leaf(draw):
+    """(name, doc, key): VALID[name] with one number under key replaced by
+    true, false, null or the number's own text."""
+    name = draw(st.sampled_from(sorted(READERS)))
+    doc = copy.deepcopy(VALID[name])
+    # a pair's top-level "d" is written for readers; pair_from_json does not read it
+    paths = [path for path in number_paths(doc) if name != "pair" or path != ("d",)]
+    *parents, last = draw(st.sampled_from(paths))
+    node = doc
+    for step in parents:
+        node = node[step]
+    node[last] = draw(st.sampled_from([True, False, None, json.dumps(node[last])]))
+    return name, doc, [step for step in (*parents, last) if isinstance(step, str)][-1]
+
+
+# the three documents that loaded before every number was checked for its type
+R = 0.7071067811865476
+TEXT_AMPLITUDE = {  # read as |00> + |11> and |00> - |11>, a copyable pair
+    "psi1": {"d": 2, "amplitudes": [[R, 0.0], [0.0, 0.0], [0.0, 0.0], [R, 0.0]]},
+    "psi2": {"d": 2, "amplitudes": [["0.7071067811865476", "0"], [0.0, False], [0.0, 0.0],
+                                    [-R, 0.0]]},
+}
+CNOT = protocol_json(synthesize_protocol(
+    max_entangled(2), from_unitary(np.diag([1.0, -1.0])), max_entangled(2)))
+TRUE_OPERATOR = {**CNOT, "A": [[True if x == 1.0 else x for x in pair] for pair in CNOT["A"]]}
+
+
+@given(case=non_number_leaf())
+@example(case=("pair", TEXT_AMPLITUDE, "amplitudes"))
+@example(case=("probs", {"probs": ["0.5", True, 0]}, "probs"))
+@example(case=("protocol", TRUE_OPERATOR, "A"))
+@settings(max_examples=60, deadline=None)
+def test_non_number_leaf_is_refused(case):
+    name, doc, key = case
+    loader, args = READERS[name]
+    with pytest.raises(ValueError, match=KEY_TEXT[key]):
+        getattr(serialization, loader)(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for file, content in {**VALID, "doc": doc}.items():
+            paths[file] = os.path.join(tmp, f"{file}.json")
+            with open(paths[file], "w") as fh:
+                json.dump(content, fh)
+        code, out, err = run_cli([arg.format(**paths) for arg in args])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and KEY_TEXT[key] in err

@@ -11,7 +11,6 @@ from loccopy.serialization import (
     pair_to_json,
     protocol_fields_to_json,
     protocol_from_json,
-    protocol_to_json,
     report_to_json,
     schmidt_from_json,
     schmidt_to_json,
@@ -20,6 +19,8 @@ from loccopy.serialization import (
     stream_to_json,
 )
 from loccopy.states import SchmidtVector, from_unitary, max_entangled
+
+from conftest import protocol_json
 
 
 class TestStateJson:
@@ -46,6 +47,30 @@ class TestStateJson:
     def test_wrong_length_rejected(self):
         with pytest.raises(ValueError, match="length"):
             state_from_json({"d": 2, "amplitudes": [[1.0, 0.0]]})
+
+    def test_wrong_length_of_a_huge_d_rejected(self):
+        """d*d is past Python's int-to-str limit, but the message is not."""
+        with pytest.raises(ValueError, match="length 1, expected d.d = at least 2"):
+            state_from_json({"d": 10**4000, "amplitudes": [[1.0, 0.0]]})
+
+    @pytest.mark.parametrize("d", [-3, 0, 1])
+    def test_dimension_below_two_rejected(self, d):
+        """Refused by name before the length check and the reshape."""
+        with pytest.raises(ValueError, match="state key 'd' must be at least 2"):
+            state_from_json({"d": d, "amplitudes": [[1 / 3, 0.0]] * (d * d)})
+
+    @pytest.mark.parametrize("amplitudes", [
+        [[True, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+        [["1", 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+        [[None, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]],
+    ])
+    def test_non_number_entry_rejected(self, amplitudes):
+        with pytest.raises(ValueError, match="state amplitudes entries must be numbers"):
+            state_from_json({"d": 2, "amplitudes": amplitudes})
+
+    def test_ragged_pairs_rejected(self):
+        with pytest.raises(ValueError, match="state amplitudes .* unequal lengths"):
+            state_from_json({"d": 2, "amplitudes": [[1.0, 0.0], [0.0], [0.0, 0.0], [0.0, 0.0]]})
 
     def test_malformed_pairs_rejected(self):
         with pytest.raises(ValueError, match="pairs"):
@@ -87,53 +112,65 @@ class TestSchmidtJson:
         with pytest.raises(ValueError, match=key):
             schmidt_from_json({key: {"a": 1}})
 
+    @pytest.mark.parametrize("values", [["0.5", True, 0], [0.5, False, 0.5], [0.5, None]])
+    def test_non_number_entries_rejected(self, values):
+        with pytest.raises(ValueError, match="'probs' entries must be numbers"):
+            schmidt_from_json({"probs": values})
+
 
 def per_entry_pairs(values):
     """The [re, im] encoding built one complex entry at a time."""
     return [[float(z.real), float(z.imag)] for z in np.asarray(values).ravel(order="C")]
 
 
+def per_entry_protocol(protocol):
+    """The protocol's JSON object, its arrays expanded by per_entry_pairs."""
+    return {
+        "d": protocol.d,
+        "blank": {"d": protocol.d, "amplitudes": per_entry_pairs(protocol.blank.vector())},
+        "A": per_entry_pairs(protocol.a_op),
+        "B": per_entry_pairs(protocol.b_op),
+        "phases": [float(x) for x in protocol.phases],
+        "wiring": protocol.wiring,
+    }
+
+
+def streamed_protocol(protocol):
+    return "".join(stream_to_json(protocol_fields_to_json(protocol)))
+
+
 class TestProtocolJson:
     def test_text_matches_per_entry_encoder(self):
         psi1, psi2 = copyable_pair(6, 3, seed=21)
-        blank = from_unitary(haar_unitary(6, seed=22))
-        protocol = synthesize_protocol(psi1, psi2, blank)
-        expected = {
-            "d": 6,
-            "blank": {"d": 6, "amplitudes": per_entry_pairs(blank.vector())},
-            "A": per_entry_pairs(protocol.a_op),
-            "B": per_entry_pairs(protocol.b_op),
-            "phases": [float(x) for x in protocol.phases],
-            "wiring": protocol.wiring,
-        }
-        assert json.dumps(protocol_to_json(protocol)) == json.dumps(expected)
+        protocol = synthesize_protocol(psi1, psi2, from_unitary(haar_unitary(6, seed=22)))
+        assert streamed_protocol(protocol) == json.dumps(per_entry_protocol(protocol))
         state = {"d": 6, "amplitudes": per_entry_pairs(psi1.vector())}
         assert json.dumps(state_to_json(psi1)) == json.dumps(state)
+
+    def test_stream_matches_json_dumps(self):
+        for d, m in ((2, 2), (6, 3), (12, 4)):
+            psi1, psi2 = copyable_pair(d, m, seed=25)
+            protocol = synthesize_protocol(psi1, psi2, max_entangled(d))
+            assert streamed_protocol(protocol) == json.dumps(per_entry_protocol(protocol))
+            pair = pair_to_json(psi1, psi2, family="copyable", m=m)
+            assert "".join(stream_to_json(pair)) == json.dumps(pair)
+        assert "".join(stream_to_json({})) == "{}"
 
     def test_text_round_trip_is_bit_exact(self):
         psi1, psi2 = copyable_pair(4, 2, seed=23)
         protocol = synthesize_protocol(psi1, psi2, from_unitary(haar_unitary(4, seed=24)))
         protocol.a_op[0, 1] = complex(protocol.a_op[0, 1].real, -0.0)
-        back = protocol_from_json(json.loads(json.dumps(protocol_to_json(protocol))))
+        back = protocol_from_json(protocol_json(protocol))
         assert back.a_op.tobytes() == protocol.a_op.tobytes()
         assert back.b_op.tobytes() == protocol.b_op.tobytes()
         assert back.blank.grid.tobytes() == protocol.blank.grid.tobytes()
-
-    def test_stream_matches_json_dumps(self):
-        psi1, psi2 = copyable_pair(6, 3, seed=25)
-        protocol = synthesize_protocol(psi1, psi2, max_entangled(6))
-        streamed = "".join(stream_to_json(protocol_fields_to_json(protocol)))
-        assert streamed == json.dumps(protocol_to_json(protocol))
-        pair = pair_to_json(psi1, psi2, family="copyable", m=3)
-        assert "".join(stream_to_json(pair)) == json.dumps(pair)
-        assert "".join(stream_to_json({})) == "{}"
 
     def test_round_trip_preserves_behavior(self):
         from loccopy.simulator import run_copy
 
         psi1, psi2 = orthogonal_pair(2, seed=5)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
-        back = protocol_from_json(json.loads(json.dumps(protocol_to_json(protocol))))
+        back = protocol_from_json(protocol_json(protocol))
         assert back.d == protocol.d
         assert back.wiring == protocol.wiring
         assert np.allclose(back.a_op, protocol.a_op)
@@ -145,15 +182,22 @@ class TestProtocolJson:
 
     def test_blank_of_another_dimension_rejected(self):
         psi1, psi2 = orthogonal_pair(3, seed=7)
-        obj = protocol_to_json(synthesize_protocol(psi1, psi2, max_entangled(3)))
+        obj = protocol_json(synthesize_protocol(psi1, psi2, max_entangled(3)))
         obj["blank"] = state_to_json(max_entangled(2))
         with pytest.raises(ValueError, match="blank has d=2, but the protocol has d=3"):
+            protocol_from_json(obj)
+
+    def test_blank_dimension_below_two_rejected(self):
+        psi1, psi2 = orthogonal_pair(3, seed=7)
+        obj = protocol_json(synthesize_protocol(psi1, psi2, max_entangled(3)))
+        obj["blank"]["d"] = -3
+        with pytest.raises(ValueError, match="state key 'd' must be at least 2"):
             protocol_from_json(obj)
 
     def test_matrices_are_row_major_pairs(self):
         psi1, psi2 = orthogonal_pair(2, seed=6)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
-        obj = protocol_to_json(protocol)
+        obj = protocol_json(protocol)
         assert obj["A"][1] == [
             pytest.approx(protocol.a_op[0, 1].real),
             pytest.approx(protocol.a_op[0, 1].imag),
@@ -162,13 +206,13 @@ class TestProtocolJson:
     def test_wiring_defaults_when_absent(self):
         psi1, psi2 = orthogonal_pair(2, seed=7)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
-        obj = protocol_to_json(protocol)
+        obj = protocol_json(protocol)
         del obj["wiring"]
         assert protocol_from_json(obj).wiring == "A:(1,3) B:(2,4)"
 
     def test_other_wiring_rejected(self):
         psi1, psi2 = orthogonal_pair(2, seed=7)
-        obj = protocol_to_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
+        obj = protocol_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
         obj["wiring"] = "A:(1,2) B:(3,4)"
         with pytest.raises(ValueError, match="wiring"):
             protocol_from_json(obj)
@@ -176,7 +220,7 @@ class TestProtocolJson:
     def test_missing_matrix_rejected(self):
         psi1, psi2 = orthogonal_pair(2, seed=8)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
-        obj = protocol_to_json(protocol)
+        obj = protocol_json(protocol)
         del obj["B"]
         with pytest.raises(ValueError, match="'B'"):
             protocol_from_json(obj)
@@ -184,7 +228,7 @@ class TestProtocolJson:
     def test_bad_phase_count_rejected(self):
         psi1, psi2 = orthogonal_pair(2, seed=9)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
-        obj = protocol_to_json(protocol)
+        obj = protocol_json(protocol)
         obj["phases"] = [0.0]
         with pytest.raises(ValueError, match="phases"):
             protocol_from_json(obj)
@@ -195,7 +239,7 @@ class TestProtocolJson:
     ])
     def test_malformed_field_rejected(self, key, value):
         psi1, psi2 = orthogonal_pair(2, seed=9)
-        obj = protocol_to_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
+        obj = protocol_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
         obj[key] = value
         with pytest.raises(ValueError, match=key):
             protocol_from_json(obj)
