@@ -8,7 +8,6 @@
 import numpy as np
 
 from loccopy import (
-    emit_locc_transcript,
     from_unitary,
     max_entangled,
     orthogonality,
@@ -38,8 +37,6 @@ print()
 # them back.
 
 protocol = synthesize_protocol(phi_plus, psi_plus, max_entangled(2))
-print(emit_locc_transcript(protocol))
-print()
 
 for name, state in (("Phi+", phi_plus), ("Psi+", psi_plus)):
     fidelity, theta = run_copy(protocol, state)

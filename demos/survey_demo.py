@@ -9,7 +9,7 @@ from loccopy import survey
 SAMPLES = 60
 
 print(f"{'d':>3}  {'orthogonal':>10}  {'copyable':>8}")
-for row in survey("orthogonal", range(2, 9), SAMPLES, seed=0):
+for row in survey(range(2, 9), SAMPLES, seed=0):
     print(f"{row['d']:>3}  {row['orthogonal_fraction']:>10.3f}  {row['copyable_fraction']:>8.3f}")
 
 print()

@@ -39,7 +39,7 @@ _HOMES = {
         "CATALYTIC", "DIRECT", "IMPOSSIBLE", "catalytic_copy_check",
         "find_catalytic_pair", "majorizes", "nielsen_transformable", "partial_sums",
     ),
-    "simulator": ("emit_locc_transcript", "run_copy"),
+    "simulator": ("run_copy",),
     "states": (
         "BipartiteState", "SchmidtVector", "from_unitary", "max_entangled", "overlap",
         "schmidt", "unitary_of_state",

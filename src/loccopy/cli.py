@@ -6,10 +6,11 @@ payload.  synthesize and generate write it as a document (to --out, by
 default stdout); the other five print it on stdout as one JSON object,
 or with --pretty as the text _pretty derives from the same payload, so
 the two views cannot disagree.  generate refuses a parameter flag its
-family does not read.  Exit codes: 0 for success
-or an affirmative verdict, 1 for a negative verdict (for synthesize,
-only NotCopyableError: no protocol exists), 2 for input errors (an
-unknown flag and a state that is not maximally entangled among them,
+family does not read; survey draws from the orthogonal family alone and
+names it in its output.  Exit codes: 0 for success or an affirmative
+verdict, 1 for a negative verdict (for synthesize, only
+NotCopyableError: no protocol exists), 2 for input errors (an unknown
+flag and a state that is not maximally entangled among them,
 in every subcommand), for a stdout closed before the output
 is written and for a failed allocation (MemoryError), 3 for an
 internal error (a synthesized protocol failed its own verification;
@@ -288,8 +289,8 @@ def cmd_survey(args) -> int:
     from .copying import survey
 
     seed = _seed(args)
-    _emit(args, {"family": args.family, "seed": seed,
-                 "rows": survey(args.family, args.d, args.samples, seed)})
+    _emit(args, {"family": "orthogonal", "seed": seed,
+                 "rows": survey(args.d, args.samples, seed)})
     return OK
 
 
@@ -359,12 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="fraction of random orthogonal pairs that are copyable, per d")
     p.add_argument("--d", type=int, nargs="+", required=True, help="dimensions to survey")
     p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--family", choices=["orthogonal", "nonprime"], default="orthogonal",
-                   help="orthogonal: pair operators whose spectra are antipodal pairs plus "
-                        "at most one equilateral triple, so for d >= 5 spectra such as the "
-                        "regular pentagon (copyable, M = 5) are never drawn and "
-                        "copyable_fraction covers only this family; nonprime: the "
-                        "composite-d counterexamples (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
     p.set_defaults(handler=cmd_survey)
 

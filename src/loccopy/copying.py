@@ -454,37 +454,27 @@ def synthesize_protocol(
     return protocol
 
 
-def survey(family: str, ds, samples: int, seed: int) -> list[dict]:
+def survey(ds, samples: int, seed: int) -> list[dict]:
     """One row {"d", "samples", "orthogonal_fraction", "copyable_fraction",
-    "ambiguous_fraction"} per d in ds, over samples pairs of the family
-    "orthogonal" (orthogonal_pair) or "nonprime" (nonprime_counterexample,
-    d split at its smallest factor, delta uniform in (0, 2 pi / d)).
-    Sample k at d draws from SeedSequence((seed, d, k)) and is judged by
-    pair_operator, orthogonality and spectral_verdict; AmbiguityError
-    counts it ambiguous, not copyable.  ValueError refuses samples < 1,
-    d < 2, a d past DENSE_BYTES and a prime nonprime d before the first draw."""
+    "ambiguous_fraction"} per d in ds, over samples pairs from
+    orthogonal_pair.  Sample k at d draws from SeedSequence((seed, d, k))
+    and is judged by pair_operator, orthogonality and spectral_verdict;
+    AmbiguityError counts it ambiguous, not copyable.  ValueError refuses
+    samples < 1, d < 2 and a d past DENSE_BYTES before the first draw."""
     from . import generators  # here, so that check-pair and synthesize never load it
 
-    if family not in ("orthogonal", "nonprime"):
-        raise ValueError(f"survey family must be 'orthogonal' or 'nonprime', got {family!r}")
     if samples < 1:
         raise ValueError(f"--samples must be at least 1, got {samples}")
     ds = list(ds)
     for d in ds:
         generators._check_dimension(d)
-    split = {d: generators._nonprime_split(d) for d in ds} if family == "nonprime" else {}
     rows = []
     for d in ds:
         orthogonal_count = copyable_count = ambiguous_count = 0
         for k in range(samples):
             # flat, well-mixed per-sample seed derived from (seed, d, k)
             sample_seed = int(np.random.SeedSequence((seed, d, k)).generate_state(1)[0])
-            if family == "orthogonal":
-                psi1, psi2 = generators.orthogonal_pair(d, sample_seed)
-            else:
-                delta = generators._draw_delta(np.random.default_rng(sample_seed), d)
-                psi1, psi2 = generators.nonprime_counterexample(*split[d], delta, sample_seed)
-            t = pair_operator(psi1, psi2)
+            t = pair_operator(*generators.orthogonal_pair(d, sample_seed))
             orthogonal_count += orthogonality(t) == ORTHOGONAL
             try:
                 copyable_count += spectral_verdict(t).copyable

@@ -8,8 +8,6 @@ because psi1 = (T (x) 1)|psi2> by construction.
 """
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .config import TAU, check_dense_bytes, int_text, protocol_bytes
@@ -32,15 +30,6 @@ def _check_dimension(d: int) -> None:
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
     check_dense_bytes(f"synthesis at d = {int_text(d)}", protocol_bytes(d))
-
-
-def _nonprime_split(d: int) -> tuple[int, int]:
-    """(d1, d // d1) for the smallest factor d1 > 1 of d; a d without
-    one is refused with ValueError."""
-    for k in range(2, math.isqrt(d) + 1):
-        if d % k == 0:
-            return k, d // k
-    raise ValueError(f"nonprime family requires composite d, got {d}")
 
 
 def _draw_delta(rng: np.random.Generator, d: int) -> float:

@@ -4,11 +4,12 @@ Complex data is serialized as [re, im] pairs.  State amplitudes are
 listed in the flat mu = i + d*(j-1) order; matrices are row-major over
 the same basis.  All loaders raise ValueError with the offending key
 named for a value that is not a JSON object, a missing key, a "d" that
-is not an integer of at least 2, a protocol's "phases" that are not two
-numbers or "wiring" that is not the one CopyProtocol.wiring.  Every
-number is read by _numbers: it must be a finite JSON number (true,
-false, strings and null are not), and an amplitude, operator entry or
-Schmidt entry at most 1 in magnitude, checked before any arithmetic.
+is not an integer of at least 2, a pair's "d" that is not its states' d,
+a protocol's "phases" that are not two numbers or "wiring" that is not
+the one CopyProtocol.wiring.  Every number is read by _numbers: it must
+be a finite JSON number (true, false, strings and null are not), and an
+amplitude, operator entry or Schmidt entry at most 1 in magnitude,
+checked before any arithmetic.
 
 A protocol's JSON object is built once, in protocol_fields_to_json,
 which leaves A and B as complex arrays; stream_to_json writes it with
@@ -22,12 +23,15 @@ from __future__ import annotations
 import json
 from collections.abc import Iterator
 from itertools import chain
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .config import NORM_TOL, check_dense_bytes, int_text, protocol_bytes
-from .copying import CopyProtocol, SpectrumReport
 from .states import BipartiteState, SchmidtVector
+
+if TYPE_CHECKING:
+    from .copying import CopyProtocol, SpectrumReport
 
 
 def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
@@ -170,6 +174,8 @@ def stream_to_json(obj: dict) -> Iterator[str]:
 
 
 def protocol_from_json(obj: dict) -> CopyProtocol:
+    from .copying import CopyProtocol  # here, so that the other loaders never load copying
+
     d = _dimension(obj, "protocol")
     check_dense_bytes(f"a protocol at d = {int_text(d)}", protocol_bytes(d))
     n = d * d
@@ -215,4 +221,7 @@ def pair_from_json(obj: dict) -> tuple[BipartiteState, BipartiteState]:
     psi2 = state_from_json(_require(obj, "psi2", "state pair"))
     if psi1.d != psi2.d:
         raise ValueError(f"state pair dimensions differ: {psi1.d} vs {psi2.d}")
+    d = _dimension(obj, "state pair")
+    if d != psi1.d:
+        raise ValueError(f"state pair key 'd' is {int_text(d)}, but its states have d = {psi1.d}")
     return psi1, psi2

@@ -78,22 +78,3 @@ def _simulate(
         ip = complex(np.dot(ax.ravel(), yb.ravel()))
         results.append((abs(ip) ** 2, float(np.angle(ip))))
     return results
-
-
-def emit_locc_transcript(protocol: CopyProtocol) -> str:
-    """Human-readable LOCC transcript for a synthesized protocol.
-
-    Synthesis always yields a single unitary Kraus branch (K = 1 with
-    weight 1), so the shared-randomness implementation degenerates to
-    one local unitary per party and no classical communication.
-    """
-    lines = [
-        f"LOCC copying protocol, d = {protocol.d}",
-        f"wiring: {protocol.wiring}",
-        "branches: K = 1 (single unitary branch, weight 1)",
-        "round 1: Alice applies A to her particles (1,3)",
-        "round 1: Bob applies B to his particles (2,4)",
-        "classical communication rounds required: 0",
-        f"state phases theta_j: {protocol.phases[0]:+.9f}, {protocol.phases[1]:+.9f}",
-    ]
-    return "\n".join(lines)

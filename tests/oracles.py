@@ -42,9 +42,10 @@ def partial_trace_second(m: np.ndarray, d1: int, d2: int) -> np.ndarray:
     return np.einsum("kikj->ij", m4)
 
 
-def power_trace_certificate(t: np.ndarray) -> tuple[int, float]:
+def power_trace_certificate(t: np.ndarray, m: int | None = None) -> tuple[int, float]:
     """The paper's condition on a d x d unitary T, decided without
-    eigenvalues: (M, residual) for the M dividing d that fits it best.
+    eigenvalues: (M, residual) for the M dividing d that fits it best,
+    or for the given m.
 
     T is copyable with M iff T^M = c I and tr T^k = 0 for 0 < k < M.
     T^M = c I puts the spectrum on the M-th roots of unity rotated by a
@@ -56,7 +57,7 @@ def power_trace_certificate(t: np.ndarray) -> tuple[int, float]:
     """
     d = t.shape[0]
     best = (0, math.inf)
-    for m in (m for m in range(1, d + 1) if d % m == 0):
+    for m in [m] if m else (k for k in range(1, d + 1) if d % k == 0):
         power, residuals = np.eye(d, dtype=complex), []
         for _ in range(m - 1):
             power = power @ t

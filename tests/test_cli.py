@@ -796,11 +796,11 @@ class TestGenerate:
         assert json.loads(out)["detected_m"] == 3
 
 
-# The stdout of three survey runs, JSON and --pretty, as the sampling
+# The stdout of two survey runs, JSON and --pretty, as the sampling
 # loop printed them before it moved from the CLI into copying.survey;
-# each key is the argv and copying.survey's (family, ds, samples, seed).
+# each key is the argv and copying.survey's (ds, samples, seed).
 PINNED_SURVEYS = {
-    ("--d 2 3 12 --samples 20 --seed 5", ("orthogonal", (2, 3, 12), 20, 5)): (
+    ("--d 2 3 12 --samples 20 --seed 5", ((2, 3, 12), 20, 5)): (
         '{"family": "orthogonal", "seed": 5, "rows": ['
         '{"d": 2, "samples": 20, "orthogonal_fraction": 1.0, '
         '"copyable_fraction": 1.0, "ambiguous_fraction": 0.0}, '
@@ -815,22 +815,7 @@ PINNED_SURVEYS = {
         "   2       20                  1.0                1.0                 0.0\n"
         "   3       20                  1.0                1.0                 0.0\n"
         "  12       20                  1.0                0.0                 0.0\n"),
-    ("--family nonprime --d 4 6 12 --samples 20 --seed 5", ("nonprime", (4, 6, 12), 20, 5)): (
-        '{"family": "nonprime", "seed": 5, "rows": ['
-        '{"d": 4, "samples": 20, "orthogonal_fraction": 1.0, '
-        '"copyable_fraction": 0.0, "ambiguous_fraction": 0.0}, '
-        '{"d": 6, "samples": 20, "orthogonal_fraction": 1.0, '
-        '"copyable_fraction": 0.0, "ambiguous_fraction": 0.0}, '
-        '{"d": 12, "samples": 20, "orthogonal_fraction": 1.0, '
-        '"copyable_fraction": 0.0, "ambiguous_fraction": 0.0}]}\n',
-        "family: nonprime\n"
-        "seed: 5\n"
-        "rows:\n"
-        "   d  samples  orthogonal_fraction  copyable_fraction  ambiguous_fraction\n"
-        "   4       20                  1.0                0.0                 0.0\n"
-        "   6       20                  1.0                0.0                 0.0\n"
-        "  12       20                  1.0                0.0                 0.0\n"),
-    ("--d 2 3 4 --samples 10 --seed 0", ("orthogonal", (2, 3, 4), 10, 0)): (
+    ("--d 2 3 4 --samples 10 --seed 0", ((2, 3, 4), 10, 0)): (
         '{"family": "orthogonal", "seed": 0, "rows": ['
         '{"d": 2, "samples": 10, "orthogonal_fraction": 1.0, '
         '"copyable_fraction": 1.0, "ambiguous_fraction": 0.0}, '
@@ -878,56 +863,34 @@ class TestSurvey:
         assert row["orthogonal_fraction"] == 1.0
         assert row["copyable_fraction"] == 0.0
 
-    def test_nonprime_family(self, capsys):
-        code, out, _ = run(capsys, ["survey", "--d", "4", "--family", "nonprime",
-                                    "--samples", "5", "--seed", "18"])
-        assert code == 0
-        row = json.loads(out)["rows"][0]
-        assert row["orthogonal_fraction"] == 1.0
-        assert row["copyable_fraction"] == 0.0
-
-    def test_nonprime_family_rejects_prime_d(self, capsys):
-        code, _, err = run(capsys, ["survey", "--d", "5", "--family", "nonprime",
-                                    "--samples", "2"])
-        assert code == 2
-        assert "composite" in err
-
-    @pytest.mark.parametrize("family,d,message", [
-        ("nonprime", "5", "nonprime family requires composite d, got 5"),
-        ("nonprime", "-3", "dimension must be at least 2, got -3"),
-        ("orthogonal", "1", "dimension must be at least 2, got 1"),
+    @pytest.mark.parametrize("d,message", [
+        ("-3", "dimension must be at least 2, got -3"),
+        ("1", "dimension must be at least 2, got 1"),
         # past DENSE_BYTES: synthesize would refuse the pair
-        ("orthogonal", "72", budget_error("synthesis", 72)),
-        ("nonprime", "72", budget_error("synthesis", 72)),
-    ], ids=["prime", "negative", "one", "past-synthesis-orthogonal", "past-synthesis-nonprime"])
-    def test_bad_dimension_rejected_before_sampling(self, capsys, monkeypatch, family, d,
-                                                    message):
+        ("72", budget_error("synthesis", 72)),
+    ], ids=["negative", "one", "past-synthesis"])
+    def test_bad_dimension_rejected_before_sampling(self, capsys, monkeypatch, d, message):
         from loccopy import generators
 
         calls = []
-        for name in ("orthogonal_pair", "nonprime_counterexample"):
-            draw = getattr(generators, name)
-            monkeypatch.setattr(generators, name,
-                                lambda *args, draw=draw: calls.append(args) or draw(*args))
-        code, out, err = run(capsys, ["survey", "--d", "4", d, "--family", family,
-                                      "--samples", "2"])
+        draw = generators.orthogonal_pair
+        monkeypatch.setattr(generators, "orthogonal_pair",
+                            lambda *args: calls.append(args) or draw(*args))
+        code, out, err = run(capsys, ["survey", "--d", "4", d, "--samples", "2"])
         assert code == 2
         assert out == ""
         assert calls == []
         assert err.splitlines() == [f"error: {message}"]
 
-    @pytest.mark.parametrize("family", ["orthogonal", "nonprime"])
-    def test_oversized_dimension_rejected_before_sampling(self, capsys, monkeypatch, family):
+    def test_oversized_dimension_rejected_before_sampling(self, capsys, monkeypatch):
         from loccopy import generators
 
         def refuse(*args):
             raise AssertionError("generator called")
 
-        for name in ("orthogonal_pair", "nonprime_counterexample"):
-            monkeypatch.setattr(generators, name, refuse)
+        monkeypatch.setattr(generators, "orthogonal_pair", refuse)
         # the small dimension listed first is not sampled either
-        code, out, err = run(capsys, ["survey", "--d", "4", "20737", "--family", family,
-                                      "--samples", "2"])
+        code, out, err = run(capsys, ["survey", "--d", "4", "20737", "--samples", "2"])
         assert code == 2
         assert out == ""
         assert budget_error("synthesis", 20737) in err
@@ -1183,6 +1146,7 @@ def error_files() -> dict:
         "state2": pair["psi2"],
         "five": 5,
         "psi1_five": {**pair, "psi1": 5},
+        "pair_d_five": {**pair, "d": 5},
         # JSON reads 1e999 as inf; the decoder must not warn before the error
         "inf_pair": json.dumps({**pair, "psi1": inf_psi1}).replace("Infinity", "1e999"),
         "d_null": {**protocol, "d": None},
@@ -1214,11 +1178,12 @@ ERROR_ARGV = {
     "missing dimension": ["generate", "--family", "orthogonal"],
     "oversized dimension, generate": ["generate", "--family", "orthogonal", "--d", "20737"],
     "oversized dimension, survey": ["survey", "--d", "20737", "--samples", "1"],
-    "prime d, nonprime survey": ["survey", "--d", "5", "--family", "nonprime"],
     "third state file, check-pair": ["check-pair", "{state1}", "{state2}", "{pair}"],
     "third state file, synthesize": ["synthesize", "{state1}", "{state2}", "{pair}"],
     "pair not an object": ["check-pair", "{five}"],
     "state not an object": ["check-pair", "{psi1_five}"],
+    "pair d not its states' d, check-pair": ["check-pair", "{pair_d_five}"],
+    "pair d not its states' d, synthesize": ["synthesize", "{pair_d_five}"],
     "infinite amplitude": ["check-pair", "{inf_pair}"],
     "protocol d null": ["simulate", "{d_null}", "{state1}"],
     "protocol phases": ["simulate", "{phases_five}", "{state1}"],
@@ -1381,6 +1346,8 @@ def run_probe(argv):
     (["synthesize", "pair.json", "--pretty"], 2),
     (["survey", "--help"], 0),
     (["survey", "--d", "2", "--bogus"], 2),
+    (["survey", "--d", "4", "--family", "nonprime"], 2),
+    (["survey", "--d", "4", "--family", "orthogonal"], 2),
 ])
 def test_parsing_alone_leaves_numpy_unloaded(argv, code):
     result = run_probe(argv)
@@ -1403,6 +1370,23 @@ def test_pair_commands_leave_generators_unloaded(tmp_path, command):
     result = run_probe(argv)
     assert result.returncode == 0, result.stderr
     assert result.stderr.splitlines()[-1] == "['loccopy.copying', 'numpy']"
+
+
+@pytest.mark.parametrize("command,loaded", [
+    ("majorize", "['numpy']"),
+    ("catalysis", "['numpy']"),
+    ("generate", "['loccopy.generators', 'numpy']"),
+], ids=["majorize", "catalysis", "generate"])
+def test_commands_without_a_verdict_leave_copying_unloaded(tmp_path, command, loaded):
+    # serialization imports copying only to load a protocol
+    probs = write_json(tmp_path, "probs.json", {"probs": [0.5, 0.5]})
+    argv = {"majorize": ["majorize", probs, probs],
+            "catalysis": ["catalysis", probs, probs],
+            "generate": ["generate", "--family", "orthogonal", "--d", "2",
+                         "--out", str(tmp_path / "pair.json")]}[command]
+    result = run_probe(argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stderr.splitlines()[-1] == loaded
 
 
 def run_in_one_gib(argv):

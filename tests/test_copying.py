@@ -369,6 +369,32 @@ class TestPowerTraceOracle:
             except AmbiguityError:  # not copyable either
                 pass
 
+    @pytest.mark.parametrize("d,m", [(6, 3), (8, 2), (12, 3), (12, 6), (16, 4), (16, 16)])
+    def test_copyable_verdict_is_within_the_certificate_bound(self, d, m):
+        # A copyable verdict chains each phase within (d/M) PHASE_TOL of its
+        # rotated root, so every lambda^M lies within d PHASE_TOL of a common
+        # value and every |tr T^k| / d, 0 < k < M, is below d PHASE_TOL too:
+        # the certificate's residual at the verdict's M is at most
+        # 2 d PHASE_TOL.  Which verdict the band near PHASE_TOL gets is not
+        # asserted.
+        rng = np.random.default_rng((d, m))
+        copyable = 0
+        for eps in (5e-8, 1e-7, 1.5e-7, 2e-7, 5e-7, 1e-6):
+            for _ in range(100):
+                v = haar_unitary(d, seed=int(rng.integers(2**32)))
+                phases = (rng.uniform(0, TAU) + TAU * (np.arange(d) % m) / m
+                          + rng.uniform(-eps, eps, d))
+                t = (v * np.exp(1j * phases)) @ v.conj().T
+                try:
+                    report = spectral_verdict(t)
+                except AmbiguityError:
+                    continue
+                if report.copyable:
+                    copyable += 1
+                    _, residual = power_trace_certificate(t, report.detected_m)
+                    assert residual <= 2 * d * PHASE_TOL + 1e-12
+        assert copyable  # the bound was put to the test
+
 
 def spectra_multiset_oracle(multiplicities, m, d):
     """Compare the exponent multisets of T~ (x) T~ and T~ (x) 1 directly."""
@@ -988,7 +1014,7 @@ class TestWorkCounts:
         }
 
     def test_survey_judges_each_sample_by_its_eigenvalues(self, counts):
-        survey("nonprime", [4, 6], 3, seed=0)
+        survey([4, 6], 3, seed=0)
         assert len(counts["eigvals"]) == 6
         assert len(counts["eig_normal"]) == len(counts["svd"]) == 0
 
@@ -1001,21 +1027,14 @@ class TestWorkCounts:
 class TestSurvey:
     """copying.survey as a library call; its CLI output is pinned in test_cli."""
 
-    def test_unknown_family_refused(self):
-        with pytest.raises(ValueError, match="'orthogonal' or 'nonprime', got 'copyable'"):
-            survey("copyable", [4], 1, seed=0)
-
     def test_dimensions_may_be_any_iterable(self):
-        assert survey("orthogonal", iter([2, 4]), 2, seed=1) == survey(
-            "orthogonal", (2, 4), 2, seed=1)
+        assert survey(iter([2, 4]), 2, seed=1) == survey((2, 4), 2, seed=1)
 
-    @pytest.mark.parametrize("family,ds", [("orthogonal", [2, 3, 12]), ("nonprime", [4, 6])])
-    def test_judges_the_seeded_draws(self, monkeypatch, family, ds):
-        # every fraction of these families reads 0.0 or 1.0 whatever is
-        # drawn, so the rows cannot see a change in the draws; the states
-        # handed to pair_operator can
+    def test_judges_the_seeded_draws(self, monkeypatch):
+        # every fraction reads 0.0 or 1.0 whatever is drawn (copyable at
+        # d = 2, 3, never at d = 12), so the rows cannot see a change in
+        # the draws; the states handed to pair_operator can
         import loccopy.copying
-        from loccopy.generators import _draw_delta, _nonprime_split
 
         judged = []
 
@@ -1024,17 +1043,13 @@ class TestSurvey:
             return pair_operator(psi1, psi2)
 
         monkeypatch.setattr(loccopy.copying, "pair_operator", record)
-        survey(family, ds, 3, seed=5)
+        ds = [2, 3, 12]
+        survey(ds, 3, seed=5)
         expected = []
         for d in ds:
             for k in range(3):
                 sample_seed = int(np.random.SeedSequence((5, d, k)).generate_state(1)[0])
-                if family == "orthogonal":
-                    pair = orthogonal_pair(d, sample_seed)
-                else:
-                    delta = _draw_delta(np.random.default_rng(sample_seed), d)
-                    pair = nonprime_counterexample(*_nonprime_split(d), delta, sample_seed)
-                expected.append(tuple(psi.grid for psi in pair))
+                expected.append(tuple(psi.grid for psi in orthogonal_pair(d, sample_seed)))
         assert len(judged) == len(expected)
         for got, want in zip(judged, expected):
             for a, b in zip(got, want):

@@ -145,10 +145,8 @@ def number_argv(draw, command):
     """argv of generate or survey with drawn numbers that argparse accepts."""
     seed = ["--seed", str(draw(st.integers(-2, 2**70)))]
     if command == "survey":
-        family = draw(st.sampled_from(["orthogonal", "nonprime"]))
         dims = [str(draw(DIMENSIONS)) for _ in range(draw(st.integers(1, 2)))]
-        return ["survey", "--family", family, "--d", *dims,
-                "--samples", str(draw(st.integers(-1, 2))), *seed]
+        return ["survey", "--d", *dims, "--samples", str(draw(st.integers(-1, 2))), *seed]
     family = draw(st.sampled_from(["orthogonal", "copyable", "nonprime"]))
     argv = ["generate", "--family", family, *seed]
     for flag in {"orthogonal": ["--d"], "copyable": ["--d", "--m"],
@@ -226,9 +224,7 @@ def non_number_leaf(draw):
     true, false, null or the number's own text."""
     name = draw(st.sampled_from(sorted(READERS)))
     doc = copy.deepcopy(VALID[name])
-    # a pair's top-level "d" is written for readers; pair_from_json does not read it
-    paths = [path for path in number_paths(doc) if name != "pair" or path != ("d",)]
-    *parents, last = draw(st.sampled_from(paths))
+    *parents, last = draw(st.sampled_from(number_paths(doc)))
     node = doc
     for step in parents:
         node = node[step]
@@ -250,6 +246,7 @@ TRUE_OPERATOR = {**CNOT, "A": [[True if x == 1.0 else x for x in pair] for pair 
 
 @given(case=non_number_leaf())
 @example(case=("pair", TEXT_AMPLITUDE, "amplitudes"))
+@example(case=("pair", {**VALID["pair"], "d": True}, "d"))
 @example(case=("probs", {"probs": ["0.5", True, 0]}, "probs"))
 @example(case=("protocol", TRUE_OPERATOR, "A"))
 @settings(max_examples=60, deadline=None)

@@ -66,6 +66,7 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         loccopy.no_such_name
     assert not hasattr(loccopy, "NumericConfig")
+    assert not hasattr(loccopy, "emit_locc_transcript")
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)

@@ -292,3 +292,14 @@ class TestPairJson:
     def test_missing_member_rejected(self):
         with pytest.raises(ValueError, match="psi2"):
             pair_from_json({"psi1": state_to_json(max_entangled(2))})
+
+    def test_dimension_must_be_the_states_d(self):
+        obj = {**pair_to_json(max_entangled(2), max_entangled(2)), "d": 5}
+        with pytest.raises(ValueError, match="state pair key 'd' is 5, but its states have d = 2"):
+            pair_from_json(obj)
+
+    def test_missing_dimension_rejected(self):
+        obj = pair_to_json(max_entangled(2), max_entangled(2))
+        del obj["d"]
+        with pytest.raises(ValueError, match="state pair is missing required key 'd'"):
+            pair_from_json(obj)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from loccopy.config import TAU
 from loccopy.copying import CopyProtocol, synthesize_protocol
 from loccopy.generators import copyable_pair, haar_unitary, orthogonal_pair
-from loccopy.simulator import emit_locc_transcript, run_copy
+from loccopy.simulator import run_copy
 from loccopy.states import BipartiteState, from_unitary, max_entangled, overlap
 from loccopy.tensor import kron
 
@@ -219,13 +219,3 @@ class TestOverlapKernel:
         with pytest.raises(ValueError, match="B operator is not unitary"):
             run_copy(protocol, psi1)
 
-
-class TestTranscript:
-    def test_contents(self):
-        psi1, psi2 = orthogonal_pair(2, seed=80)
-        protocol = synthesize_protocol(psi1, psi2, max_entangled(2))
-        text = emit_locc_transcript(protocol)
-        assert "A:(1,3) B:(2,4)" in text
-        assert "K = 1" in text
-        assert "classical communication rounds required: 0" in text
-        assert f"{protocol.phases[1]:+.9f}" in text
