@@ -35,7 +35,8 @@ print()
 
 # At composite D the condition is fragile: spreading the eigenvalues by
 # any 0 < delta < 2 pi / D keeps the pair orthogonal but breaks the
-# equal spacing, so no protocol exists.
+# equal spacing, and away from both ends of that interval (by more than
+# 2 PHASE_TOL / (d2 - 1)) no protocol exists.
 
 t_bad = nonprime_unitary(2, 2, delta=0.4, seed=2)
 report_bad = spectral_verdict(t_bad)

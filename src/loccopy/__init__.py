@@ -25,7 +25,7 @@ import sys
 __version__ = "0.1.0"
 
 _HOMES = {
-    "config": ("AmbiguityError", "NotCopyableError", "PreconditionError", "SynthesisError"),
+    "config": ("NotCopyableError", "PreconditionError", "SynthesisError"),
     "copying": (
         "CopyProtocol", "IDENTICAL", "NEITHER", "ORTHOGONAL", "SpectrumReport",
         "degeneracy_form_check", "orthogonality", "pair_operator", "spectral_verdict",

@@ -17,10 +17,8 @@ internal error (a synthesized protocol failed its own verification;
 see SynthesisError).  File arguments accept "-" for
 stdin, which a command may name once; check-pair and synthesize read
 one pair file or two state files and refuse more.  The seed defaults
-to 0; a negative seed is an input error, exit code 2, as is an
-ambiguous eigenphase clustering (AmbiguityError) in check-pair or
-synthesize; survey counts it instead.  No input comes from the
-environment.
+to 0; a negative seed is an input error, exit code 2.  No input comes
+from the environment.
 
 All JSON output goes through _write_json, which streams it (a
 protocol's A and B one matrix row at a time) with the same bytes as
@@ -272,13 +270,13 @@ def cmd_generate(args) -> int:
     else:  # nonprime
         if args.d1 is None or args.d2 is None:
             raise ValueError("--d1 and --d2 are required for the nonprime family")
-        if args.d1 < 2 or args.d2 < 2:  # before delta is drawn from (0, 2 pi / d)
+        if args.d1 < 2 or args.d2 < 2:  # before delta is drawn
             raise ValueError(f"--d1 and --d2 must be at least 2, got {args.d1} and {args.d2}")
         d = args.d1 * args.d2
         _check_dimension(d)
         delta = args.delta
         if delta is None:
-            delta = _draw_delta(np.random.default_rng((seed, 2)), d)
+            delta = _draw_delta(np.random.default_rng((seed, 2)), d, args.d2)
         psi1, psi2 = generators.nonprime_counterexample(args.d1, args.d2, delta, seed)
         meta.update({"d1": args.d1, "d2": args.d2, "delta": delta})
     _write_json(serialization.pair_to_json(psi1, psi2, **meta), args.out)
@@ -351,7 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d1", type=int, default=None, help="first factor of D (nonprime)")
     p.add_argument("--d2", type=int, default=None, help="second factor of D (nonprime)")
     p.add_argument("--delta", type=float, default=None,
-                   help="spectral spacing in (0, 2pi/D) (nonprime; default random)")
+                   help="spectral spacing in (0, 2pi/D), more than 2 PHASE_TOL/(d2-1) "
+                        "from both ends (nonprime; default random)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
     p.add_argument("--out", default=None, help="write pair JSON here (default stdout)")
     p.set_defaults(handler=cmd_generate)

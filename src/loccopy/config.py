@@ -14,7 +14,8 @@ TAU = 2.0 * math.pi
 NORM_TOL = 1e-10        # |norm - 1| bound when constructing a state or probability vector
 UNITARITY_TOL = 1e-9    # ||U^dag U - I||_F bound, certified from factors for C1 and A; also C1's relation residual
 NORMALITY_TOL = 1e-8    # ||M V - V diag(lam)||_F / max(1, ||M||_F) bound in eig_normal
-PHASE_TOL = 1e-7        # eigenphase clustering gap cut, radians; |Tr T|/d bound for orthogonality
+PHASE_TOL = 1e-7        # largest distance of an eigenphase from its rotated root, radians;
+                        # clusters are cut at twice it; also the |Tr T|/d bound for orthogonality
 SUM_TOL = 1e-10         # one-sided slack on majorization partial sums
 MAX_ENT_TOL = 1e-8      # max deviation of Schmidt probs from 1/d
 FIDELITY_TOL = 1e-9     # copy verification: require f >= 1 - FIDELITY_TOL
@@ -45,10 +46,6 @@ class PreconditionError(ValueError):
 
 class NotCopyableError(PreconditionError):
     """The pair is valid input, but no local copying protocol exists for it."""
-
-
-class AmbiguityError(ValueError):
-    """Eigenphase clustering is ill-conditioned at PHASE_TOL."""
 
 
 class SynthesisError(RuntimeError):

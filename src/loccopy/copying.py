@@ -13,15 +13,18 @@ When it does, a unitary A on the doubled space with
 exists and can be built by pairing eigenspaces of equal eigenvalue, and
 the protocol's local unitaries follow from A by fixed conjugations.
 
-Synthesis takes the qudit-CNOT pairing: A = sum_s X^s (x) Pi_s, with
-Pi_s the projector onto T~'s eigenspace for the root w^s and X the
-shift from each root's eigenspace to the previous root's.  Which root
-an eigenvalue belongs to is decided once, by the verdict's clustering
-at PHASE_TOL, and synthesis reuses those labels, both in one function,
-_controlled_shift.  NotCopyableError alone says no protocol exists.
-A satisfies the defining relation to roundoff for the snapped operator
-T^ = sum_s w^s Pi_s, against which it is checked, and for T~ itself to
-within T~'s distance from T^, which the verdict bounds by PHASE_TOL.
+The verdict calls T copyable iff every eigenphase lies within
+PHASE_TOL of such a spectrum; its clusters, cut at gaps of 2 PHASE_TOL,
+are then exactly the roots.  Synthesis takes the qudit-CNOT pairing:
+A = sum_s X^s (x) Pi_s, with Pi_s the projector onto T~'s eigenspace
+for the root w^s and X the shift from each root's eigenspace to the
+previous root's.  Which root an eigenvalue belongs to is decided once,
+by the verdict's clustering, and synthesis reuses those labels, both
+in one function, _controlled_shift.  NotCopyableError alone says no
+protocol exists.  A satisfies the defining relation to roundoff for
+the snapped operator T^ = sum_s w^s Pi_s, against which it is checked,
+and for T~ itself to within T~'s distance from T^, which the verdict
+bounds by 2 PHASE_TOL.
 The protocol's A and B are then each a sum of M Kronecker products of
 d x d factors.  The checks of the construction run on those factors
 at O(M d^3 + M^2 d^2): unitarity by a certified bound and the defining
@@ -45,7 +48,6 @@ from .config import (
     PHASE_TOL,
     TAU,
     UNITARITY_TOL,
-    AmbiguityError,
     NotCopyableError,
     SynthesisError,
     check_dense_bytes,
@@ -127,9 +129,10 @@ def orthogonality(t: np.ndarray) -> str:
     <psi2|psi1> = Tr(T)/D: returns "orthogonal" when |Tr| <= D*PHASE_TOL,
     "identical_up_to_phase" when |Tr| >= D*(1 - PHASE_TOL), else
     "neither".  The tolerance is spectral_verdict's: the M >= 2 roots of
-    unity sum to 0, so a T whose eigenphases each lie within PHASE_TOL of
-    a copyable spectrum with M >= 2 has |Tr| <= D*PHASE_TOL and is
-    "orthogonal", never "neither".
+    unity sum to 0, and a copyable verdict puts each eigenphase within
+    PHASE_TOL of a rotated root, so a T that spectral_verdict calls
+    copyable with M >= 2 has |Tr|/D <= PHASE_TOL and is "orthogonal",
+    never "neither".
     """
     t = np.asarray(t)
     d = t.shape[0]
@@ -155,19 +158,22 @@ def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]
     rest is one plain-Python pass over those d values and the M
     clusters, which for the d of a verdict costs less than the per-call
     overhead of further array operations.  The sorted phases are cut
-    into clusters at gaps > PHASE_TOL, and the first and last clusters
-    merge when they meet across the 0/2pi seam; cluster 0 holds the
-    smallest phase.  Each cluster is represented by
-    the circular mean of its phases, accumulated in eigenvalue order.
-    Two representatives within 2 PHASE_TOL raise AmbiguityError.
-    Otherwise the rotation puts cluster 0 at 0, and the pair is copyable
-    iff the rotated representatives lie within PHASE_TOL of the M-th
-    roots of unity (M the number of clusters) and every multiplicity
-    is D/M.  Clusters are numbered in ascending phase order from cluster
-    0, so for a copyable report cluster k is the root w^k: the labels
-    are the root indices by which synthesis pairs eigenspaces.
+    into clusters at gaps > 2 PHASE_TOL, and the first and last clusters
+    merge when they meet across the 0/2pi seam within the same bound;
+    cluster 0 holds the smallest phase.  Each cluster is represented by
+    the circular mean of its phases, accumulated in eigenvalue order,
+    and the rotation puts cluster 0's at 0.  The pair is copyable iff
+    every multiplicity is D/M (M the number of clusters) and the offsets
+    phase_i - 2 pi label_i / M + rotation lie on an arc of at most
+    2 PHASE_TOL, that is, iff every phase lies within PHASE_TOL of a
+    rotated grid of Mth roots with equal multiplicities: such a grid's
+    groups are at most 2 PHASE_TOL wide and more than 2 PHASE_TOL apart,
+    so they are the clusters, and no other M fits.  Clusters are
+    numbered in ascending phase order from cluster 0, so for a copyable
+    report cluster k is the root w^k: the labels are the root indices
+    by which synthesis pairs eigenspaces.
     """
-    tol = PHASE_TOL
+    cut = 2.0 * PHASE_TOL
     phases = _mod_tau(np.angle(lam))
     order = np.argsort(phases)
     points = np.exp(1j * phases).tolist()
@@ -179,12 +185,12 @@ def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]
     m = 0
     previous = values[sorted_idx[0]]
     for i in sorted_idx[1:]:
-        if values[i] - previous > tol:
+        if values[i] - previous > cut:
             m += 1
         labels[i] = m
         previous = values[i]
     m += 1
-    if m > 1 and values[sorted_idx[0]] + TAU - previous <= tol:
+    if m > 1 and values[sorted_idx[0]] + TAU - previous <= cut:
         m -= 1
         labels = [0 if label == m else label for label in labels]
 
@@ -196,26 +202,16 @@ def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]
     # numpy's arctan2, not math.atan2, which can differ in the last ulp
     reps = _mod_tau(np.arctan2(imag, real)).tolist()
 
-    by_phase = sorted(range(m), key=reps.__getitem__)
-    if m > 1:
-        ordered = [reps[k] for k in by_phase]
-        smallest = min(b - a for a, b in zip(ordered, ordered[1:] + [ordered[0] + TAU]))
-        if smallest <= 2.0 * tol:
-            raise AmbiguityError(
-                f"two eigenphase clusters are separated by only {smallest:.3e} rad, "
-                f"between PHASE_TOL {tol:.1e} and twice that; "
-                "the clustering is ambiguous at this tolerance"
-            )
-
     rotation = _mod_tau(-reps[0])  # cluster 0 holds the smallest phase
-    rotated = sorted((r + rotation) % TAU for r in reps)
-    offsets = (abs(r - TAU * k / m) % TAU for k, r in enumerate(rotated))
-    aligned = all(min(offset, TAU - offset) <= tol for offset in offsets)
-    copyable = aligned and d % m == 0 and all(c == d // m for c in multiplicities)
+    # each phase's offset from its rotated root, shifted by pi so that the
+    # offsets near 0 cannot wrap
+    offsets = [(v - TAU * k / m + rotation + math.pi) % TAU for v, k in zip(values, labels)]
+    copyable = (d % m == 0 and all(c == d // m for c in multiplicities)
+                and max(offsets) - min(offsets) <= cut)
 
     report = SpectrumReport(
         eigenphases=phases[order],
-        clusters=tuple((reps[k], multiplicities[k]) for k in by_phase),
+        clusters=tuple(sorted(zip(reps, multiplicities))),
         rotation=rotation,
         detected_m=m if copyable else None,
         copyable=copyable,
@@ -227,11 +223,11 @@ def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]
 def spectral_verdict(t: np.ndarray) -> SpectrumReport:
     """Decide copyability of the pair behind t from its eigenphases.
 
-    Clusters the eigenphases, removes the rotation that puts the cluster
-    containing the smallest phase at 0, and reports copyable iff the
-    cluster representatives match the Mth-roots-of-unity grid (M = number
-    of clusters) within PHASE_TOL and all multiplicities equal D/M.
-    Needs only the eigenvalues of t, never its eigenvectors.
+    Reports copyable iff every eigenphase lies within PHASE_TOL of a
+    rotated grid of Mth roots of unity, each root holding D/M of them.
+    The eigenphases are clustered at gaps of 2 PHASE_TOL (M = number of
+    clusters), and rotation puts the cluster holding the smallest phase
+    at 0.  Needs only the eigenvalues of t, never its eigenvectors.
     """
     t = np.asarray(t, dtype=complex)
     assert_unitary(t, "pair operator")
@@ -385,7 +381,8 @@ def synthesize_a(t: np.ndarray) -> np.ndarray:
     it is assembled.  It satisfies the relation to roundoff for the
     snapped T^ = sum_s w^s Pi_s, and for T~ itself to within T~'s
     distance from T^, which the verdict bounds by putting every
-    cluster within PHASE_TOL of its root.  Deterministic for a given t.
+    eigenphase of T~ within 2 PHASE_TOL of its root.  Deterministic for
+    a given t.
     Raises NotCopyableError when the spectral condition fails, and
     ValueError for an empty t or one whose A would exceed DENSE_BYTES,
     before any eigendecomposition.
@@ -419,8 +416,8 @@ def synthesize_protocol(
     the states are not orthogonal (an identical pair included, which
     spectral_verdict calls copyable with M = 1) or their spectrum is not
     copyable.  Invalid input raises ValueError (unequal dimensions, or
-    protocol_bytes(d) beyond DENSE_BYTES, before any state is validated),
-    PreconditionError (a state not maximally entangled) or AmbiguityError.
+    protocol_bytes(d) beyond DENSE_BYTES, before any state is validated)
+    or PreconditionError (a state not maximally entangled).
     """
     if not psi1.d == psi2.d == blank.d:
         raise ValueError(f"dimension mismatch: {psi1.d}, {psi2.d} and blank {blank.d}")
@@ -455,12 +452,11 @@ def synthesize_protocol(
 
 
 def survey(ds, samples: int, seed: int) -> list[dict]:
-    """One row {"d", "samples", "orthogonal_fraction", "copyable_fraction",
-    "ambiguous_fraction"} per d in ds, over samples pairs from
-    orthogonal_pair.  Sample k at d draws from SeedSequence((seed, d, k))
-    and is judged by pair_operator, orthogonality and spectral_verdict;
-    AmbiguityError counts it ambiguous, not copyable.  ValueError refuses
-    samples < 1, d < 2 and a d past DENSE_BYTES before the first draw."""
+    """One row {"d", "samples", "orthogonal_fraction", "copyable_fraction"}
+    per d in ds, over samples pairs from orthogonal_pair.  Sample k at d
+    draws from SeedSequence((seed, d, k)) and is judged by pair_operator,
+    orthogonality and spectral_verdict.  ValueError refuses samples < 1,
+    d < 2 and a d past DENSE_BYTES before the first draw."""
     from . import generators  # here, so that check-pair and synthesize never load it
 
     if samples < 1:
@@ -470,18 +466,14 @@ def survey(ds, samples: int, seed: int) -> list[dict]:
         generators._check_dimension(d)
     rows = []
     for d in ds:
-        orthogonal_count = copyable_count = ambiguous_count = 0
+        orthogonal_count = copyable_count = 0
         for k in range(samples):
             # flat, well-mixed per-sample seed derived from (seed, d, k)
             sample_seed = int(np.random.SeedSequence((seed, d, k)).generate_state(1)[0])
             t = pair_operator(*generators.orthogonal_pair(d, sample_seed))
             orthogonal_count += orthogonality(t) == ORTHOGONAL
-            try:
-                copyable_count += spectral_verdict(t).copyable
-            except AmbiguityError:
-                ambiguous_count += 1
+            copyable_count += spectral_verdict(t).copyable
         rows.append({"d": d, "samples": samples,
                      "orthogonal_fraction": orthogonal_count / samples,
-                     "copyable_fraction": copyable_count / samples,
-                     "ambiguous_fraction": ambiguous_count / samples})
+                     "copyable_fraction": copyable_count / samples})
     return rows

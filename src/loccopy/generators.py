@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import TAU, check_dense_bytes, int_text, protocol_bytes
+from .config import PHASE_TOL, TAU, check_dense_bytes, int_text, protocol_bytes
 from .states import BipartiteState, from_unitary
 
 
@@ -32,11 +32,18 @@ def _check_dimension(d: int) -> None:
     check_dense_bytes(f"synthesis at d = {int_text(d)}", protocol_bytes(d))
 
 
-def _draw_delta(rng: np.random.Generator, d: int) -> float:
-    """Draw delta uniformly from (0, 2 pi / d), the open interval that
-    nonprime_counterexample accepts; a draw of exactly 0 is redrawn."""
+def _delta_interval(d: int, d2: int) -> tuple[float, float]:
+    """The open interval of the deltas nonprime_unitary admits at D = d."""
+    bound = 2.0 * PHASE_TOL / (d2 - 1)
+    return bound, TAU / d - bound
+
+
+def _draw_delta(rng: np.random.Generator, d: int, d2: int) -> float:
+    """Draw delta uniformly from (0, 2 pi / d), redrawn until it lies
+    inside the interval that nonprime_unitary admits."""
+    low, high = _delta_interval(d, d2)
     delta = 0.0
-    while not 0.0 < delta < TAU / d:
+    while not low < delta < high:
         delta = float(rng.uniform(0.0, TAU / d))
     return delta
 
@@ -103,16 +110,17 @@ def nonprime_unitary(d1: int, d2: int, delta: float, seed: int) -> np.ndarray:
     """Traceless unitary with spectrum e^{2 pi i (j-1)/d1} e^{i (j'-1) delta}.
 
     For composite D = d1*d2 and 0 < delta < 2 pi / D the eigenvalues are
-    distinct and not equally spaced, so the planted pair is orthogonal
-    but never copyable.
+    distinct and not equally spaced, so the planted pair is orthogonal.
+    It is copyable iff (d2 - 1) min(delta, 2 pi / D - delta) <= 2 PHASE_TOL,
+    and such a delta raises ValueError, which names the admitted interval.
     """
     if d1 < 2 or d2 < 2:
         raise ValueError(f"factors must be at least 2, got {d1} and {d2}")
     d = d1 * d2
-    if not 0.0 < delta < TAU / d:
-        raise ValueError(
-            f"delta must lie strictly inside (0, {TAU / d:.6f}) for D={d}, got {delta}"
-        )
+    low, high = _delta_interval(d, d2)
+    if not low < delta < high:
+        raise ValueError(f"delta must lie strictly inside ({low:.6g}, {high:.6f}) "
+                         f"for D={d} and d2={d2}, got {delta}")
     rng = np.random.default_rng(seed)
     lam = np.array([
         np.exp(1j * (TAU * j / d1 + jp * delta))

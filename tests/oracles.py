@@ -6,10 +6,12 @@ D C1 C2^dag (copying.pair_operator).  The routines here compute the
 same quantities the long way: assemble and apply_local build the whole
 four-particle state and re-wire its factor order through the (1,3,2,4)
 permutation and back, and partial_trace_second traces out the second
-factor of a dense operator, and power_trace_certificate decides the
+factor of a dense operator, power_trace_certificate decides the
 copyability condition from matrix powers and traces, with no
-eigenvalue.  They live with the tests, as oracles, and no package
-path calls them.
+eigenvalue, and nearest_copyable_residual measures the distance from
+eigenphases to the nearest copyable spectrum by trying every
+assignment of sorted phases to roots.  They live with the tests, as
+oracles, and no package path calls them.
 
 Particles are ordered (1,2,3,4): the state to copy lives on (1,2), the
 blank on (3,4); A acts on (1,3) and B on (2,4).  Flat vectors follow the
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from loccopy.config import NORM_TOL
+from loccopy.config import NORM_TOL, TAU
 from loccopy.states import BipartiteState, assert_unitary
 
 WIRING = (1, 3, 2, 4)  # self-inverse factor permutation pairing A and B slots
@@ -67,6 +69,34 @@ def power_trace_certificate(t: np.ndarray, m: int | None = None) -> tuple[int, f
         residuals.append(np.linalg.norm(power - scalar) / math.sqrt(d))
         if max(residuals) < best[1]:
             best = (m, max(residuals))
+    return best
+
+
+def nearest_copyable_residual(phases) -> tuple[int, float]:
+    """(M, residual) for the copyable spectrum nearest to the eigenphases
+    of a d x d unitary: the M dividing d whose rotated grid of Mth roots,
+    each root taking d/M phases, comes nearest, and the largest distance
+    of a phase from its root under the best rotation.
+
+    Brute force: for every M dividing d and every cyclic start in the
+    sorted phases, consecutive blocks of d/M phases go to the roots
+    j = 0, 1, ..., M-1 in turn.  The assignment's residual is half the
+    shortest arc that holds every phase_i - 2 pi j_i / M, that is, the
+    shortest arc's complement is the largest gap between those points
+    around the circle.  O(d^2 log d) per M.
+    """
+    values = sorted(float(phase) % TAU for phase in phases)
+    d = len(values)
+    best = (0, math.inf)
+    for m in (k for k in range(1, d + 1) if d % k == 0):
+        size = d // m
+        for start in range(d):
+            points = sorted((values[(start + i) % d] - TAU * (i // size) / m) % TAU
+                            for i in range(d))
+            widest = max(b - a for a, b in zip(points, points[1:] + [points[0] + TAU]))
+            residual = (TAU - widest) / 2
+            if residual < best[1]:
+                best = (m, residual)
     return best
 
 

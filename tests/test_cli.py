@@ -449,6 +449,23 @@ class TestSynthesizeAndSimulate:
             assert code == 0, err
             assert json.loads(out)["passes"] is True
 
+    def test_phases_one_and_a_half_tol_apart_share_a_root(self, capsys, tmp_path):
+        # eigenphases 0, 1.5e-7, pi and pi + 1.5e-7: each within PHASE_TOL
+        # of a root of the grid {0.75e-7, pi + 0.75e-7}
+        phases = np.array([0.0, 1.5e-7, np.pi, np.pi + 1.5e-7])
+        psi1, psi2 = from_unitary(np.diag(np.exp(1j * phases))), max_entangled(4)
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
+        code, out, err = run(capsys, ["check-pair", pair])
+        assert code == 0, err
+        assert (json.loads(out)["copyable"], json.loads(out)["detected_m"]) == (True, 2)
+        out_path = str(tmp_path / "protocol.json")
+        assert run(capsys, ["synthesize", pair, "--out", out_path]) == (0, "", "")
+        for k, psi in enumerate((psi1, psi2)):
+            state = write_json(tmp_path, f"s{k}.json", serialization.state_to_json(psi))
+            code, out, err = run(capsys, ["simulate", out_path, state])
+            assert code == 0, err
+            assert json.loads(out)["passes"] is True
+
     def test_uncopyable_pair_is_negative(self, capsys, tmp_path):
         psi1, psi2 = nonprime_counterexample(2, 2, delta=0.5, seed=8)
         pair = write_json(tmp_path, "pair.json",
@@ -689,12 +706,22 @@ class TestGenerate:
         from loccopy.generators import _draw_delta
 
         class Rng:
-            draws = [0.0, 0.5]
+            # zero, then one draw near either end of (0, 2 pi / 6), where
+            # the planted 2 x 3 spectrum would be copyable
+            draws = [0.0, 5e-8, TAU / 6 - 5e-8, 0.5]
 
             def uniform(self, low, high):
                 return self.draws.pop(0)
 
-        assert _draw_delta(Rng(), 6) == 0.5
+        assert _draw_delta(Rng(), 6, 3) == 0.5
+
+    @pytest.mark.parametrize("delta", ["1e-9", "1.047197551"])
+    def test_nonprime_delta_planting_a_copyable_spectrum_is_input_error(self, capsys, delta):
+        code, out, err = run(capsys, ["generate", "--family", "nonprime",
+                                      "--d1", "2", "--d2", "3", "--delta", delta])
+        assert (code, out) == (2, "")
+        assert err == ("error: delta must lie strictly inside (1e-07, 1.047197) "
+                       f"for D=6 and d2=3, got {float(delta)}\n")
 
     @pytest.mark.parametrize("family_args", [
         ["--family", "orthogonal", "--d", "20737"],
@@ -796,40 +823,39 @@ class TestGenerate:
         assert json.loads(out)["detected_m"] == 3
 
 
-# The stdout of two survey runs, JSON and --pretty, as the sampling
-# loop printed them before it moved from the CLI into copying.survey;
-# each key is the argv and copying.survey's (ds, samples, seed).
+# The stdout of two survey runs, JSON and --pretty; each key is the
+# argv and copying.survey's (ds, samples, seed).
 PINNED_SURVEYS = {
     ("--d 2 3 12 --samples 20 --seed 5", ((2, 3, 12), 20, 5)): (
         '{"family": "orthogonal", "seed": 5, "rows": ['
         '{"d": 2, "samples": 20, "orthogonal_fraction": 1.0, '
-        '"copyable_fraction": 1.0, "ambiguous_fraction": 0.0}, '
+        '"copyable_fraction": 1.0}, '
         '{"d": 3, "samples": 20, "orthogonal_fraction": 1.0, '
-        '"copyable_fraction": 1.0, "ambiguous_fraction": 0.0}, '
+        '"copyable_fraction": 1.0}, '
         '{"d": 12, "samples": 20, "orthogonal_fraction": 1.0, '
-        '"copyable_fraction": 0.0, "ambiguous_fraction": 0.0}]}\n',
+        '"copyable_fraction": 0.0}]}\n',
         "family: orthogonal\n"
         "seed: 5\n"
         "rows:\n"
-        "   d  samples  orthogonal_fraction  copyable_fraction  ambiguous_fraction\n"
-        "   2       20                  1.0                1.0                 0.0\n"
-        "   3       20                  1.0                1.0                 0.0\n"
-        "  12       20                  1.0                0.0                 0.0\n"),
+        "   d  samples  orthogonal_fraction  copyable_fraction\n"
+        "   2       20                  1.0                1.0\n"
+        "   3       20                  1.0                1.0\n"
+        "  12       20                  1.0                0.0\n"),
     ("--d 2 3 4 --samples 10 --seed 0", ((2, 3, 4), 10, 0)): (
         '{"family": "orthogonal", "seed": 0, "rows": ['
         '{"d": 2, "samples": 10, "orthogonal_fraction": 1.0, '
-        '"copyable_fraction": 1.0, "ambiguous_fraction": 0.0}, '
+        '"copyable_fraction": 1.0}, '
         '{"d": 3, "samples": 10, "orthogonal_fraction": 1.0, '
-        '"copyable_fraction": 1.0, "ambiguous_fraction": 0.0}, '
+        '"copyable_fraction": 1.0}, '
         '{"d": 4, "samples": 10, "orthogonal_fraction": 1.0, '
-        '"copyable_fraction": 0.0, "ambiguous_fraction": 0.0}]}\n',
+        '"copyable_fraction": 0.0}]}\n',
         "family: orthogonal\n"
         "seed: 0\n"
         "rows:\n"
-        "  d  samples  orthogonal_fraction  copyable_fraction  ambiguous_fraction\n"
-        "  2       10                  1.0                1.0                 0.0\n"
-        "  3       10                  1.0                1.0                 0.0\n"
-        "  4       10                  1.0                0.0                 0.0\n"),
+        "  d  samples  orthogonal_fraction  copyable_fraction\n"
+        "  2       10                  1.0                1.0\n"
+        "  3       10                  1.0                1.0\n"
+        "  4       10                  1.0                0.0\n"),
 }
 
 
@@ -899,28 +925,7 @@ class TestSurvey:
         code, out, _ = run(capsys, ["survey", "--d", "2", "--samples", "3",
                                     "--seed", "19", "--pretty"])
         assert code == 0
-        assert "orthogonal" in out and "copyable" in out and "ambiguous" in out
-
-    def test_ambiguous_sample_is_counted(self, capsys, monkeypatch):
-        from loccopy import copying
-        from loccopy.config import AmbiguityError
-
-        verdict = copying.spectral_verdict
-        calls = []
-
-        def ambiguous_once(t):
-            calls.append(t)
-            if len(calls) == 2:
-                raise AmbiguityError("two eigenphase clusters are separated by only 1e-7 rad")
-            return verdict(t)
-
-        monkeypatch.setattr(copying, "spectral_verdict", ambiguous_once)
-        code, out, _ = run(capsys, ["survey", "--d", "2", "3",
-                                    "--samples", "4", "--seed", "16"])
-        assert code == 0
-        rows = json.loads(out)["rows"]
-        assert [(r["d"], r["copyable_fraction"], r["ambiguous_fraction"]) for r in rows] == [
-            (2, 0.75, 0.25), (3, 1.0, 0.0)]
+        assert "orthogonal" in out and "copyable" in out
 
 
 # The tolerances that were once flags, synthesis_tol among them.
@@ -957,19 +962,6 @@ class TestErrorHandling:
         code, _, err = run(capsys, ["majorize", f, f])
         assert code == 2
         assert "error:" in err
-
-    @pytest.mark.parametrize("command", ["check-pair", "synthesize"])
-    def test_ambiguous_clustering_is_input_error(self, capsys, tmp_path, command):
-        # two clusters 1.5e-7 rad apart: between PHASE_TOL and twice that
-        phases = np.array([0.0, 1.5e-7, np.pi, np.pi + 1.5e-7])
-        psi1 = from_unitary(np.diag(np.exp(1j * phases)))
-        pair = write_json(tmp_path, "pair.json",
-                          serialization.pair_to_json(psi1, max_entangled(4)))
-        code, out, err = run(capsys, [command, pair])
-        assert code == 2
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith("error: two eigenphase clusters")
 
     @pytest.mark.parametrize("argv", [
         ["majorize", "-", "-"], ["catalysis", "-", "-"], ["check-pair", "-", "-"],
@@ -1224,8 +1216,6 @@ def outcome_files(tmp_path) -> dict:
     """Paths of the inputs of test_one_exit_code_per_outcome, by name."""
     psi1, psi2 = orthogonal_pair(2, seed=2)
     weak = BipartiteState(np.diag([0.8, 0.6]))  # normalized, not maximally entangled
-    # two eigenphase clusters 1.5e-7 rad apart: between PHASE_TOL and twice that
-    near = from_unitary(np.diag(np.exp(1j * np.array([0.0, 1.5e-7, np.pi, np.pi + 1.5e-7]))))
     objects = {
         "pair": serialization.pair_to_json(psi1, psi2),
         "weak_pair": serialization.pair_to_json(weak, psi2),
@@ -1236,7 +1226,6 @@ def outcome_files(tmp_path) -> dict:
         "nonprime": serialization.pair_to_json(
             *nonprime_counterexample(2, 3, delta=0.5, seed=8)),
         "identical": serialization.pair_to_json(psi1, psi1),
-        "ambiguous": serialization.pair_to_json(near, max_entangled(4)),
     }
     return {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in objects.items()}
 
@@ -1255,8 +1244,6 @@ OUTCOMES = {
                                   "not synthesizable: pair operator spectrum is not"),
     "identical pair, synthesize": (["synthesize", "{identical}"], 1,
                                    "not synthesizable: states to copy must be orthogonal"),
-    "ambiguous clustering, synthesize": (["synthesize", "{ambiguous}"], 2,
-                                         "error: two eigenphase clusters"),
 }
 
 

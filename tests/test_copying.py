@@ -3,13 +3,12 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from loccopy.config import (
     FIDELITY_TOL,
     PHASE_TOL,
-    AmbiguityError,
     NotCopyableError,
     PreconditionError,
     SynthesisError,
@@ -29,6 +28,7 @@ from loccopy.copying import (
     synthesize_protocol,
 )
 from loccopy.generators import (
+    _delta_interval,
     copyable_pair,
     copyable_unitary,
     haar_unitary,
@@ -47,7 +47,7 @@ from loccopy.states import (
 )
 from loccopy.tensor import eig_normal, kron
 
-from oracles import partial_trace_second, power_trace_certificate
+from oracles import nearest_copyable_residual, partial_trace_second, power_trace_certificate
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -195,10 +195,9 @@ class TestSpectralVerdict:
         assert report.copyable
         assert report.detected_m == 2
 
-    def test_ambiguous_gap_raises(self):
-        t = np.diag([1.0, np.exp(1.5e-7j)])
-        with pytest.raises(AmbiguityError, match="ambiguous"):
-            spectral_verdict(t)
+    def test_gap_below_twice_tol_is_one_cluster(self):
+        report = spectral_verdict(np.diag([1.0, np.exp(1.5e-7j)]))
+        assert (report.copyable, report.detected_m, len(report.clusters)) == (True, 1, 1)
 
     def test_gap_above_twice_tol_is_not_ambiguous(self):
         report = spectral_verdict(np.diag([1.0, np.exp(3e-7j)]))
@@ -270,12 +269,11 @@ def planted_operator(phases, seed):
 
 
 class TestVerdictProperties:
-    """The verdict on planted spectra, against degeneracy_form_check."""
+    """The verdict on planted spectra, against degeneracy_form_check and
+    nearest_copyable_residual."""
 
-    # each eigenphase moved off its root by up to PHASE_TOL/2 (a hair less,
-    # so roundoff cannot stretch a cluster's spread past the PHASE_TOL gap cut)
     @given(planted_spectra(),
-           st.lists(st.floats(-0.49 * PHASE_TOL, 0.49 * PHASE_TOL), min_size=12, max_size=12))
+           st.lists(st.floats(-0.99 * PHASE_TOL, 0.99 * PHASE_TOL), min_size=12, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_copyable_iff_degeneracy_form(self, case, offsets):
         mult, rotation, seed = case
@@ -291,6 +289,34 @@ class TestVerdictProperties:
         for rep, count in report.clusters:  # matched to the nearest planted root
             gap = np.abs(rep - roots) % TAU
             assert count == mult[int(np.argmin(np.minimum(gap, TAU - gap)))]
+
+    def test_cluster_wider_than_twice_tol_is_not_copyable(self):
+        # two clusters of 8 phases 0.9 PHASE_TOL apart, centred on the roots
+        # 0 and pi: each spans 6.3 PHASE_TOL, so no phase grid fits within PHASE_TOL
+        spread = 0.9 * PHASE_TOL * (np.arange(8) - 3.5)
+        report = spectral_verdict(planted_operator(np.concatenate([spread, np.pi + spread]), 0))
+        assert [count for _, count in report.clusters] == [8, 8]
+        assert (report.copyable, report.detected_m) == (False, None)
+
+    @given(planted_spectra(), st.floats(0.0, 3 * PHASE_TOL),
+           st.lists(st.floats(-1.0, 1.0), min_size=12, max_size=12),
+           st.sampled_from([0.0, 1.5 * PHASE_TOL, -1.5 * PHASE_TOL,
+                            2.5 * PHASE_TOL, -2.5 * PHASE_TOL, 0.3]),
+           st.integers(0, 11))
+    @settings(max_examples=300, deadline=None)
+    def test_verdict_is_the_nearest_copyable_spectrum_test(self, case, scale, offsets, moved,
+                                                           which):
+        # each phase up to scale <= 3 PHASE_TOL off its root, and one of
+        # them sometimes moved further
+        mult, rotation, seed = case
+        m, d = len(mult), sum(mult)
+        phases = np.repeat(TAU * np.arange(m) / m + rotation, mult) + scale * np.array(offsets[:d])
+        phases[which % d] += moved
+        nearest_m, residual = nearest_copyable_residual(phases)
+        assume(abs(residual - PHASE_TOL) > 1e-12)  # roundoff decides at the bound
+        report = spectral_verdict(planted_operator(phases, seed))
+        expected = (True, nearest_m) if residual <= PHASE_TOL else (False, None)
+        assert (report.copyable, report.detected_m) == expected
 
     @given(planted_spectra(), st.floats(1e-12, 0.25 * PHASE_TOL))
     @settings(max_examples=50, deadline=None)
@@ -309,13 +335,19 @@ class TestVerdictProperties:
 
     @given(planted_spectra())
     @settings(max_examples=50, deadline=None)
-    def test_clusters_one_and_a_half_tol_apart_are_ambiguous(self, case):
+    def test_phase_one_and_a_half_tol_off_a_root_joins_its_cluster(self, case):
         mult, rotation, seed = case
         m = len(mult)
         roots = TAU * np.arange(m) / m + rotation
         phases = np.append(np.repeat(roots, mult), roots[0] + 1.5 * PHASE_TOL)
-        with pytest.raises(AmbiguityError, match="ambiguous"):
-            spectral_verdict(planted_operator(phases, seed))
+        report = spectral_verdict(planted_operator(phases, seed))
+        joined = [mult[0] + 1] + mult[1:]
+        assert report.copyable == degeneracy_form_check(joined, m, sum(joined))
+        assert report.detected_m == (m if report.copyable else None)
+        assert len(report.clusters) == m
+        for rep, count in report.clusters:  # matched to the nearest planted root
+            gap = np.abs(rep - roots) % TAU
+            assert count == joined[int(np.argmin(np.minimum(gap, TAU - gap)))]
 
 
 @st.composite
@@ -331,7 +363,8 @@ def judged_pairs(draw):
         return orthogonal_pair(draw(st.integers(2, 12)), seed)
     d1 = draw(st.integers(2, 6))
     d2 = draw(st.integers(2, 12 // d1))
-    delta = draw(st.floats(0.0, TAU / (d1 * d2), exclude_min=True, exclude_max=True))
+    low, high = _delta_interval(d1 * d2, d2)
+    delta = draw(st.floats(low, high, exclude_min=True, exclude_max=True))
     return nonprime_counterexample(d1, d2, delta, seed)
 
 
@@ -364,19 +397,14 @@ class TestPowerTraceOracle:
             counts = [count for _, count in report.clusters]
             assert degeneracy_form_check(counts, m, t.shape[0])
         elif residual > self.HIGH:
-            try:
-                assert not spectral_verdict(t).copyable
-            except AmbiguityError:  # not copyable either
-                pass
+            assert not spectral_verdict(t).copyable
 
     @pytest.mark.parametrize("d,m", [(6, 3), (8, 2), (12, 3), (12, 6), (16, 4), (16, 16)])
     def test_copyable_verdict_is_within_the_certificate_bound(self, d, m):
-        # A copyable verdict chains each phase within (d/M) PHASE_TOL of its
-        # rotated root, so every lambda^M lies within d PHASE_TOL of a common
-        # value and every |tr T^k| / d, 0 < k < M, is below d PHASE_TOL too:
-        # the certificate's residual at the verdict's M is at most
-        # 2 d PHASE_TOL.  Which verdict the band near PHASE_TOL gets is not
-        # asserted.
+        # A copyable verdict puts each phase within PHASE_TOL of its rotated
+        # root, so every lambda^M lies within M PHASE_TOL of a common value
+        # and every |tr T^k| / d, 0 < k < M, is at most k PHASE_TOL: the
+        # certificate's residual at the verdict's M is at most M PHASE_TOL.
         rng = np.random.default_rng((d, m))
         copyable = 0
         for eps in (5e-8, 1e-7, 1.5e-7, 2e-7, 5e-7, 1e-6):
@@ -385,14 +413,11 @@ class TestPowerTraceOracle:
                 phases = (rng.uniform(0, TAU) + TAU * (np.arange(d) % m) / m
                           + rng.uniform(-eps, eps, d))
                 t = (v * np.exp(1j * phases)) @ v.conj().T
-                try:
-                    report = spectral_verdict(t)
-                except AmbiguityError:
-                    continue
+                report = spectral_verdict(t)
                 if report.copyable:
                     copyable += 1
                     _, residual = power_trace_certificate(t, report.detected_m)
-                    assert residual <= 2 * d * PHASE_TOL + 1e-12
+                    assert residual <= report.detected_m * PHASE_TOL + 1e-12
         assert copyable  # the bound was put to the test
 
 

@@ -7,7 +7,9 @@ from loccopy.copying import (
     pair_operator,
     spectral_verdict,
 )
+from loccopy.config import TAU
 from loccopy.generators import (
+    _delta_interval,
     copyable_pair,
     copyable_unitary,
     haar_unitary,
@@ -104,6 +106,19 @@ class TestNonprimeUnitary:
             nonprime_unitary(2, 2, delta=0.0, seed=0)
         with pytest.raises(ValueError, match="delta"):
             nonprime_unitary(2, 2, delta=2 * np.pi / 4, seed=0)
+
+    @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 2), (2, 4), (3, 4)])
+    def test_admitted_deltas_are_where_the_spectrum_is_not_copyable(self, d1, d2):
+        # 2% inside either end of the interval the planted pair is not
+        # copyable; 2% outside it the same spectrum is, and is refused
+        low, high = _delta_interval(d1 * d2, d2)
+        for delta in (1.02 * low, high - 0.02 * low):
+            assert not spectral_verdict(nonprime_unitary(d1, d2, delta, seed=0)).copyable
+        for delta in (0.98 * low, high + 0.02 * low):
+            with pytest.raises(ValueError, match=r"delta must lie strictly inside \("):
+                nonprime_unitary(d1, d2, delta, seed=0)
+            lam = np.exp(1j * (TAU * np.arange(d1)[:, None] / d1 + delta * np.arange(d2)))
+            assert spectral_verdict(np.diag(lam.ravel())).copyable
 
     def test_small_factor_rejected(self):
         with pytest.raises(ValueError, match="factors"):
