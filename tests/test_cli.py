@@ -324,6 +324,13 @@ class TestCheckPair:
         assert sum("error" in line for line in lines) == 1
 
 
+def near_pair():
+    """A pair with eigenphases 0, 1.5e-7, pi and pi + 1.5e-7: each within
+    PHASE_TOL of a root of the grid {0.75e-7, pi + 0.75e-7}, so M = 2."""
+    phases = np.array([0.0, 1.5e-7, np.pi, np.pi + 1.5e-7])
+    return from_unitary(np.diag(np.exp(1j * phases))), max_entangled(4)
+
+
 class TestSynthesizeAndSimulate:
     def test_round_trip(self, capsys, tmp_path):
         psi1, psi2 = orthogonal_pair(2, seed=5)
@@ -449,15 +456,16 @@ class TestSynthesizeAndSimulate:
             assert code == 0, err
             assert json.loads(out)["passes"] is True
 
-    def test_phases_one_and_a_half_tol_apart_share_a_root(self, capsys, tmp_path):
-        # eigenphases 0, 1.5e-7, pi and pi + 1.5e-7: each within PHASE_TOL
-        # of a root of the grid {0.75e-7, pi + 0.75e-7}
-        phases = np.array([0.0, 1.5e-7, np.pi, np.pi + 1.5e-7])
-        psi1, psi2 = from_unitary(np.diag(np.exp(1j * phases))), max_entangled(4)
+    def test_phases_one_and_a_half_tol_apart_share_a_root_check_pair(self, capsys, tmp_path):
+        psi1, psi2 = near_pair()
         pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
         code, out, err = run(capsys, ["check-pair", pair])
         assert code == 0, err
         assert (json.loads(out)["copyable"], json.loads(out)["detected_m"]) == (True, 2)
+
+    def test_phases_one_and_a_half_tol_apart_share_a_root_synthesize(self, capsys, tmp_path):
+        psi1, psi2 = near_pair()
+        pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(psi1, psi2))
         out_path = str(tmp_path / "protocol.json")
         assert run(capsys, ["synthesize", pair, "--out", out_path]) == (0, "", "")
         for k, psi in enumerate((psi1, psi2)):
@@ -1256,6 +1264,13 @@ def test_one_exit_code_per_outcome(capsys, tmp_path, case):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(prefix)
+
+
+def test_near_pair_synthesizes_in_a_process(capsys, tmp_path):
+    pair = write_json(tmp_path, "pair.json", serialization.pair_to_json(*near_pair()))
+    code, out, err = run_as_process(capsys, ["synthesize", pair])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["d"] == 4
 
 
 def src_env() -> dict:
