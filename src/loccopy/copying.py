@@ -13,18 +13,16 @@ When it does, a unitary A on the doubled space with
 exists and can be built by pairing eigenspaces of equal eigenvalue, and
 the protocol's local unitaries follow from A by fixed conjugations.
 
-The verdict calls T copyable iff every eigenphase lies within
+spectral_verdict calls T copyable iff every eigenphase lies within
 PHASE_TOL of such a spectrum; its clusters, cut at gaps of 2 PHASE_TOL,
-are then exactly the roots.  Synthesis takes the qudit-CNOT pairing:
-A = sum_s X^s (x) Pi_s, with Pi_s the projector onto T~'s eigenspace
-for the root w^s and X the shift from each root's eigenspace to the
-previous root's.  Which root an eigenvalue belongs to is decided once,
-by the verdict's clustering, and synthesis reuses those labels, both
-in one function, _controlled_shift.  NotCopyableError alone says no
-protocol exists.  A satisfies the defining relation to roundoff for
-the snapped operator T^ = sum_s w^s Pi_s, against which it is checked,
-and for T~ itself to within T~'s distance from T^, which the verdict
-bounds by 2 PHASE_TOL.
+are then exactly the roots.  It alone decides: synthesis reads its
+report.  Synthesis takes the qudit-CNOT pairing: A = sum_s X^s (x) Pi_s,
+with Pi_s the projector onto T~'s eigenspace for the root w^s (each
+eigenvector takes the nearest root of the report's rotated grid) and X
+the shift from each root's eigenspace to the previous root's.
+NotCopyableError alone says no protocol exists.  A satisfies the
+defining relation to roundoff for the snapped T^ = sum_s w^s Pi_s,
+against which it is checked, and for T~ to within 2 PHASE_TOL.
 The protocol's A and B are then each a sum of M Kronecker products of
 d x d factors.  The checks of the construction run on those factors
 at O(M d^3 + M^2 d^2): unitarity by a certified bound and the defining
@@ -112,11 +110,8 @@ def pair_operator(psi1: BipartiteState, psi2: BipartiteState) -> np.ndarray:
     Both inputs must be maximally entangled; that is exactly the
     condition under which the partial trace is proportional to a unitary.
     T is formed from U1 and U2 as unitary_of_state validates and
-    polishes them, as synthesize_protocol forms W: it differs from
-    D * C1 C2^dag by about the states' deviation from maximal
-    entanglement, and is unitary to roundoff for every pair that passes
-    MAX_ENT_TOL, so spectral_verdict accepts the pairs that
-    synthesize_protocol accepts.
+    polishes them, and synthesize_protocol forms it the same way, so
+    check-pair and synthesize read one verdict on one operator.
     """
     if psi1.d != psi2.d:
         raise ValueError(f"dimension mismatch: {psi1.d} vs {psi2.d}")
@@ -131,8 +126,10 @@ def orthogonality(t: np.ndarray) -> str:
     "neither".  The tolerance is spectral_verdict's: the M >= 2 roots of
     unity sum to 0, and a copyable verdict puts each eigenphase within
     PHASE_TOL of a rotated root, so a T that spectral_verdict calls
-    copyable with M >= 2 has |Tr|/D <= PHASE_TOL and is "orthogonal",
-    never "neither".
+    copyable with M >= 2 has |Tr|/D <= PHASE_TOL and is "orthogonal".
+    synthesize_protocol relies on this and computes no trace.  At the
+    arc bound itself roundoff can cross it, so check-pair can print a
+    copyable report together with "neither".
     """
     t = np.asarray(t)
     d = t.shape[0]
@@ -149,35 +146,37 @@ def _mod_tau(x):
     return r - TAU * (r == TAU)
 
 
-def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]]:
+def _verdict(lam: np.ndarray, trace: complex) -> SpectrumReport:
     """The spectral verdict on the eigenvalues lam of a unitary pair
-    operator, and the cluster label of each eigenvalue.
+    operator; spectral_verdict is its one caller.
 
-    Array operations give the phases in [0, 2pi) (by _mod_tau), their sort order
-    and the points e^{i phase}, and a fourth the M cluster angles; the
-    rest is one plain-Python pass over those d values and the M
-    clusters, which for the d of a verdict costs less than the per-call
-    overhead of further array operations.  The sorted phases are cut
-    into clusters at gaps > 2 PHASE_TOL, and the first and last clusters
-    merge when they meet across the 0/2pi seam within the same bound;
-    cluster 0 holds the smallest phase.  Each cluster is represented by
-    the circular mean of its phases, accumulated in eigenvalue order,
-    and the rotation puts cluster 0's at 0.  The pair is copyable iff
-    every multiplicity is D/M (M the number of clusters) and the offsets
-    phase_i - 2 pi label_i / M + rotation lie on an arc of at most
-    2 PHASE_TOL, that is, iff every phase lies within PHASE_TOL of a
-    rotated grid of Mth roots with equal multiplicities: such a grid's
-    groups are at most 2 PHASE_TOL wide and more than 2 PHASE_TOL apart,
-    so they are the clusters, and no other M fits.  Clusters are
-    numbered in ascending phase order from cluster 0, so for a copyable
-    report cluster k is the root w^k: the labels are the root indices
-    by which synthesis pairs eigenspaces.
+    Array operations give each phase's sort key, in
+    [-2 PHASE_TOL, 2pi - 2 PHASE_TOL) so that a phase within roundoff of
+    the 0/2pi seam sorts first on either side of it, the key order, the
+    points e^{i key}, the M cluster angles and the report's sorted
+    phases in [0, 2pi); the rest is one plain-Python pass over the d
+    keys and M clusters, cheaper at a verdict's d than more array calls.  The
+    sorted keys are cut into clusters at gaps > 2 PHASE_TOL, and the
+    first and last clusters merge when they meet across the seam within
+    the same bound; cluster 0 holds the smallest key.  Each cluster is
+    represented by the circular mean of its phases, accumulated in
+    eigenvalue order, and the rotation puts cluster 0's at 0.  The pair
+    is copyable iff every multiplicity is D/M (M the number of clusters)
+    and the offsets phase_i - 2 pi label_i / M + rotation lie on an arc
+    of at most 2 PHASE_TOL, that is, iff every phase lies within
+    PHASE_TOL of a rotated grid of Mth roots with equal multiplicities:
+    such a grid's groups are at most 2 PHASE_TOL wide and more than
+    2 PHASE_TOL apart, so they are the clusters, and no other M fits.
+    Clusters are numbered in ascending key order, so for a copyable
+    report every phase of cluster k lies within 2 PHASE_TOL of the
+    rotated root w^k.
     """
     cut = 2.0 * PHASE_TOL
-    phases = _mod_tau(np.angle(lam))
-    order = np.argsort(phases)
-    points = np.exp(1j * phases).tolist()
-    values = phases.tolist()
+    angles = np.angle(lam)
+    keys = angles + TAU * (angles < -cut)  # the phase in [-cut, 2pi - cut)
+    order = np.argsort(keys)
+    points = np.exp(1j * keys).tolist()
+    values = keys.tolist()
     d = len(values)
 
     sorted_idx = order.tolist()
@@ -202,22 +201,21 @@ def _verdict(lam: np.ndarray, trace: complex) -> tuple[SpectrumReport, list[int]
     # numpy's arctan2, not math.atan2, which can differ in the last ulp
     reps = _mod_tau(np.arctan2(imag, real)).tolist()
 
-    rotation = _mod_tau(-reps[0])  # cluster 0 holds the smallest phase
+    rotation = _mod_tau(-reps[0])  # cluster 0 holds the smallest key
     # each phase's offset from its rotated root, shifted by pi so that the
     # offsets near 0 cannot wrap
     offsets = [(v - TAU * k / m + rotation + math.pi) % TAU for v, k in zip(values, labels)]
     copyable = (d % m == 0 and all(c == d // m for c in multiplicities)
                 and max(offsets) - min(offsets) <= cut)
 
-    report = SpectrumReport(
-        eigenphases=phases[order],
+    return SpectrumReport(
+        eigenphases=np.sort(_mod_tau(angles)),
         clusters=tuple(sorted(zip(reps, multiplicities))),
         rotation=rotation,
         detected_m=m if copyable else None,
         copyable=copyable,
         trace=complex(trace),
     )
-    return report, labels
 
 
 def spectral_verdict(t: np.ndarray) -> SpectrumReport:
@@ -226,12 +224,15 @@ def spectral_verdict(t: np.ndarray) -> SpectrumReport:
     Reports copyable iff every eigenphase lies within PHASE_TOL of a
     rotated grid of Mth roots of unity, each root holding D/M of them.
     The eigenphases are clustered at gaps of 2 PHASE_TOL (M = number of
-    clusters), and rotation puts the cluster holding the smallest phase
-    at 0.  Needs only the eigenvalues of t, never its eigenvectors.
+    clusters), and rotation puts the cluster holding the smallest phase,
+    read in [-2 PHASE_TOL, 2pi - 2 PHASE_TOL), at 0.  Needs only the
+    eigenvalues of t, never its eigenvectors.  The one judge of
+    copyability: check-pair, survey, synthesize_a and
+    synthesize_protocol all read this report.
     """
     t = np.asarray(t, dtype=complex)
     assert_unitary(t, "pair operator")
-    return _verdict(np.linalg.eigvals(t), np.trace(t))[0]
+    return _verdict(np.linalg.eigvals(t), np.trace(t))
 
 
 def degeneracy_form_check(multiplicities: list[int], m: int, d: int) -> bool:
@@ -262,36 +263,35 @@ def degeneracy_form_check(multiplicities: list[int], m: int, d: int) -> bool:
     return True
 
 
-def _controlled_shift(t: np.ndarray) -> tuple[SpectrumReport, np.ndarray, np.ndarray, np.ndarray]:
-    """The verdict on a unitary t and, when copyable, the controlled shift
-    C1 = sum_s X^s (x) Pi_s of synthesize_a, from one eigendecomposition.
+def _controlled_shift(w: np.ndarray, report: SpectrumReport) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The controlled shift C1 = sum_s X^s (x) Pi_s of synthesize_a for a
+    unitary w, from report, the verdict on w or on an operator similar to it.
 
-    Returns the report, V with its columns grouped by root (root 0 first;
-    each column's root is its verdict cluster label) and the stacks of
-    X^s and Pi_s, s = 0..M-1, after checking C1 from them: for unitarity,
-    and against its relation for the snapped T^ = sum_s w^s Pi_s, which
-    holds exactly, so its residual is roundoff judged by UNITARITY_TOL.
-    Raises ValueError for a t whose C1 exceeds DENSE_BYTES, before the
-    eigendecomposition, and NotCopyableError when the verdict is negative.
+    Raises NotCopyableError for a report that is not copyable.  Else
+    runs eig_normal(w) and gives each eigenvector the nearest root of the
+    report's rotated grid, rint(M (phase + rotation) / 2pi) mod M.
+    Returns V with its columns grouped by root (root 0 first) and the
+    stacks of X^s and Pi_s, s = 0..M-1, after checking C1 from them: for
+    unitarity, and against its relation for the snapped
+    T^ = sum_s w^s Pi_s, which holds exactly, so its residual is
+    roundoff judged by UNITARITY_TOL (SynthesisError above it).
     """
-    assert_unitary(t, "pair operator")
-    check_dense_bytes(f"C1 for a {t.shape} pair operator", 16 * t.size**2)
-    lam, v = eig_normal(t)
-    report, labels = _verdict(lam, np.trace(t))
     if not report.copyable:
         raise NotCopyableError(
             "pair operator spectrum is not equally degenerate roots of unity; "
             "no copying protocol exists"
         )
     m = report.detected_m
-    v = v[:, np.argsort(labels, kind="stable")]
+    lam, v = eig_normal(w)
+    roots = np.rint(m * _mod_tau(np.angle(lam) + report.rotation) / TAU).astype(int) % m
+    v = v[:, np.argsort(roots, kind="stable")]
     _check_unitary(v, v, "synthesized C1")
     shifts, projectors = _shift_factors(v, v, m)
     t_snapped = np.tensordot(np.exp(1j * TAU / m * np.arange(m)), projectors, axes=1)
     residual = _relation_residual(shifts, projectors, t_snapped)
     if not residual <= UNITARITY_TOL:
         raise SynthesisError(f"synthesized A fails its defining relation: residual {residual:.3e}")
-    return report, v, shifts, projectors
+    return v, shifts, projectors
 
 
 def _shift_factors(left: np.ndarray, right: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -372,22 +372,20 @@ def _relation_residual(shifts: np.ndarray, projectors: np.ndarray, t: np.ndarray
 def synthesize_a(t: np.ndarray) -> np.ndarray:
     """Build a unitary A with A (T~ (x) 1) A^dag = T~ (x) T~.
 
-    T~ is t rotated per spectral_verdict.  A is the controlled shift
-    sum_s X^s (x) Pi_s: Pi_s projects onto T~'s eigenspace for the root
-    w^s, and X maps the eigenspace for each root w^r onto the one for
-    w^(r-1), so that X^s T~ X^-s = w^s T~.  Each eigenvector's root is
-    the one spectral_verdict assigned it.  A is checked for unitarity
-    and against its defining relation from these d x d factors before
+    T~ is t rotated per spectral_verdict(t), whose report alone decides
+    that A exists.  A is _controlled_shift's sum_s X^s (x) Pi_s: Pi_s
+    projects onto T~'s eigenspace for the root w^s, and X maps the
+    eigenspace for each root w^r onto the one for w^(r-1), so that
+    X^s T~ X^-s = w^s T~.  A is checked from these d x d factors before
     it is assembled.  It satisfies the relation to roundoff for the
-    snapped T^ = sum_s w^s Pi_s, and for T~ itself to within T~'s
-    distance from T^, which the verdict bounds by putting every
-    eigenphase of T~ within 2 PHASE_TOL of its root.  Deterministic for
-    a given t.
-    Raises NotCopyableError when the spectral condition fails, and
-    ValueError for an empty t or one whose A would exceed DENSE_BYTES,
-    before any eigendecomposition.
+    snapped T^ = sum_s w^s Pi_s, and for T~ to within 2 PHASE_TOL.
+    Deterministic for a given t.  Raises NotCopyableError when the
+    spectral condition fails, and ValueError for an empty t or one whose
+    A would exceed DENSE_BYTES, before any eigendecomposition.
     """
-    return _kron_sum(*_controlled_shift(np.asarray(t, dtype=complex))[2:])
+    t = np.asarray(t, dtype=complex)
+    check_dense_bytes(f"C1 for a {t.shape} pair operator", 16 * t.size**2)
+    return _kron_sum(*_controlled_shift(t, spectral_verdict(t))[1:])
 
 
 def synthesize_protocol(
@@ -397,25 +395,29 @@ def synthesize_protocol(
 ) -> CopyProtocol:
     """Construct local unitaries A, B copying both psi1 and psi2 onto blank.
 
-    The abstract eigenspace problem is solved for W = U2^dag U1, whose
-    solution is the controlled shift C_1 = sum_s X^s (x) Pi_s of
+    Whether a protocol exists is read from spectral_verdict on the pair
+    operator T = U1 U2^dag, formed as pair_operator forms it: none exists
+    when that report is not copyable or has M = 1 (the pair is identical
+    up to phase).  A copyable report with M >= 2 is orthogonal, as
+    orthogonality's docstring shows, so no trace is checked.
+
+    The eigenspace problem is solved for W = U2^dag U1, similar to T: its
+    eigenvectors, each given the nearest root of the report's rotated
+    grid, make the controlled shift C_1 = sum_s X^s (x) Pi_s of
     synthesize_a; then A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag and
-    B = conj(C_1), with theta_1 = 0 and theta_2 = -rotation.  W is
-    similar to the pair operator T = U1 U2^dag, so its trace and spectrum
-    decide orthogonality and copyability in T's place.
+    B = conj(C_1), with theta_1 = 0 and theta_2 = -rotation, wrapped to
+    [-pi, pi).
 
     Each state is validated once by unitary_of_state, as pair_operator
     validates its two, and its unitary polished, so states that pass
-    MAX_ENT_TOL yield a unitary W and A.  C_1 and A are checked from
+    MAX_ENT_TOL yield a unitary T, W and A.  C_1 and A are checked from
     their d x d factors (B = conj(C_1) shares C_1's residual) before the
     d^2 x d^2 A and B are assembled, at O(M d^4), and verified on both
     states by the four-party overlap of simulator._simulate, at O(d^5);
     a failed check raises SynthesisError.
 
-    NotCopyableError, and no other error, says that no protocol exists:
-    the states are not orthogonal (an identical pair included, which
-    spectral_verdict calls copyable with M = 1) or their spectrum is not
-    copyable.  Invalid input raises ValueError (unequal dimensions, or
+    NotCopyableError, and no other error, says that no protocol exists.
+    Invalid input raises ValueError (unequal dimensions, or
     protocol_bytes(d) beyond DENSE_BYTES, before any state is validated)
     or PreconditionError (a state not maximally entangled).
     """
@@ -424,19 +426,17 @@ def synthesize_protocol(
     check_dense_bytes(f"synthesis at d = {int_text(psi1.d)}", protocol_bytes(psi1.d))
     u1, u2, ub = (unitary_of_state(s) for s in (psi1, psi2, blank))
 
-    w = u2.conj().T @ u1
-    kind = orthogonality(w)
-    if kind != ORTHOGONAL:
-        raise NotCopyableError(f"states to copy must be orthogonal, got verdict {kind!r}")
-    report, v, shifts, projectors = _controlled_shift(w)
+    report = spectral_verdict(u1 @ u2.conj().T)
+    if report.detected_m == 1:
+        raise NotCopyableError("states to copy must be orthogonal, got a pair identical up to phase")
+    v, shifts, projectors = _controlled_shift(u2.conj().T @ u1, report)
 
     # A = (U1 (x) U1) C_1 (U1 (x) U_b)^dag = (U1 V (x) U1 V) P (U1 V (x) U_b V)^dag
     u1v, ubv = u1 @ v, ub @ v
     _check_unitary(u1v, ubv, "A operator")
     a_factors = _shift_factors(u1v, ubv, report.detected_m)
     b_factors = (shifts.conj(), projectors.conj())
-    theta2 = -report.rotation
-    theta2 = (theta2 + math.pi) % TAU - math.pi  # wrap to [-pi, pi)
+    theta2 = (-report.rotation + math.pi) % TAU - math.pi  # wrap to [-pi, pi)
     protocol = CopyProtocol(
         d=psi1.d, blank=blank, a_op=_kron_sum(*a_factors), b_op=_kron_sum(*b_factors),
         phases=(0.0, theta2),

@@ -19,6 +19,7 @@ from loccopy.copying import (
     ORTHOGONAL,
     TAU,
     CopyProtocol,
+    _controlled_shift,
     degeneracy_form_check,
     orthogonality,
     pair_operator,
@@ -568,7 +569,7 @@ class TestSynthesizeProtocol:
     def test_partial_overlap_rejected(self):
         psi1 = from_unitary(np.diag([1, np.exp(1j * np.pi / 3)]))
         psi2 = max_entangled(2)
-        with pytest.raises(NotCopyableError, match="orthogonal"):
+        with pytest.raises(NotCopyableError, match="spectrum is not equally degenerate"):
             synthesize_protocol(psi1, psi2, max_entangled(2))
 
     @pytest.mark.parametrize("which", [0, 1, 2])
@@ -849,8 +850,8 @@ def off_grid_pair(d, m, eps, seed):
 
 
 class TestRootGrid:
-    """Synthesis pairs eigenspaces by the verdict's root labels and checks
-    its relation against the snapped operator."""
+    """Synthesis gives each eigenvector the nearest root of the verdict's
+    rotated grid and checks its relation against the snapped operator."""
 
     @given(copyable_cases(max_d=32),
            st.one_of(st.sampled_from([0.0, 1e-16, -1e-16, TAU - 1e-16]),
@@ -858,28 +859,19 @@ class TestRootGrid:
            st.floats(0.0, 0.4 * PHASE_TOL))
     @settings(max_examples=60, deadline=None)
     def test_labels_are_rounded_rotated_phases(self, case, rotation, noise):
-        import loccopy.copying
-
         d, m, seed = case
         rng = np.random.default_rng(seed)
         phases = (TAU * np.repeat(np.arange(m), d // m) / m + rotation
                   + rng.uniform(-noise, noise, d))
-        verdicts = []
-        verdict = loccopy.copying._verdict
-
-        def record_verdict(lam, trace):
-            # the labels synthesis groups V's columns by are the verdict's
-            result = verdict(lam, trace)
-            verdicts.append((lam, *result))
-            return result
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(loccopy.copying, "_verdict", record_verdict)
-            synthesize_a(planted_operator(phases, seed))
-        [(lam, report, labels)] = verdicts
+        w = planted_operator(phases, seed)
+        report = spectral_verdict(w)
         assert report.detected_m == m
-        rounded = np.round(((np.angle(lam) + report.rotation) % TAU) * m / TAU).astype(int) % m
-        assert list(labels) == rounded.tolist()
+        v, _, projectors = _controlled_shift(w, report)
+        # block s of V holds d/M eigenvectors of W, each for the rotated root w^s
+        roots = np.exp(1j * (TAU * np.repeat(np.arange(m), d // m) / m - report.rotation))
+        residuals = np.linalg.norm(w @ v - v * roots, axis=0)
+        assert residuals.max() <= 2 * PHASE_TOL + 1e-12
+        assert np.allclose(np.trace(projectors, axis1=1, axis2=2), d // m, atol=1e-12)
 
     @pytest.mark.parametrize("eps", [1e-10, 1e-9])
     def test_phases_off_grid_synthesize(self, eps):
@@ -909,6 +901,130 @@ class TestRootGrid:
         monkeypatch.setattr(loccopy.copying, "_shift_factors", reversed_shift)
         with pytest.raises(SynthesisError, match="fails its defining relation"):
             synthesize()
+
+
+def circular_gap(a, b):
+    return abs((a - b + np.pi) % TAU - np.pi)
+
+
+def seam_pair(zero):
+    """A d = 6, M = 3 pair whose two root-0 eigenphases sit at zero."""
+    u2 = haar_unitary(6, seed=2)
+    phases = [*zero, TAU / 3, TAU / 3, 2 * TAU / 3, 2 * TAU / 3]
+    return from_unitary(planted_operator(phases, 1) @ u2), from_unitary(u2)
+
+
+class TestSeam:
+    """A phase within roundoff of 0 is one phase on either side of the 0/2pi
+    seam: rotation, root labels and theta_2 do not jump by a root spacing."""
+
+    ZEROS = [(1e-15, -1e-15), (-1e-15, -1e-15), (1e-15, 1e-15)]
+
+    def test_root_zero_pair_reads_one_grid(self):
+        pairs = [seam_pair(zero) for zero in self.ZEROS]
+        reports = []
+        for psi1, psi2 in pairs:
+            t = pair_operator(psi1, psi2)
+            reports.append(spectral_verdict(t))
+            angles = np.angle(np.linalg.eigvals(t))
+            labels = np.rint(3 * ((angles + reports[-1].rotation) % TAU) / TAU) % 3
+            # the planted roots, read with no rotation
+            assert labels.tolist() == (np.rint(3 * (angles % TAU) / TAU) % 3).tolist()
+        assert [r.detected_m for r in reports] == [3, 3, 3]
+        assert max(circular_gap(r.rotation, reports[0].rotation) for r in reports) <= 1e-12
+        # synthesis projects onto the same eigenspace for each root
+        projectors = []
+        for (psi1, psi2), report in zip(pairs, reports):
+            u1, u2 = unitary_of_state(psi1), unitary_of_state(psi2)
+            projectors.append(_controlled_shift(u2.conj().T @ u1, report)[2])
+        assert max(np.abs(p - projectors[0]).max() for p in projectors) <= 1e-12
+
+    def test_root_zero_pair_writes_one_theta2(self):
+        thetas = [synthesize_protocol(*seam_pair(zero), max_entangled(6)).phases[1]
+                  for zero in self.ZEROS]
+        assert max(circular_gap(theta, thetas[0]) for theta in thetas) <= 1e-12
+
+    def test_nonprime_eigenvalue_one_reads_one_rotation(self):
+        # T has the eigenvalue 1; its phase read 3.3e-16 or 2 pi - 1e-16 by
+        # roundoff, which moved rotation from 6.283 to 5.883
+        lam, v = eig_normal(pair_operator(*nonprime_counterexample(2, 3, 0.4, seed=7)))
+        one = np.argmin(np.abs(lam - 1))
+        reports = []
+        for zero in (1e-15, -1e-15):
+            lam[one] = np.exp(1j * zero)
+            reports.append(spectral_verdict((v * lam) @ v.conj().T))
+        first, second = reports
+        assert circular_gap(first.rotation, second.rotation) <= 1e-12
+        assert len(first.clusters) == len(second.clusters) == 6
+        for rep, count in first.clusters:
+            assert any(circular_gap(rep, other) <= 1e-12 and count == other_count
+                       for other, other_count in second.clusters)
+
+
+def boundary_pair(seed):
+    """A planted d = 6, M = 3 pair whose eigenphase offsets from the
+    rotated roots span an arc within 3e-14 of the verdict's 2 PHASE_TOL."""
+    rng = np.random.default_rng(seed)
+    offsets = rng.uniform(-PHASE_TOL, PHASE_TOL, 6)
+    offsets[:2] = np.array([-PHASE_TOL, PHASE_TOL]) + rng.uniform(-3e-14, 3e-14, 2)
+    phases = (TAU * np.repeat(np.arange(3), 2) / 3 + rng.uniform(0.0, TAU)
+              + rng.permutation(offsets))
+    u2 = haar_unitary(6, seed=(seed, 2))
+    return from_unitary(planted_operator(phases, (seed, 1)) @ u2), from_unitary(u2)
+
+
+# the (d, M) of the planted pairs, each with the reference and a Haar blank
+PLANTED = [(2, 2), (3, 3), (4, 2), (6, 3), (6, 2), (12, 4), (12, 3), (16, 16), (24, 3)]
+
+
+def corpus_pair(case):
+    """(psi1, psi2, blank) for one case of one_answer_cases."""
+    kind, *args = case
+    if kind == "boundary":
+        return (*boundary_pair(args[0]), max_entangled(6))
+    if kind == "planted":
+        (d, m), seed, haar_blank = args
+        blank = from_unitary(haar_unitary(d, seed=seed + 100)) if haar_blank else max_entangled(d)
+        return (*copyable_pair(d, m, seed), blank)
+    if kind == "orthogonal":
+        d, seed = args
+        return (*orthogonal_pair(d, seed), max_entangled(d))
+    if kind == "nonprime":
+        (d1, d2), seed = args
+        low, high = _delta_interval(d1 * d2, d2)
+        delta = low + (high - low) * np.random.default_rng(seed).uniform()
+        return (*nonprime_counterexample(d1, d2, delta, seed), max_entangled(d1 * d2))
+    psi = from_unitary(haar_unitary(args[0], seed=args[1]))  # identical
+    return psi, psi, max_entangled(args[0])
+
+
+one_answer_cases = st.one_of(
+    st.tuples(st.just("boundary"), st.integers(0, 1499)),
+    st.tuples(st.just("planted"), st.sampled_from(PLANTED), st.integers(0, 5), st.booleans()),
+    st.tuples(st.just("orthogonal"), st.sampled_from([2, 3]), st.integers(0, 49)),
+    st.tuples(st.just("nonprime"), st.sampled_from([(2, 2), (2, 3), (3, 2)]), st.integers(0, 49)),
+    st.tuples(st.just("identical"), st.integers(2, 6), st.integers(0, 49)),
+)
+
+
+class TestOneAnswer:
+    """check-pair's report and synthesize_protocol never disagree."""
+
+    @given(one_answer_cases)
+    @example(("boundary", 184))  # copyable to check-pair, refused by a second verdict on W
+    @example(("boundary", 34))   # refused by check-pair, built from a second verdict on W
+    @example(("boundary", 1))    # theta_2 differed from the report's rotation in its last bits
+    @settings(max_examples=60, deadline=None)
+    def test_synthesis_follows_the_report(self, case):
+        psi1, psi2, blank = corpus_pair(case)
+        report = spectral_verdict(pair_operator(psi1, psi2))
+        try:
+            protocol = synthesize_protocol(psi1, psi2, blank)
+        except NotCopyableError:
+            protocol = None
+        assert (protocol is not None) == (report.copyable and report.detected_m >= 2)
+        if protocol is not None:
+            assert protocol.phases[1] == (-report.rotation + np.pi) % TAU - np.pi
 
 
 class TestCopyProtocolValidation:
@@ -995,7 +1111,7 @@ class TestWorkCounts:
         # no Kronecker product of operators is formed
         assert len(kron_calls) == 0
         # C1 and A are checked from their factors; only the pair operator
-        # W is checked dense
+        # T is checked dense, by spectral_verdict
         assert [np.shape(args[0]) for args in unitary_calls] == [(d, d)]
 
     def test_synthesize_protocol_peak_memory(self):
@@ -1019,9 +1135,10 @@ class TestWorkCounts:
         psi1, psi2 = copyable_pair(d, m, seed=d)
         blank = from_unitary(haar_unitary(d, seed=d + 1))
         synthesize_protocol(psi1, psi2, blank)
-        # each state is certified from its Gram matrix, with no SVD
+        # each state is certified from its Gram matrix, with no SVD;
+        # spectral_verdict reads T's eigenvalues, eig_normal W's eigenbasis
         assert {k: len(v) for k, v in counts.items()} == {
-            "eig_normal": 1, "state_checks": 3, "svd": 0, "eigvals": 0, "schur": 0,
+            "eig_normal": 1, "state_checks": 3, "svd": 0, "eigvals": 1, "schur": 0,
         }
 
     def test_spectral_verdict_reads_eigenvalues_only(self, counts):
@@ -1045,8 +1162,9 @@ class TestWorkCounts:
 
     def test_synthesize_a(self, counts):
         synthesize_a(copyable_unitary(6, 2, seed=4))
-        assert len(counts["eig_normal"]) == 1
-        assert len(counts["eigvals"]) == len(counts["schur"]) == 0
+        # spectral_verdict decides, eig_normal gives the eigenbasis
+        assert len(counts["eig_normal"]) == len(counts["eigvals"]) == 1
+        assert len(counts["schur"]) == 0
 
 
 class TestSurvey:
