@@ -59,6 +59,8 @@ def _load_json(path: str) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
 

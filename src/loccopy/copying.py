@@ -66,11 +66,16 @@ class SpectrumReport:
     """Outcome of the spectral copyability test for a pair operator."""
 
     eigenphases: np.ndarray          # sorted ascending, in [0, 2pi)
-    clusters: tuple[tuple[float, int], ...]  # (representative phase in [0, 2pi), multiplicity)
-    rotation: float                  # angle in [0, 2pi) that puts the anchor cluster at 0
+    # (representative phase in [0, 2pi), multiplicity), the anchor cluster
+    # first; when copyable, clusters[k] is the rotated root w^k
+    clusters: tuple[tuple[float, int], ...]
+    rotation: float                  # angle in [0, 2pi) that puts clusters[0] at 0
     detected_m: int | None           # M when copyable, else None
-    copyable: bool
     trace: complex
+
+    @property
+    def copyable(self) -> bool:
+        return self.detected_m is not None
 
 
 @dataclass
@@ -146,50 +151,50 @@ def _mod_tau(x):
     return r - TAU * (r == TAU)
 
 
-def _verdict(lam: np.ndarray, trace: complex) -> SpectrumReport:
-    """The spectral verdict on the eigenvalues lam of a unitary pair
-    operator; spectral_verdict is its one caller.
+def spectral_verdict(t: np.ndarray) -> SpectrumReport:
+    """Decide copyability of the pair behind t from its eigenphases.
 
-    Array operations give each phase's sort key, in
-    [-2 PHASE_TOL, 2pi - 2 PHASE_TOL) so that a phase within roundoff of
-    the 0/2pi seam sorts first on either side of it, the key order, the
-    points e^{i key}, the M cluster angles and the report's sorted
-    phases in [0, 2pi); the rest is one plain-Python pass over the d
-    keys and M clusters, cheaper at a verdict's d than more array calls.  The
-    sorted keys are cut into clusters at gaps > 2 PHASE_TOL, and the
-    first and last clusters merge when they meet across the seam within
-    the same bound; cluster 0 holds the smallest key.  Each cluster is
-    represented by the circular mean of its phases, accumulated in
-    eigenvalue order, and the rotation puts cluster 0's at 0.  The pair
-    is copyable iff every multiplicity is D/M (M the number of clusters)
-    and the offsets phase_i - 2 pi label_i / M + rotation lie on an arc
-    of at most 2 PHASE_TOL, that is, iff every phase lies within
-    PHASE_TOL of a rotated grid of Mth roots with equal multiplicities:
-    such a grid's groups are at most 2 PHASE_TOL wide and more than
-    2 PHASE_TOL apart, so they are the clusters, and no other M fits.
-    Clusters are numbered in ascending key order, so for a copyable
-    report every phase of cluster k lies within 2 PHASE_TOL of the
-    rotated root w^k.
+    Reports copyable iff every eigenphase lies within PHASE_TOL of a
+    rotated grid of Mth roots of unity, each root holding D/M of them.
+    Needs only the eigenvalues of t, never its eigenvectors.  The one
+    judge of copyability: check-pair, survey, synthesize_a and
+    synthesize_protocol all read this report.
+
+    One pass over the phases, sorted once as keys in
+    [-2 PHASE_TOL, 2pi - 2 PHASE_TOL), so that a phase within roundoff
+    of the 0/2pi seam sorts first on either side of it.  The pass cuts
+    the keys into clusters at gaps > 2 PHASE_TOL, merges the last
+    cluster into the first when they meet across the seam within the
+    same bound, and sums each cluster's points e^{i key}; the circular
+    mean represents the cluster, and rotation puts the first cluster's
+    at 0.  The rest is plain Python, cheaper at a verdict's d than more
+    array calls.  The pair is copyable iff every multiplicity is D/M
+    (M the number of clusters) and the offsets key - 2 pi k / M +
+    rotation, k the key's cluster, lie on an arc of at most 2 PHASE_TOL,
+    that is, iff every phase lies within PHASE_TOL of a rotated grid of
+    Mth roots with equal multiplicities: such a grid's groups are at most
+    2 PHASE_TOL wide and more than 2 PHASE_TOL apart, so they are the
+    clusters, and no other M fits.  The clusters are listed in key order,
+    so clusters[0] is the one rotation puts at 0, and in a copyable
+    report clusters[k] is the root w^k of the rotated grid.
     """
+    t = np.asarray(t, dtype=complex)
+    assert_unitary(t, "pair operator")
     cut = 2.0 * PHASE_TOL
-    angles = np.angle(lam)
-    keys = angles + TAU * (angles < -cut)  # the phase in [-cut, 2pi - cut)
-    order = np.argsort(keys)
-    points = np.exp(1j * keys).tolist()
+    angles = np.angle(np.linalg.eigvals(t))
+    keys = np.sort(angles + TAU * (angles < -cut))  # the phases in [-cut, 2pi - cut), ascending
     values = keys.tolist()
+    points = np.exp(1j * keys).tolist()
     d = len(values)
 
-    sorted_idx = order.tolist()
     labels = [0] * d
     m = 0
-    previous = values[sorted_idx[0]]
-    for i in sorted_idx[1:]:
-        if values[i] - previous > cut:
+    for i in range(1, d):
+        if values[i] - values[i - 1] > cut:
             m += 1
         labels[i] = m
-        previous = values[i]
     m += 1
-    if m > 1 and values[sorted_idx[0]] + TAU - previous <= cut:
+    if m > 1 and values[0] + TAU - values[-1] <= cut:  # the last cluster meets the first
         m -= 1
         labels = [0 if label == m else label for label in labels]
 
@@ -201,7 +206,7 @@ def _verdict(lam: np.ndarray, trace: complex) -> SpectrumReport:
     # numpy's arctan2, not math.atan2, which can differ in the last ulp
     reps = _mod_tau(np.arctan2(imag, real)).tolist()
 
-    rotation = _mod_tau(-reps[0])  # cluster 0 holds the smallest key
+    rotation = _mod_tau(-reps[0])
     # each phase's offset from its rotated root, shifted by pi so that the
     # offsets near 0 cannot wrap
     offsets = [(v - TAU * k / m + rotation + math.pi) % TAU for v, k in zip(values, labels)]
@@ -210,29 +215,14 @@ def _verdict(lam: np.ndarray, trace: complex) -> SpectrumReport:
 
     return SpectrumReport(
         eigenphases=np.sort(_mod_tau(angles)),
-        clusters=tuple(sorted(zip(reps, multiplicities))),
+        # tuple() of a list: of an iterator it resizes its result, which
+        # moves a tuple between CPython's per-size free lists on every call,
+        # so the free lists, and peak RSS, grow until they are full
+        clusters=tuple(list(zip(reps, multiplicities))),
         rotation=rotation,
         detected_m=m if copyable else None,
-        copyable=copyable,
-        trace=complex(trace),
+        trace=complex(np.trace(t)),
     )
-
-
-def spectral_verdict(t: np.ndarray) -> SpectrumReport:
-    """Decide copyability of the pair behind t from its eigenphases.
-
-    Reports copyable iff every eigenphase lies within PHASE_TOL of a
-    rotated grid of Mth roots of unity, each root holding D/M of them.
-    The eigenphases are clustered at gaps of 2 PHASE_TOL (M = number of
-    clusters), and rotation puts the cluster holding the smallest phase,
-    read in [-2 PHASE_TOL, 2pi - 2 PHASE_TOL), at 0.  Needs only the
-    eigenvalues of t, never its eigenvectors.  The one judge of
-    copyability: check-pair, survey, synthesize_a and
-    synthesize_protocol all read this report.
-    """
-    t = np.asarray(t, dtype=complex)
-    assert_unitary(t, "pair operator")
-    return _verdict(np.linalg.eigvals(t), np.trace(t))
 
 
 def degeneracy_form_check(multiplicities: list[int], m: int, d: int) -> bool:
@@ -283,7 +273,7 @@ def _controlled_shift(w: np.ndarray, report: SpectrumReport) -> tuple[np.ndarray
         )
     m = report.detected_m
     lam, v = eig_normal(w)
-    roots = np.rint(m * _mod_tau(np.angle(lam) + report.rotation) / TAU).astype(int) % m
+    roots = np.rint(m * (np.angle(lam) + report.rotation) / TAU).astype(int) % m
     v = v[:, np.argsort(roots, kind="stable")]
     _check_unitary(v, v, "synthesized C1")
     shifts, projectors = _shift_factors(v, v, m)

@@ -117,10 +117,6 @@ def state_from_json(obj: dict) -> BipartiteState:
     return BipartiteState(flat.reshape((d, d), order="F"))
 
 
-def schmidt_to_json(v: SchmidtVector) -> dict:
-    return {"probs": [float(p) for p in v.probs]}
-
-
 def schmidt_from_json(obj: dict) -> SchmidtVector:
     if not isinstance(obj, dict):
         raise ValueError(f"Schmidt vector must be a JSON object, got {type(obj).__name__}")

@@ -950,6 +950,12 @@ COMMAND_ARGS = {
     "generate": ["--family", "orthogonal", "--d", "2"],
 }
 
+# The five subcommands that read files, each naming "-" for two inputs.
+TWO_INPUTS = [
+    ["majorize", "-", "-"], ["catalysis", "-", "-"], ["check-pair", "-", "-"],
+    ["simulate", "-", "-"], ["synthesize", "-", "--blank", "-"],
+]
+
 
 class TestErrorHandling:
     def test_malformed_json_names_location(self, capsys, tmp_path):
@@ -971,10 +977,7 @@ class TestErrorHandling:
         assert code == 2
         assert "error:" in err
 
-    @pytest.mark.parametrize("argv", [
-        ["majorize", "-", "-"], ["catalysis", "-", "-"], ["check-pair", "-", "-"],
-        ["simulate", "-", "-"], ["synthesize", "-", "--blank", "-"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", TWO_INPUTS, ids=lambda argv: argv[0])
     def test_stdin_named_twice_is_input_error(self, capsys, monkeypatch, argv):
         stdin = io.StringIO('{"probs": [0.5, 0.5]}')
         monkeypatch.setattr(sys, "stdin", stdin)
@@ -983,6 +986,22 @@ class TestErrorHandling:
         assert out == ""
         assert err == "error: stdin can be read once, but '-' names 2 inputs\n"
         assert stdin.tell() == 0  # refused before the first read
+
+    @pytest.mark.parametrize("source", ["file", "-"])
+    @pytest.mark.parametrize("argv", TWO_INPUTS, ids=lambda argv: argv[0])
+    def test_deeply_nested_json_is_input_error(self, capsys, monkeypatch, tmp_path, argv,
+                                               source):
+        # json's decoder raised RecursionError, which escaped as a traceback
+        # with exit code 1, the code of a negative verdict
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        monkeypatch.setattr(sys, "stdin", io.StringIO(deep.read_text()))
+        first = str(deep) if source == "file" else "-"
+        # the first input is read first; the second is the file
+        argv = [argv[0], first, *(str(deep) if arg == "-" else arg for arg in argv[2:])]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {first}: JSON nested too deeply\n"
 
     def test_out_dash_is_not_a_stdin_read(self, capsys, monkeypatch):
         pair = json.dumps(serialization.pair_to_json(*copyable_pair(2, 2, seed=3)))

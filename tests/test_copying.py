@@ -274,11 +274,16 @@ class TestVerdictProperties:
     nearest_copyable_residual."""
 
     @given(planted_spectra(),
-           st.lists(st.floats(-0.99 * PHASE_TOL, 0.99 * PHASE_TOL), min_size=12, max_size=12))
+           st.lists(st.floats(-0.99 * PHASE_TOL, 0.99 * PHASE_TOL), min_size=12, max_size=12),
+           # root 0 at the 0/2pi seam, or at the key window's edge at -2 PHASE_TOL
+           st.one_of(st.none(), st.floats(-1e-15, 1e-15),
+                     st.floats(-3 * PHASE_TOL, -PHASE_TOL)))
     @settings(max_examples=100, deadline=None)
-    def test_copyable_iff_degeneracy_form(self, case, offsets):
+    def test_copyable_iff_degeneracy_form(self, case, offsets, seam):
         mult, rotation, seed = case
         m, d = len(mult), sum(mult)
+        if seam is not None:
+            rotation = seam
         roots = (TAU * np.arange(m) / m + rotation) % TAU
         t = planted_operator(np.repeat(roots, mult) + offsets[:d], seed)
         report = spectral_verdict(t)
@@ -290,6 +295,9 @@ class TestVerdictProperties:
         for rep, count in report.clusters:  # matched to the nearest planted root
             gap = np.abs(rep - roots) % TAU
             assert count == mult[int(np.argmin(np.minimum(gap, TAU - gap)))]
+        if report.copyable:  # clusters[k] is the rotated root w^k
+            for k, (rep, _) in enumerate(report.clusters):
+                assert circular_gap(rep + report.rotation, TAU * k / m) <= 2 * PHASE_TOL
 
     def test_cluster_wider_than_twice_tol_is_not_copyable(self):
         # two clusters of 8 phases 0.9 PHASE_TOL apart, centred on the roots
@@ -932,6 +940,13 @@ class TestSeam:
             assert labels.tolist() == (np.rint(3 * (angles % TAU) / TAU) % 3).tolist()
         assert [r.detected_m for r in reports] == [3, 3, 3]
         assert max(circular_gap(r.rotation, reports[0].rotation) for r in reports) <= 1e-12
+        # the clusters in root order, the anchor first; the root-0 cluster
+        # was listed last, as (6.283185307179585, 2), at (-1e-15, -1e-15)
+        for r in reports:
+            assert [count for _, count in r.clusters] == [2, 2, 2]
+            assert max(circular_gap(rep, first) for (rep, _), (first, _)
+                       in zip(r.clusters, reports[0].clusters)) <= 1e-12
+            assert circular_gap(r.clusters[0][0] + r.rotation, 0.0) <= 1e-12
         # synthesis projects onto the same eigenspace for each root
         projectors = []
         for (psi1, psi2), report in zip(pairs, reports):
