@@ -27,7 +27,7 @@ __version__ = "0.1.0"
 _HOMES = {
     "config": ("NotCopyableError", "PreconditionError", "SynthesisError"),
     "copying": (
-        "CopyProtocol", "IDENTICAL", "NEITHER", "ORTHOGONAL", "SpectrumReport",
+        "IDENTICAL", "NEITHER", "ORTHOGONAL", "SpectrumReport",
         "degeneracy_form_check", "orthogonality", "pair_operator", "spectral_verdict",
         "survey", "synthesize_a", "synthesize_protocol",
     ),
@@ -39,7 +39,7 @@ _HOMES = {
         "CATALYTIC", "DIRECT", "IMPOSSIBLE", "catalytic_copy_check",
         "find_catalytic_pair", "majorizes", "nielsen_transformable", "partial_sums",
     ),
-    "simulator": ("run_copy",),
+    "simulator": ("CopyProtocol", "run_copy"),
     "states": (
         "BipartiteState", "SchmidtVector", "from_unitary", "max_entangled", "overlap",
         "schmidt", "unitary_of_state",

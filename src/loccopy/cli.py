@@ -14,7 +14,9 @@ flag and a state that is not maximally entangled among them,
 in every subcommand), for a stdout closed before the output
 is written and for a failed allocation (MemoryError), 3 for an
 internal error (a synthesized protocol failed its own verification;
-see SynthesisError).  File arguments accept "-" for
+see SynthesisError).  Every refusal of an input file starts with
+its path, and a state that is not maximally entangled is named by its
+role (psi1, psi2, blank or state).  File arguments accept "-" for
 stdin, which a command may name once; check-pair and synthesize read
 one pair file or two state files and refuse more.  The seed defaults
 to 0; a negative seed is an input error, exit code 2.  No input comes
@@ -51,14 +53,20 @@ INPUT_ERROR = 2
 INTERNAL_ERROR = 3
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, loader):
+    """loader applied to the JSON document in the file path ("-" for
+    stdin), read as UTF-8.  Every refusal of the file is a ValueError that
+    starts with path: bad JSON, text that is not UTF-8, and each ValueError
+    of loader."""
     try:
         if path == "-":
-            return json.load(sys.stdin)
-        with open(path) as fh:
-            return json.load(fh)
+            return loader(json.load(sys.stdin))
+        with open(path, encoding="utf-8") as fh:
+            return loader(json.load(fh))
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except ValueError as exc:  # UnicodeDecodeError and the loader's refusals
+        raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
     except OSError as exc:
@@ -158,10 +166,8 @@ def _load_pair(paths: list[str]):
             f"expected one pair file or two state files, got {len(paths)} files"
         )
     if len(paths) == 1:
-        return serialization.pair_from_json(_load_json(paths[0]))
-    psi1 = serialization.state_from_json(_load_json(paths[0]))
-    psi2 = serialization.state_from_json(_load_json(paths[1]))
-    return psi1, psi2
+        return _load_json(paths[0], serialization.pair_from_json)
+    return tuple(_load_json(path, serialization.state_from_json) for path in paths)
 
 
 def _partial_sum_rows(sums: tuple[np.ndarray, np.ndarray, np.ndarray]) -> list[dict]:
@@ -180,8 +186,8 @@ def cmd_majorize(args) -> int:
     from . import serialization
     from .majorization import partial_sums
 
-    v = serialization.schmidt_from_json(_load_json(args.src))
-    w = serialization.schmidt_from_json(_load_json(args.dst))
+    v = _load_json(args.src, serialization.schmidt_from_json)
+    w = _load_json(args.dst, serialization.schmidt_from_json)
     sums = partial_sums(v, w)
     result = bool(sums[2].all())
     rows = _partial_sum_rows(sums)
@@ -193,8 +199,8 @@ def cmd_catalysis(args) -> int:
     from . import serialization
     from .majorization import CATALYTIC, DIRECT, _catalysis
 
-    psi = serialization.schmidt_from_json(_load_json(args.psi))
-    blank = serialization.schmidt_from_json(_load_json(args.blank))
+    psi = _load_json(args.psi, serialization.schmidt_from_json)
+    blank = _load_json(args.blank, serialization.schmidt_from_json)
     verdict, tensored = _catalysis(psi.probs, blank.probs)
     _emit(args, {"verdict": verdict, "tensored_partial_sums": _partial_sum_rows(tensored)})
     return OK if verdict in (DIRECT, CATALYTIC) else NEGATIVE
@@ -219,7 +225,7 @@ def cmd_synthesize(args) -> int:
 
     psi1, psi2 = _load_pair(args.states)
     if args.blank is not None:
-        blank = serialization.state_from_json(_load_json(args.blank))
+        blank = _load_json(args.blank, serialization.state_from_json)
     else:
         blank = max_entangled(psi1.d)
     try:
@@ -235,8 +241,8 @@ def cmd_simulate(args) -> int:
     from . import serialization
     from .simulator import run_copy
 
-    protocol = serialization.protocol_from_json(_load_json(args.protocol))
-    psi = serialization.state_from_json(_load_json(args.state))
+    protocol = _load_json(args.protocol, serialization.protocol_from_json)
+    psi = _load_json(args.state, serialization.state_from_json)
     fidelity, theta = run_copy(protocol, psi)
     passes = fidelity >= 1.0 - FIDELITY_TOL
     _emit(args, {"fidelity": fidelity, "theta": theta, "passes": passes})
@@ -387,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
             os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
         return INPUT_ERROR
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except MemoryError as exc:  # a d within DENSE_BYTES can still outgrow the machine

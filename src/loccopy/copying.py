@@ -24,20 +24,22 @@ NotCopyableError alone says no protocol exists.  A satisfies the
 defining relation to roundoff for the snapped T^ = sum_s w^s Pi_s,
 against which it is checked, and for T~ to within 2 PHASE_TOL.
 The protocol's A and B are then each a sum of M Kronecker products of
-d x d factors.  The checks of the construction run on those factors
-at O(M d^3 + M^2 d^2): unitarity by a certified bound and the defining
-relation for T^ exactly, both judged by UNITARITY_TOL.  The d^2 x d^2
+d x d factors; the CopyProtocol that holds them is defined in simulator,
+beside the overlap that verifies it.  The checks of the construction
+run on those factors at O(M d^3 + M^2 d^2): unitarity by a certified
+bound and the defining relation for T^ exactly, both judged by
+UNITARITY_TOL.  The d^2 x d^2
 work is assembling the returned A and B, at O(M d^4), and verifying
 them on both states by the four-party overlap of simulator._simulate,
 at O(d^5) in three work arrays.  Each state is validated once, by
 states.unitary_of_state, which pair_operator and synthesize_protocol
-call directly.
+call directly with the state's role (psi1, psi2, blank) as the name a
+refusal gives.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import ClassVar
 
 import numpy as np
 
@@ -52,7 +54,7 @@ from .config import (
     int_text,
     protocol_bytes,
 )
-from .simulator import _simulate
+from .simulator import CopyProtocol, _simulate
 from .states import BipartiteState, _gram_defect, assert_unitary, unitary_of_state
 from .tensor import _kron_sum, eig_normal
 
@@ -78,35 +80,6 @@ class SpectrumReport:
         return self.detected_m is not None
 
 
-@dataclass
-class CopyProtocol:
-    """Local unitaries copying two designed states onto a blank.
-
-    A acts on particles (1,3), B on particles (2,4); the transformation
-    achieved is A^13 (x) B^24 |psi_j^12>|b^34> = e^{i theta_j}
-    |psi_j^12>|psi_j^34> for j in {1, 2}.
-    """
-
-    d: int
-    blank: BipartiteState
-    a_op: np.ndarray
-    b_op: np.ndarray
-    phases: tuple[float, float]
-    wiring: ClassVar[str] = "A:(1,3) B:(2,4)"  # the one wiring; not a field
-
-    def __post_init__(self) -> None:
-        if self.blank.d != self.d:
-            raise ValueError(f"blank has d={self.blank.d}, but the protocol has d={self.d}")
-        n = self.d * self.d
-        self.a_op = np.asarray(self.a_op, dtype=complex)
-        self.b_op = np.asarray(self.b_op, dtype=complex)
-        if self.a_op.shape != (n, n) or self.b_op.shape != (n, n):
-            raise ValueError(
-                f"operators must be {n} x {n} for d={self.d}, "
-                f"got {self.a_op.shape} and {self.b_op.shape}"
-            )
-
-
 def pair_operator(psi1: BipartiteState, psi2: BipartiteState) -> np.ndarray:
     """T = D * PT_2(|psi1><psi2|) = U1 U2^dag, from the polished unitaries.
 
@@ -120,7 +93,7 @@ def pair_operator(psi1: BipartiteState, psi2: BipartiteState) -> np.ndarray:
     """
     if psi1.d != psi2.d:
         raise ValueError(f"dimension mismatch: {psi1.d} vs {psi2.d}")
-    return unitary_of_state(psi1) @ unitary_of_state(psi2).conj().T
+    return unitary_of_state(psi1, "psi1") @ unitary_of_state(psi2, "psi2").conj().T
 
 
 def orthogonality(t: np.ndarray) -> str:
@@ -409,12 +382,14 @@ def synthesize_protocol(
     NotCopyableError, and no other error, says that no protocol exists.
     Invalid input raises ValueError (unequal dimensions, or
     protocol_bytes(d) beyond DENSE_BYTES, before any state is validated)
-    or PreconditionError (a state not maximally entangled).
+    or PreconditionError naming psi1, psi2 or blank, whichever is not
+    maximally entangled.
     """
     if not psi1.d == psi2.d == blank.d:
         raise ValueError(f"dimension mismatch: {psi1.d}, {psi2.d} and blank {blank.d}")
     check_dense_bytes(f"synthesis at d = {int_text(psi1.d)}", protocol_bytes(psi1.d))
-    u1, u2, ub = (unitary_of_state(s) for s in (psi1, psi2, blank))
+    u1, u2, ub = (unitary_of_state(psi1, "psi1"), unitary_of_state(psi2, "psi2"),
+                  unitary_of_state(blank, "blank"))
 
     report = spectral_verdict(u1 @ u2.conj().T)
     if report.detected_m == 1:

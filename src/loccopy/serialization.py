@@ -16,7 +16,9 @@ which leaves A and B as complex arrays; stream_to_json writes it with
 each matrix as its list of [re, im] pairs, one row at a time, so a d=12
 protocol (1.9 MB of text) is written without its 41,472 pairs ever
 existing as Python lists at once.  Loaders reinterpret the [re, im]
-pairs as complex numbers bit for bit.
+pairs as complex numbers bit for bit.  protocol_from_json imports
+simulator, the home of CopyProtocol, when it is called, so that the
+other loaders load neither simulator nor copying.
 """
 from __future__ import annotations
 
@@ -31,7 +33,8 @@ from .config import NORM_TOL, check_dense_bytes, int_text, protocol_bytes
 from .states import BipartiteState, SchmidtVector
 
 if TYPE_CHECKING:
-    from .copying import CopyProtocol, SpectrumReport
+    from .copying import SpectrumReport
+    from .simulator import CopyProtocol
 
 
 def _complex_to_pairs(values: np.ndarray) -> list[list[float]]:
@@ -170,7 +173,7 @@ def stream_to_json(obj: dict) -> Iterator[str]:
 
 
 def protocol_from_json(obj: dict) -> CopyProtocol:
-    from .copying import CopyProtocol  # here, so that the other loaders never load copying
+    from .simulator import CopyProtocol  # here, so that the other loaders never load it
 
     d = _dimension(obj, "protocol")
     check_dense_bytes(f"a protocol at d = {int_text(d)}", protocol_bytes(d))

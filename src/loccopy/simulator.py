@@ -1,29 +1,55 @@
-"""Verification of copying protocols by the four-party overlap.
+"""Copying protocols and their verification by the four-party overlap.
 
 Particles are ordered (1,2,3,4): the state to copy lives on (1,2), the
-blank on (3,4).  Protocol operators act across that split, A on (1,3)
-and B on (2,4), the one wiring CopyProtocol.wiring names.  run_copy
+blank on (3,4).  A CopyProtocol's operators act across that split, A on
+(1,3) and B on (2,4), the one wiring CopyProtocol.wiring names.  run_copy
 evaluates <psi psi| A^13 B^24 |psi blank> in closed form on the dense A
 and B of any protocol, a loaded one included: _simulate applies the
 Kronecker products of the amplitude grids, without forming them, by
 np.matmul calls that write into three reused d^2 x d^2 arrays.  Synthesis
-verifies the A and B it returns on both of its states with one call of
-the same routine, so copying imports this module; this module names
-CopyProtocol only in annotations and never imports copying.  The
-brute-force four-particle simulation it is tested against lives in
-tests/oracles.py.
+builds a CopyProtocol and verifies it on both of its states with one
+call of the same routine, so copying imports this module, which never
+imports copying.  The brute-force four-particle simulation it is
+tested against lives in tests/oracles.py.
 """
 from __future__ import annotations
 
 from collections.abc import Sequence
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from .states import BipartiteState, assert_max_entangled, assert_unitary
+from .states import BipartiteState, assert_unitary, unitary_of_state
 
-if TYPE_CHECKING:
-    from .copying import CopyProtocol
+
+@dataclass
+class CopyProtocol:
+    """Local unitaries copying two designed states onto a blank.
+
+    A acts on particles (1,3), B on particles (2,4); the transformation
+    achieved is A^13 (x) B^24 |psi_j^12>|b^34> = e^{i theta_j}
+    |psi_j^12>|psi_j^34> for j in {1, 2}.
+    """
+
+    d: int
+    blank: BipartiteState
+    a_op: np.ndarray
+    b_op: np.ndarray
+    phases: tuple[float, float]
+    wiring: ClassVar[str] = "A:(1,3) B:(2,4)"  # the one wiring; not a field
+
+    def __post_init__(self) -> None:
+        if self.blank.d != self.d:
+            raise ValueError(f"blank has d={self.blank.d}, but the protocol has d={self.d}")
+        n = self.d * self.d
+        self.a_op = np.asarray(self.a_op, dtype=complex)
+        self.b_op = np.asarray(self.b_op, dtype=complex)
+        if self.a_op.shape != (n, n) or self.b_op.shape != (n, n):
+            raise ValueError(
+                f"operators must be {n} x {n} for d={self.d}, "
+                f"got {self.a_op.shape} and {self.b_op.shape}"
+            )
 
 
 def run_copy(protocol: CopyProtocol, psi: BipartiteState) -> tuple[float, float]:
@@ -37,7 +63,7 @@ def run_copy(protocol: CopyProtocol, psi: BipartiteState) -> tuple[float, float]
     """
     if psi.d != protocol.d:
         raise ValueError(f"dimension mismatch: state {psi.d} vs protocol {protocol.d}")
-    assert_max_entangled(psi)
+    unitary_of_state(psi)
     assert_unitary(protocol.a_op, "A operator")
     assert_unitary(protocol.b_op, "B operator")
     return _simulate(protocol, (psi,))[0]

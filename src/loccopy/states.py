@@ -4,7 +4,8 @@ entangled ones.
 A state |psi> = sum_ij c_ij |x_i> (x) |x_j> is stored as its d x d
 amplitude grid.  A maximally entangled state is exactly one whose grid
 is U/sqrt(d) for a unitary U acting on the first factor; the two
-representations convert via from_unitary and unitary_of_state.
+representations convert via from_unitary and unitary_of_state, which is
+also the one check that a state is maximally entangled.
 """
 from __future__ import annotations
 
@@ -61,9 +62,9 @@ class SchmidtVector:
         if not np.all(np.isfinite(p)):
             raise ValueError("probs must be finite")
         if np.any(p < -NORM_TOL):
-            raise ValueError(f"probs must be non-negative, got min {p.min()!r}")
+            raise ValueError(f"probs must be non-negative, got min {float(p.min())!r}")
         if np.any(p > 1.0 + NORM_TOL):  # before the sum, which could overflow
-            raise ValueError(f"probs must be at most 1, got max {p.max()!r}")
+            raise ValueError(f"probs must be at most 1, got max {float(p.max())!r}")
         total = float(p.sum())
         if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"probs must sum to 1, got {total!r}")
@@ -85,42 +86,25 @@ def from_unitary(u: np.ndarray) -> BipartiteState:
     return BipartiteState(u / np.sqrt(u.shape[0]))
 
 
-def unitary_of_state(s: BipartiteState) -> np.ndarray:
+def unitary_of_state(s: BipartiteState, what: str = "state") -> np.ndarray:
     """Recover U with from_unitary(U) == s; inverse of from_unitary.
 
-    Requires s maximally entangled: its Schmidt probabilities must all
-    equal 1/d within MAX_ENT_TOL (see assert_max_entangled).  U is
-    sqrt(d) C after one Newton-Schulz step U (3I - U^dag U) / 2 toward
-    the nearest unitary, taken as U - U E / 2 from the defect E that the
-    validation forms anyway.  A deviation e of U's singular values from
-    1 shrinks to about 3e^2/2, so U is unitary to roundoff although
-    MAX_ENT_TOL allows e to exceed UNITARITY_TOL; for a state made by
-    from_unitary, U is returned to roundoff.
-    """
-    u, e = _max_entangled_defect(s)
-    return u - 0.5 * (u @ e)
+    The one validation of a maximally entangled state: PreconditionError,
+    naming what, unless every Schmidt probability p_i of s is 1/d within
+    MAX_ENT_TOL.  The p_i are the eigenvalues of C^dag C, so with
+    U = sqrt(d) C the defect E = U^dag U - I has the eigenvalues d p_i - 1
+    and spectral norm d max|p_i - 1/d|.  The spectral norm is at most the
+    Frobenius norm, so ||E||_F <= d MAX_ENT_TOL certifies the state from
+    one d x d Gram matrix.  Above that bound, which deviations spread over
+    many p_i can exceed while each stays within MAX_ENT_TOL, the exact
+    spread is taken from an SVD, with the same threshold.
 
-
-def assert_max_entangled(s: BipartiteState) -> None:
-    """Raise PreconditionError unless every Schmidt probability of s is
-    1/d within MAX_ENT_TOL.
-
-    The Schmidt probabilities p_i are the eigenvalues of C^dag C, so
-    E = d C^dag C - I has the eigenvalues d p_i - 1 and spectral norm
-    d max|p_i - 1/d|.  The spectral norm is at most the Frobenius norm,
-    so ||E||_F <= d MAX_ENT_TOL certifies the state from one d x d Gram
-    matrix.  Above that bound, which deviations spread over many p_i can
-    exceed while each stays within MAX_ENT_TOL, the exact spread is
-    taken from an SVD, with the same threshold.
-    """
-    _max_entangled_defect(s)
-
-
-def _max_entangled_defect(s: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
-    """U = sqrt(d) C and E = U^dag U - I of a validated maximally entangled s.
-
-    The one validation of a state: assert_max_entangled and
-    unitary_of_state both go through it, and the latter reuses E.
+    U is then sqrt(d) C after one Newton-Schulz step U (3I - U^dag U) / 2
+    toward the nearest unitary, taken as U - U E / 2 from the defect E.
+    A deviation e of U's singular values from 1 shrinks to about 3e^2/2,
+    so U is unitary to roundoff although MAX_ENT_TOL allows e to exceed
+    UNITARITY_TOL; for a state made by from_unitary, U is returned to
+    roundoff.
     """
     u = s.grid * math.sqrt(s.d)
     e = _gram_defect(u)
@@ -130,10 +114,10 @@ def _max_entangled_defect(s: BipartiteState) -> tuple[np.ndarray, np.ndarray]:
         spread = float(np.max(np.abs(probs - 1.0 / s.d)))
         if spread > MAX_ENT_TOL:
             raise PreconditionError(
-                f"state is not maximally entangled: Schmidt probs deviate from 1/{s.d} "
+                f"{what} is not maximally entangled: Schmidt probs deviate from 1/{s.d} "
                 f"by up to {spread:.3e}"
             )
-    return u, e
+    return u - 0.5 * (u @ e)
 
 
 def assert_unitary(u: np.ndarray, what: str = "matrix") -> None:

@@ -509,7 +509,7 @@ class TestSynthesizeAndSimulate:
         code, out, err = run(capsys, ["simulate", proto_path, state])
         assert code == 2
         assert out == ""
-        assert err == "error: blank has d=2, but the protocol has d=3\n"
+        assert err == f"error: {proto_path}: blank has d=2, but the protocol has d=3\n"
 
 
 class TestStreamedOutput:
@@ -1003,6 +1003,32 @@ class TestErrorHandling:
         assert (code, out) == (2, "")
         assert err == f"error: {first}: JSON nested too deeply\n"
 
+    @pytest.mark.parametrize("position", [0, 1], ids=["first", "second"])
+    @pytest.mark.parametrize("content", [b"\xff", b'{"probs": []}'],
+                             ids=["not utf-8", "refused"])
+    @pytest.mark.parametrize("argv", TWO_INPUTS, ids=lambda argv: argv[0])
+    def test_unreadable_input_names_its_file(self, capsys, tmp_path, argv, content, position):
+        # a file that is not UTF-8, or a document its loader refuses, used
+        # to print the error alone, not saying which of two inputs it was
+        psi1, psi2 = orthogonal_pair(2, seed=3)
+        objects = {"probs": {"probs": [0.5, 0.5]},
+                   "pair": serialization.pair_to_json(psi1, psi2),
+                   "state": serialization.state_to_json(psi1),
+                   "protocol": protocol_json(synthesize_protocol(psi1, psi2, max_entangled(2)))}
+        good = {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in objects.items()}
+        inputs = {"majorize": ["probs", "probs"], "catalysis": ["probs", "probs"],
+                  "check-pair": ["state", "state"], "simulate": ["protocol", "state"],
+                  "synthesize": ["pair", "state"]}[argv[0]]
+        paths = [good[name] for name in inputs]
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        paths[position] = str(bad)
+        files = iter(paths)
+        code, out, err = run(capsys, [next(files) if arg == "-" else arg for arg in argv])
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {bad}: ")
+
     def test_out_dash_is_not_a_stdin_read(self, capsys, monkeypatch):
         pair = json.dumps(serialization.pair_to_json(*copyable_pair(2, 2, seed=3)))
         monkeypatch.setattr(sys, "stdin", io.StringIO(pair))
@@ -1112,15 +1138,16 @@ class TestErrorHandling:
         obj = protocol_json(synthesize_protocol(psi1, psi2, max_entangled(2)))
         obj["A"][0] = [float("nan"), 0.0]
         state = write_json(tmp_path, "state.json", serialization.state_to_json(psi1))
-        code, out, err = run(capsys, ["simulate", write_json(tmp_path, "p.json", obj), state])
+        protocol = write_json(tmp_path, "p.json", obj)
+        code, out, err = run(capsys, ["simulate", protocol, state])
         assert code == 2
         assert out == ""
-        assert err == "error: protocol matrix A entries must be finite\n"
+        assert err == f"error: {protocol}: protocol matrix A entries must be finite\n"
 
     def test_negative_dimension_is_named(self, capsys, tmp_path):
         state = write_json(tmp_path, "state.json", {"d": -3, "amplitudes": [[1 / 3, 0.0]] * 9})
         code, out, err = run(capsys, ["check-pair", state, state])
-        assert (code, out, err) == (2, "", "error: state key 'd' must be at least 2\n")
+        assert (code, out, err) == (2, "", f"error: {state}: state key 'd' must be at least 2\n")
 
     @pytest.mark.parametrize("command", ["majorize", "catalysis"])
     def test_nan_probabilities_are_input_error(self, capsys, tmp_path, command):
@@ -1257,16 +1284,21 @@ def outcome_files(tmp_path) -> dict:
     return {name: write_json(tmp_path, f"{name}.json", obj) for name, obj in objects.items()}
 
 
-NOT_MAX_ENT = "error: state is not maximally entangled"
+def not_max_ent(role: str) -> str:
+    return f"error: {role} is not maximally entangled: "
+
+
 # argv, exit code and the start of the one stderr line; only "no protocol
-# exists" is synthesize's negative verdict, and invalid input exits 2 in
-# every subcommand
+# exists" is synthesize's negative verdict, invalid input exits 2 in
+# every subcommand, and a weak state is named by its role
 OUTCOMES = {
-    "weak state, check-pair": (["check-pair", "{weak_pair}"], 2, NOT_MAX_ENT),
-    "weak state, synthesize pair file": (["synthesize", "{weak_pair}"], 2, NOT_MAX_ENT),
-    "weak state, synthesize state files": (["synthesize", "{state}", "{weak}"], 2, NOT_MAX_ENT),
-    "weak blank, synthesize": (["synthesize", "{pair}", "--blank", "{weak}"], 2, NOT_MAX_ENT),
-    "weak state, simulate": (["simulate", "{protocol}", "{weak}"], 2, NOT_MAX_ENT),
+    "weak state, check-pair": (["check-pair", "{weak_pair}"], 2, not_max_ent("psi1")),
+    "weak state, synthesize pair file": (["synthesize", "{weak_pair}"], 2, not_max_ent("psi1")),
+    "weak state, synthesize state files": (["synthesize", "{state}", "{weak}"], 2,
+                                           not_max_ent("psi2")),
+    "weak blank, synthesize": (["synthesize", "{pair}", "--blank", "{weak}"], 2,
+                               not_max_ent("blank")),
+    "weak state, simulate": (["simulate", "{protocol}", "{weak}"], 2, not_max_ent("state")),
     "nonprime pair, synthesize": (["synthesize", "{nonprime}"], 1,
                                   "not synthesizable: pair operator spectrum is not"),
     "identical pair, synthesize": (["synthesize", "{identical}"], 1,
@@ -1397,14 +1429,20 @@ def test_pair_commands_leave_generators_unloaded(tmp_path, command):
     ("majorize", "['numpy']"),
     ("catalysis", "['numpy']"),
     ("generate", "['loccopy.generators', 'numpy']"),
-], ids=["majorize", "catalysis", "generate"])
+    ("simulate", "['numpy']"),
+], ids=["majorize", "catalysis", "generate", "simulate"])
 def test_commands_without_a_verdict_leave_copying_unloaded(tmp_path, command, loaded):
-    # serialization imports copying only to load a protocol
+    # serialization never imports copying; a protocol loads from simulator
     probs = write_json(tmp_path, "probs.json", {"probs": [0.5, 0.5]})
+    psi1, psi2 = orthogonal_pair(2, seed=3)
+    protocol = write_json(tmp_path, "protocol.json",
+                          protocol_json(synthesize_protocol(psi1, psi2, max_entangled(2))))
+    state = write_json(tmp_path, "state.json", serialization.state_to_json(psi1))
     argv = {"majorize": ["majorize", probs, probs],
             "catalysis": ["catalysis", probs, probs],
             "generate": ["generate", "--family", "orthogonal", "--d", "2",
-                         "--out", str(tmp_path / "pair.json")]}[command]
+                         "--out", str(tmp_path / "pair.json")],
+            "simulate": ["simulate", protocol, state]}[command]
     result = run_probe(argv)
     assert result.returncode == 0, result.stderr
     assert result.stderr.splitlines()[-1] == loaded
@@ -1462,7 +1500,8 @@ def test_budget_refuses_before_allocating(tmp_path, command):
             "d": 100, "blank": serialization.state_to_json(max_entangled(2)),
             "A": [], "B": [], "phases": [0.0, 0.0]})
         state = write_json(tmp_path, "state.json", serialization.state_to_json(max_entangled(2)))
-        argv, what = ["simulate", protocol, state], "a protocol"
+        # a refusal of an input file starts with its path
+        argv, what = ["simulate", protocol, state], f"{protocol}: a protocol"
     result = run_in_one_gib(argv)
     assert result.returncode == 2
     assert result.stdout == ""

@@ -41,7 +41,6 @@ from loccopy.generators import (
 from loccopy.simulator import run_copy
 from loccopy.states import (
     BipartiteState,
-    assert_max_entangled,
     from_unitary,
     max_entangled,
     unitary_of_state,
@@ -530,7 +529,24 @@ class TestSynthesizeA:
             synthesize_a(nonprime_unitary(2, 2, delta=0.5, seed=1))
 
 
+WEAK = BipartiteState(np.diag([0.8, 0.6]))  # normalized, not maximally entangled
+
+
 class TestSynthesizeProtocol:
+    @pytest.mark.parametrize("bad,state,error,message", [
+        ("blank", max_entangled(3), ValueError, "dimension mismatch: 2, 2 and blank 3"),
+        ("psi1", WEAK, PreconditionError, "psi1 is not maximally entangled: "),
+        ("psi2", WEAK, PreconditionError, "psi2 is not maximally entangled: "),
+        ("blank", WEAK, PreconditionError, "blank is not maximally entangled: "),
+    ], ids=["blank of another d", "weak psi1", "weak psi2", "weak blank"])
+    def test_refusal_names_the_input(self, bad, state, error, message):
+        states = dict(zip(("psi1", "psi2"), copyable_pair(2, 2, seed=5)), blank=max_entangled(2))
+        states[bad] = state
+        with pytest.raises(error) as exc:
+            synthesize_protocol(**states)
+        assert type(exc.value) is error
+        assert str(exc.value).startswith(message)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_orthogonal_pair_protocol(self, d):
         psi1, psi2 = orthogonal_pair(d, seed=17)
@@ -601,7 +617,7 @@ class TestSynthesizeProtocol:
         # passes MAX_ENT_TOL, but its unitary is further from unitary than
         # UNITARITY_TOL allows A to be
         blank = near_max_entangled(d, deviation, seed=d)
-        assert_max_entangled(blank)
+        unitary_of_state(blank)
         psi1, psi2 = copyable_pair(d, 2, seed=d)
         protocol = synthesize_protocol(psi1, psi2, blank)
         assert np.linalg.norm(
@@ -615,7 +631,7 @@ class TestSynthesizeProtocol:
         # further from unitary than UNITARITY_TOL allows
         psi1, psi2 = copyable_pair(d, 2, seed=3)
         psi1 = moved_schmidt(psi1, deviation)
-        assert_max_entangled(psi1)
+        unitary_of_state(psi1)
         protocol = synthesize_protocol(psi1, psi2, max_entangled(d))
         for psi in (psi1, psi2):
             assert run_copy(protocol, psi)[0] >= 1 - 1e-9
@@ -680,8 +696,8 @@ class TestSynthesisChecks:
         blank = from_unitary(haar_unitary(4, seed=20))
         original = loccopy.copying.unitary_of_state
 
-        def scaled_blank(s):
-            u = original(s)
+        def scaled_blank(s, what):
+            u = original(s, what)
             return 1.01 * u if s is blank else u
 
         monkeypatch.setattr(loccopy.copying, "unitary_of_state", scaled_blank)
@@ -713,7 +729,7 @@ class TestSynthesisChecks:
         import loccopy.tensor
 
         eig_calls = count_calls(monkeypatch, loccopy.tensor, "eig_normal")
-        state_checks = count_calls(monkeypatch, loccopy.states, "_max_entangled_defect")
+        state_checks = count_calls(monkeypatch, loccopy.states, "unitary_of_state")
         psi1, psi2 = copyable_pair(3, 3, seed=4)
         monkeypatch.setattr(loccopy.config, "DENSE_BYTES", 6479)
         with pytest.raises(ValueError, match="^synthesis at d = 3 needs 6480 bytes, "
@@ -1100,7 +1116,7 @@ class TestWorkCounts:
 
         found = {
             "eig_normal": count_calls(monkeypatch, loccopy.tensor, "eig_normal"),
-            "state_checks": count_calls(monkeypatch, loccopy.states, "_max_entangled_defect"),
+            "state_checks": count_calls(monkeypatch, loccopy.states, "unitary_of_state"),
             "svd": count_calls(monkeypatch, np.linalg, "svd"),
             "eigvals": count_calls(monkeypatch, np.linalg, "eigvals"),
             "schur": [],

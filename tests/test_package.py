@@ -79,9 +79,17 @@ def test_oracle_name_is_not_a_package_attribute(name):
         assert not hasattr(module, name)
 
 
+def test_copy_protocol_is_one_class():
+    import loccopy.copying
+    import loccopy.simulator
+
+    assert loccopy.CopyProtocol is loccopy.copying.CopyProtocol is loccopy.simulator.CopyProtocol
+    assert loccopy.CopyProtocol.__module__ == "loccopy.simulator"
+
+
 def test_simulator_import_leaves_copying_unloaded():
-    # copying imports simulator for synthesis's check; simulator names
-    # CopyProtocol only in annotations, so the import runs one way
+    # copying imports simulator, the home of CopyProtocol, for synthesis's
+    # check; simulator never imports copying, so the import runs one way
     import os
     import subprocess
 

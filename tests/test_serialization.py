@@ -75,6 +75,15 @@ class TestStateJson:
         with pytest.raises(ValueError, match="pairs"):
             state_from_json({"d": 2, "amplitudes": [1, 2, 3, 4]})
 
+    @pytest.mark.parametrize("amplitudes,shape", [
+        ([], "(0, 0)"),
+        ([[0.5, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], "(4, 3)"),
+    ], ids=["empty", "triples"])
+    def test_lists_that_are_not_pairs_rejected(self, amplitudes, shape):
+        with pytest.raises(ValueError) as exc:
+            state_from_json({"d": 2, "amplitudes": amplitudes})
+        assert str(exc.value) == f"state amplitudes must be a list of [re, im] pairs, got shape {shape}"
+
     def test_infinite_entry_rejected_without_warning(self):
         amplitudes = [[0.5, float("inf")], [0.0, 0.0], [0.0, 0.0], [0.5, 0.0]]
         with warnings.catch_warnings():

@@ -4,9 +4,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from loccopy.config import TAU
-from loccopy.copying import CopyProtocol, synthesize_protocol
+from loccopy.copying import synthesize_protocol
 from loccopy.generators import copyable_pair, haar_unitary, orthogonal_pair
-from loccopy.simulator import run_copy
+from loccopy.simulator import CopyProtocol, run_copy
 from loccopy.states import BipartiteState, from_unitary, max_entangled, overlap
 from loccopy.tensor import kron
 

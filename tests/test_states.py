@@ -5,7 +5,6 @@ from loccopy.generators import haar_unitary
 from loccopy.states import (
     BipartiteState,
     SchmidtVector,
-    assert_max_entangled,
     assert_unitary,
     from_unitary,
     max_entangled,
@@ -47,6 +46,24 @@ class TestConstruction:
         grid[0, 1] = np.nan
         with pytest.raises(ValueError, match="finite"):
             BipartiteState(grid)
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda: BipartiteState(np.ones((2, 3)) / np.sqrt(6)),
+         "amplitude grid must be square, got (2, 3)"),
+        (lambda: BipartiteState([[1.0]]), "subsystem dimension must be at least 2"),
+        # JSON input is bounded before it gets here
+        (lambda: BipartiteState(np.diag([1.5, 0.0])), "amplitudes must be at most 1 in magnitude"),
+        (lambda: SchmidtVector([]), "probs must be a nonempty 1-d array, got shape (0,)"),
+        (lambda: SchmidtVector([[0.5, 0.5]]),
+         "probs must be a nonempty 1-d array, got shape (1, 2)"),
+        (lambda: SchmidtVector([1.5, 0.0]), "probs must be at most 1, got max 1.5"),
+        (lambda: assert_unitary(np.eye(2, 3), "T"), "T must be square, got shape (2, 3)"),
+    ], ids=["state not square", "state 1x1", "state amplitude above 1", "probs empty",
+            "probs 2-d", "prob above 1", "matrix not square"])
+    def test_malformed_input_refused(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
 
 
 class TestSchmidtVector:
@@ -144,7 +161,7 @@ class TestMaxEntangledCheck:
         return calls
 
     def test_certified_state_needs_no_svd(self, svd_calls):
-        assert_max_entangled(from_unitary(haar_unitary(16, seed=16)))
+        unitary_of_state(from_unitary(haar_unitary(16, seed=16)))
         assert svd_calls == []
 
     def test_spread_within_tol_beyond_certificate_uses_one_svd(self, svd_calls):
@@ -153,15 +170,23 @@ class TestMaxEntangledCheck:
         state = schmidt_state(1.0 / 16 + 0.6 * tol * (-1.0) ** np.arange(16), seed=1)
         defect = 16 * state.grid.conj().T @ state.grid - np.eye(16)
         assert np.linalg.norm(defect) > 2 * 16 * tol
-        assert_max_entangled(state)
+        unitary_of_state(state)
         assert len(svd_calls) == 1
+
+    @pytest.mark.parametrize("what", [None, "blank"])
+    def test_refusal_names_the_state(self, what):
+        weak = schmidt_state([0.6, 0.4], seed=3)
+        args = () if what is None else (what,)
+        with pytest.raises(PreconditionError,
+                           match=f"^{what or 'state'} is not maximally entangled: "):
+            unitary_of_state(weak, *args)
 
     def test_spread_beyond_tol_raises(self, svd_calls):
         probs = np.full(16, 1.0 / 16)
         probs[:2] += (2 * MAX_ENT_TOL, -2 * MAX_ENT_TOL)
         with pytest.raises(PreconditionError,
                            match=r"deviate from 1/16 by up to (1\.99\de|2\.00\de)-08"):
-            assert_max_entangled(schmidt_state(probs, seed=2))
+            unitary_of_state(schmidt_state(probs, seed=2))
         assert len(svd_calls) == 1
 
 
