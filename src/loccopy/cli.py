@@ -17,7 +17,8 @@ internal error (a synthesized protocol failed its own verification;
 see SynthesisError).  Every refusal of an input file starts with
 its path, and a state that is not maximally entangled is named by its
 role (psi1, psi2, blank or state).  File arguments accept "-" for
-stdin, which a command may name once; check-pair and synthesize read
+stdin, read as strict UTF-8 as a file is, which a command may name
+once; check-pair and synthesize read
 one pair file or two state files and refuse more.  The seed defaults
 to 0; a negative seed is an input error, exit code 2.  No input comes
 from the environment.
@@ -55,12 +56,13 @@ INTERNAL_ERROR = 3
 
 def _load_json(path: str, loader):
     """loader applied to the JSON document in the file path ("-" for
-    stdin), read as UTF-8.  Every refusal of the file is a ValueError that
-    starts with path: bad JSON, text that is not UTF-8, and each ValueError
-    of loader."""
+    stdin), read as strict UTF-8: stdin's bytes are decoded here, not by
+    sys.stdin, whose error handler depends on the locale.  Every refusal
+    of the file is a ValueError that starts with path: bad JSON, text
+    that is not UTF-8, and each ValueError of loader."""
     try:
         if path == "-":
-            return loader(json.load(sys.stdin))
+            return loader(json.loads(sys.stdin.buffer.read().decode("utf-8")))
         with open(path, encoding="utf-8") as fh:
             return loader(json.load(fh))
     except json.JSONDecodeError as exc:

@@ -12,7 +12,7 @@ import math
 TAU = 2.0 * math.pi
 
 NORM_TOL = 1e-10        # |norm - 1| bound when constructing a state or probability vector
-UNITARITY_TOL = 1e-9    # ||U^dag U - I||_F bound, certified from factors for C1 and A; also C1's relation residual
+UNITARITY_TOL = 1e-9    # ||U^dag U - I||_F bound, certified from factors for C1 and A
 NORMALITY_TOL = 1e-8    # ||M V - V diag(lam)||_F / max(1, ||M||_F) bound in eig_normal
 PHASE_TOL = 1e-7        # largest distance of an eigenphase from its rotated root, radians;
                         # clusters are cut at twice it; also the |Tr T|/d bound for orthogonality

@@ -24,6 +24,12 @@ def run(capsys, argv):
     return code, captured.out, captured.err
 
 
+def stdin_of(text):
+    """A stand-in for sys.stdin holding text, with the binary buffer that
+    cli reads."""
+    return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8")
+
+
 def write_json(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
@@ -64,7 +70,7 @@ class TestMajorize:
 
     def test_stdin_source(self, capsys, tmp_path, monkeypatch):
         dst = write_json(tmp_path, "dst.json", {"probs": [1.0, 0.0]})
-        monkeypatch.setattr(sys, "stdin", io.StringIO('{"probs": [0.6, 0.4]}'))
+        monkeypatch.setattr(sys, "stdin", stdin_of('{"probs": [0.6, 0.4]}'))
         code, out, _ = run(capsys, ["majorize", "-", dst])
         assert code == 0
         assert json.loads(out)["majorizes"] is True
@@ -825,7 +831,7 @@ class TestGenerate:
     def test_generated_pair_feeds_check_pair(self, capsys, tmp_path, monkeypatch):
         _, out, _ = run(capsys, ["generate", "--family", "copyable",
                                  "--d", "6", "--m", "3", "--seed", "15"])
-        monkeypatch.setattr(sys, "stdin", io.StringIO(out))
+        monkeypatch.setattr(sys, "stdin", stdin_of(out))
         code, out, _ = run(capsys, ["check-pair", "-"])
         assert code == 0
         assert json.loads(out)["detected_m"] == 3
@@ -979,13 +985,13 @@ class TestErrorHandling:
 
     @pytest.mark.parametrize("argv", TWO_INPUTS, ids=lambda argv: argv[0])
     def test_stdin_named_twice_is_input_error(self, capsys, monkeypatch, argv):
-        stdin = io.StringIO('{"probs": [0.5, 0.5]}')
+        stdin = stdin_of('{"probs": [0.5, 0.5]}')
         monkeypatch.setattr(sys, "stdin", stdin)
         code, out, err = run(capsys, argv)
         assert code == 2
         assert out == ""
         assert err == "error: stdin can be read once, but '-' names 2 inputs\n"
-        assert stdin.tell() == 0  # refused before the first read
+        assert stdin.buffer.tell() == 0  # refused before the first read
 
     @pytest.mark.parametrize("source", ["file", "-"])
     @pytest.mark.parametrize("argv", TWO_INPUTS, ids=lambda argv: argv[0])
@@ -995,7 +1001,7 @@ class TestErrorHandling:
         # with exit code 1, the code of a negative verdict
         deep = tmp_path / "deep.json"
         deep.write_text("[" * 100000 + "]" * 100000)
-        monkeypatch.setattr(sys, "stdin", io.StringIO(deep.read_text()))
+        monkeypatch.setattr(sys, "stdin", stdin_of(deep.read_text()))
         first = str(deep) if source == "file" else "-"
         # the first input is read first; the second is the file
         argv = [argv[0], first, *(str(deep) if arg == "-" else arg for arg in argv[2:])]
@@ -1029,9 +1035,23 @@ class TestErrorHandling:
         [line] = err.splitlines()
         assert line.startswith(f"error: {bad}: ")
 
+    def test_stdin_is_read_as_strict_utf8(self, tmp_path):
+        # sys.stdin decodes by the locale's rule: in UTF-8 mode its
+        # surrogateescape handler passed the byte on, and the refusal read
+        # "error: -:1:1: Expecting value"
+        import subprocess
+
+        good = write_json(tmp_path, "good.json", {"probs": [0.5, 0.5]})
+        result = subprocess.run([sys.executable, "-X", "utf8", "-m", "loccopy.cli",
+                                 "majorize", "-", good],
+                                input=b"\xff", capture_output=True, env=src_env())
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.decode() == ("error: -: 'utf-8' codec can't decode byte 0xff "
+                                          "in position 0: invalid start byte\n")
+
     def test_out_dash_is_not_a_stdin_read(self, capsys, monkeypatch):
         pair = json.dumps(serialization.pair_to_json(*copyable_pair(2, 2, seed=3)))
-        monkeypatch.setattr(sys, "stdin", io.StringIO(pair))
+        monkeypatch.setattr(sys, "stdin", stdin_of(pair))
         code, out, err = run(capsys, ["synthesize", "-", "--out", "-"])
         assert (code, err) == (0, "")
         assert json.loads(out)["d"] == 2
@@ -1088,7 +1108,7 @@ class TestErrorHandling:
         from loccopy.config import SynthesisError
 
         def fail(*args, **kwargs):
-            raise SynthesisError("synthesized A fails its defining relation")
+            raise SynthesisError("synthesized protocol failed verification on psi1: fidelity 0.5")
 
         monkeypatch.setattr(copying, "synthesize_protocol", fail)
         psi1, psi2 = copyable_pair(4, 2, seed=1)
@@ -1096,7 +1116,7 @@ class TestErrorHandling:
         code, out, err = run(capsys, ["synthesize", pair])
         assert code == 3
         assert out == ""
-        assert "internal error: synthesized A fails" in err
+        assert "internal error: synthesized protocol failed verification" in err
 
     def test_bare_memory_error_is_one_line(self, capsys, tmp_path, monkeypatch):
         from loccopy import copying

@@ -19,7 +19,8 @@ from loccopy.copying import (
     ORTHOGONAL,
     TAU,
     CopyProtocol,
-    _controlled_shift,
+    _root_basis,
+    _shift_factors,
     degeneracy_form_check,
     orthogonality,
     pair_operator,
@@ -835,32 +836,20 @@ class TestFactoredChecks:
 
     @given(copyable_cases())
     @settings(max_examples=30, deadline=None)
-    def test_relation_residual_matches_dense(self, case):
-        import loccopy.copying
-        from loccopy.copying import _relation_residual
+    def test_relation_holds_for_any_unitary_basis(self, case):
+        # C1 = (V (x) V) P (V (x) V)^dag and T^ = sum_s w^s Pi_s come from
+        # the same column blocks of V, so the relation is exact algebra,
+        # whatever V's columns are
+        from loccopy.tensor import _kron_sum
 
         d, m, seed = case
-        t = copyable_unitary(d, m, seed=seed)
-        factors = []
-        original = loccopy.copying._kron_sum
-
-        def record(first, second):
-            factors.append((first, second))
-            return original(first, second)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(loccopy.copying, "_kron_sum", record)
-            c1 = synthesize_a(t)
-        [(shifts, projectors)] = factors
-        t_rot = np.exp(1j * spectral_verdict(t).rotation) * t
-        rng = np.random.default_rng(seed)
+        v = haar_unitary(d, seed=seed)
+        shifts, projectors = _shift_factors(v, v, m)
+        c1 = _kron_sum(shifts, projectors)
+        t_hat = np.tensordot(np.exp(1j * TAU / m * np.arange(m)), projectors, axes=1)
         eye = np.eye(d)
-        # the factored form is exact for any T~, so a perturbed one gives
-        # a residual well above roundoff
-        for t_rel in (t_rot, t_rot + 1e-3 * rng.standard_normal((d, d))):
-            dense = np.linalg.norm(c1 @ kron(t_rel, eye) - kron(t_rel, t_rel) @ c1)
-            residual = _relation_residual(shifts, projectors, t_rel)
-            assert abs(residual - dense) < 1e-12 + 1e-10 * dense
+        assert np.max(np.abs(c1 @ kron(t_hat, eye) - kron(t_hat, t_hat) @ c1)) < 1e-12
+
 
 def off_grid_pair(d, m, eps, seed):
     """An orthogonal pair whose pair operator has the M roots of unity,
@@ -875,7 +864,7 @@ def off_grid_pair(d, m, eps, seed):
 
 class TestRootGrid:
     """Synthesis gives each eigenvector the nearest root of the verdict's
-    rotated grid and checks its relation against the snapped operator."""
+    rotated grid; a wrong pairing of roots fails verification."""
 
     @given(copyable_cases(max_d=32),
            st.one_of(st.sampled_from([0.0, 1e-16, -1e-16, TAU - 1e-16]),
@@ -890,7 +879,8 @@ class TestRootGrid:
         w = planted_operator(phases, seed)
         report = spectral_verdict(w)
         assert report.detected_m == m
-        v, _, projectors = _controlled_shift(w, report)
+        v = _root_basis(w, report)
+        projectors = _shift_factors(v, v, m)[1]
         # block s of V holds d/M eigenvectors of W, each for the rotated root w^s
         roots = np.exp(1j * (TAU * np.repeat(np.arange(m), d // m) / m - report.rotation))
         residuals = np.linalg.norm(w @ v - v * roots, axis=0)
@@ -909,9 +899,8 @@ class TestRootGrid:
                 assert run_copy(protocol, psi)[0] >= 1 - FIDELITY_TOL
 
     @pytest.mark.parametrize("synthesize", [
-        lambda: synthesize_a(copyable_unitary(6, 3, seed=1)),
         lambda: synthesize_protocol(*copyable_pair(6, 3, seed=1), max_entangled(6)),
-    ], ids=["synthesize_a", "synthesize_protocol"])
+    ], ids=["synthesize_protocol"])
     def test_reversed_shift_fails_relation(self, monkeypatch, synthesize):
         import loccopy.copying
 
@@ -923,7 +912,7 @@ class TestRootGrid:
             return shifts[-np.arange(m) % m], projectors
 
         monkeypatch.setattr(loccopy.copying, "_shift_factors", reversed_shift)
-        with pytest.raises(SynthesisError, match="fails its defining relation"):
+        with pytest.raises(SynthesisError, match="failed verification"):
             synthesize()
 
 
@@ -967,7 +956,8 @@ class TestSeam:
         projectors = []
         for (psi1, psi2), report in zip(pairs, reports):
             u1, u2 = unitary_of_state(psi1), unitary_of_state(psi2)
-            projectors.append(_controlled_shift(u2.conj().T @ u1, report)[2])
+            v = _root_basis(u2.conj().T @ u1, report)
+            projectors.append(_shift_factors(v, v, 3)[1])
         assert max(np.abs(p - projectors[0]).max() for p in projectors) <= 1e-12
 
     def test_root_zero_pair_writes_one_theta2(self):
