@@ -12,7 +12,6 @@ from loccopy import (
     spectral_verdict,
     synthesize_a,
 )
-from loccopy.tensor import kron
 
 # A planted example at D = 6 with M = 3: eigenvalues are the cube roots
 # of unity, each twice, behind a random global phase and a random basis.
@@ -25,11 +24,12 @@ print("  rotation removed:", round(report.rotation, 4))
 print("  clusters:", [(round(rep, 4), mult) for rep, mult in report.clusters])
 print("  copyable:", report.copyable, " detected M:", report.detected_m)
 
-# The synthesized A conjugates T~ (x) 1 into T~ (x) T~ exactly.
+# The synthesized A conjugates T~ (x) 1 into T~ (x) T~ exactly.  The
+# first factor varies fastest, so op1 (x) op2 is np.kron(op2, op1).
 
 a = synthesize_a(t)
 t_rot = np.exp(1j * report.rotation) * t
-residual = np.linalg.norm(a @ kron(t_rot, np.eye(6)) @ a.conj().T - kron(t_rot, t_rot))
+residual = np.linalg.norm(a @ np.kron(np.eye(6), t_rot) @ a.conj().T - np.kron(t_rot, t_rot))
 print("  defining-relation residual:", f"{residual:.3e}")
 print()
 

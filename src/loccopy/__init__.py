@@ -42,9 +42,9 @@ _HOMES = {
     "simulator": ("CopyProtocol", "run_copy"),
     "states": (
         "BipartiteState", "SchmidtVector", "from_unitary", "max_entangled", "overlap",
-        "schmidt", "unitary_of_state",
+        "unitary_of_state",
     ),
-    "tensor": ("eig_normal", "kron"),
+    "tensor": ("eig_normal",),
 }
 _SUBMODULES = frozenset(_HOMES) | {"cli", "serialization"}
 _HOME_OF = {name: f"{__name__}.{module}" for module, names in _HOMES.items() for name in names}

@@ -18,7 +18,7 @@ see SynthesisError).  Every refusal of an input file starts with
 its path, and a state that is not maximally entangled is named by its
 role (psi1, psi2, blank or state).  File arguments accept "-" for
 stdin, read as strict UTF-8 as a file is, which a command may name
-once; check-pair and synthesize read
+once (a closed stdin is an input error); check-pair and synthesize read
 one pair file or two state files and refuse more.  The seed defaults
 to 0; a negative seed is an input error, exit code 2.  No input comes
 from the environment.
@@ -59,7 +59,11 @@ def _load_json(path: str, loader):
     stdin), read as strict UTF-8: stdin's bytes are decoded here, not by
     sys.stdin, whose error handler depends on the locale.  Every refusal
     of the file is a ValueError that starts with path: bad JSON, text
-    that is not UTF-8, and each ValueError of loader."""
+    that is not UTF-8, and each ValueError of loader.  A closed stdin
+    (sys.stdin None, as Python leaves it when fd 0 is closed at start-up)
+    is refused as "cannot read -"."""
+    if path == "-" and sys.stdin is None:
+        raise ValueError("cannot read -: stdin is closed")
     try:
         if path == "-":
             return loader(json.loads(sys.stdin.buffer.read().decode("utf-8")))
@@ -210,13 +214,12 @@ def cmd_catalysis(args) -> int:
 
 def cmd_check_pair(args) -> int:
     from . import serialization
-    from .copying import orthogonality, pair_operator, spectral_verdict
+    from .copying import pair_operator, spectral_verdict
 
     psi1, psi2 = _load_pair(args.states)
-    t = pair_operator(psi1, psi2)
-    kind = orthogonality(t)
-    report = spectral_verdict(t)
-    _emit(args, {"d": psi1.d, "orthogonality": kind, **serialization.report_to_json(report)})
+    report = spectral_verdict(pair_operator(psi1, psi2))
+    _emit(args, {"d": psi1.d, "orthogonality": report.orthogonality,
+                 **serialization.report_to_json(report)})
     return OK if report.copyable else NEGATIVE
 
 

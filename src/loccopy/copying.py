@@ -81,6 +81,16 @@ class SpectrumReport:
     def copyable(self) -> bool:
         return self.detected_m is not None
 
+    @property
+    def orthogonality(self) -> str:
+        """The pair's answer, the one that check-pair and survey give:
+        "orthogonal" for a copyable report with M >= 2, whose roots sum
+        to 0, "identical_up_to_phase" for M = 1, and for a report that is
+        not copyable, orthogonality's trace rule on its trace."""
+        if self.detected_m is not None:
+            return ORTHOGONAL if self.detected_m > 1 else IDENTICAL
+        return _by_trace(abs(self.trace), len(self.eigenphases))
+
 
 def pair_operator(psi1: BipartiteState, psi2: BipartiteState) -> np.ndarray:
     """T = D * PT_2(|psi1><psi2|) = U1 U2^dag, from the polished unitaries.
@@ -103,17 +113,17 @@ def orthogonality(t: np.ndarray) -> str:
 
     <psi2|psi1> = Tr(T)/D: returns "orthogonal" when |Tr| <= D*PHASE_TOL,
     "identical_up_to_phase" when |Tr| >= D*(1 - PHASE_TOL), else
-    "neither".  The tolerance is spectral_verdict's: the M >= 2 roots of
-    unity sum to 0, and a copyable verdict puts each eigenphase within
-    PHASE_TOL of a rotated root, so a T that spectral_verdict calls
-    copyable with M >= 2 has |Tr|/D <= PHASE_TOL and is "orthogonal".
-    synthesize_protocol relies on this and computes no trace.  At the
-    arc bound itself roundoff can cross it, so check-pair can print a
-    copyable report together with "neither".
+    "neither".  The rule alone can disagree with spectral_verdict at its
+    arc bound, where a copyable T with M >= 2 may have |Tr|/D just above
+    PHASE_TOL by roundoff; SpectrumReport.orthogonality, which
+    check-pair and survey print, applies the rule only to a report that
+    is not copyable.
     """
     t = np.asarray(t)
-    d = t.shape[0]
-    mag = abs(np.trace(t))
+    return _by_trace(abs(np.trace(t)), t.shape[0])
+
+
+def _by_trace(mag: float, d: int) -> str:
     if mag <= d * PHASE_TOL:
         return ORTHOGONAL
     if mag >= d * (1.0 - PHASE_TOL):
@@ -342,8 +352,8 @@ def synthesize_protocol(
     Whether a protocol exists is read from spectral_verdict on the pair
     operator T = U1 U2^dag, formed as pair_operator forms it: none exists
     when that report is not copyable or has M = 1 (the pair is identical
-    up to phase).  A copyable report with M >= 2 is orthogonal, as
-    orthogonality's docstring shows, so no trace is checked.
+    up to phase).  A copyable report with M >= 2 reads "orthogonal"
+    (SpectrumReport.orthogonality), so no trace is checked.
 
     The eigenspace problem is solved for W = U2^dag U1, similar to T:
     _root_basis groups its eigenvectors V by the nearest root of the
@@ -402,9 +412,10 @@ def synthesize_protocol(
 def survey(ds, samples: int, seed: int) -> list[dict]:
     """One row {"d", "samples", "orthogonal_fraction", "copyable_fraction"}
     per d in ds, over samples pairs from orthogonal_pair.  Sample k at d
-    draws from SeedSequence((seed, d, k)) and is judged by pair_operator,
-    orthogonality and spectral_verdict.  ValueError refuses samples < 1,
-    d < 2 and a d past DENSE_BYTES before the first draw."""
+    draws from SeedSequence((seed, d, k)) and is judged by one
+    spectral_verdict on its pair_operator, whose report gives both
+    answers.  ValueError refuses samples < 1, d < 2 and a d past
+    DENSE_BYTES before the first draw."""
     from . import generators  # here, so that check-pair and synthesize never load it
 
     if samples < 1:
@@ -418,9 +429,9 @@ def survey(ds, samples: int, seed: int) -> list[dict]:
         for k in range(samples):
             # flat, well-mixed per-sample seed derived from (seed, d, k)
             sample_seed = int(np.random.SeedSequence((seed, d, k)).generate_state(1)[0])
-            t = pair_operator(*generators.orthogonal_pair(d, sample_seed))
-            orthogonal_count += orthogonality(t) == ORTHOGONAL
-            copyable_count += spectral_verdict(t).copyable
+            report = spectral_verdict(pair_operator(*generators.orthogonal_pair(d, sample_seed)))
+            orthogonal_count += report.orthogonality == ORTHOGONAL
+            copyable_count += report.copyable
         rows.append({"d": d, "samples": samples,
                      "orthogonal_fraction": orthogonal_count / samples,
                      "copyable_fraction": copyable_count / samples})

@@ -144,17 +144,6 @@ def _gram_defect(f: np.ndarray) -> np.ndarray:
     return e
 
 
-def schmidt(s: BipartiteState) -> tuple[SchmidtVector, np.ndarray, np.ndarray]:
-    """Schmidt decomposition via SVD of the amplitude grid.
-
-    Returns (probs, left, right) with probs the squared singular values
-    in descending order, left basis vectors as columns, right basis
-    vectors as rows: |psi> = sum_k sqrt(probs[k]) left[:,k] (x) right[k,:].
-    """
-    u, sv, vh = np.linalg.svd(s.grid)
-    return SchmidtVector(sv**2), u, vh
-
-
 def overlap(a: BipartiteState, b: BipartiteState) -> complex:
     """Inner product <a|b> = sum_ij conj(a.c_ij) b.c_ij."""
     if a.d != b.d:

@@ -1,4 +1,6 @@
-"""Dense complex linear algebra primitives shared by every module.
+"""Dense complex linear algebra for synthesis: the sum of Kronecker
+products that assembles a protocol's A and B, and the eigendecomposition
+of a normal matrix with orthonormal eigenvectors.
 
 Index convention, fixed globally: a product state |x_i> (x) |x_j> of two
 factors with dimensions (d1, d2) sits at flat index mu = i + d1*(j - 1)
@@ -13,23 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import NORMALITY_TOL, PreconditionError, check_dense_bytes
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor product of two operators, first factor fastest.
-
-    Returns the matrix of a (x) b in the mu = i + d1*(j-1) convention,
-    which is np.kron(b, a), after check_dense_bytes admits its bytes.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    nbytes = a.size * b.size * np.result_type(a, b).itemsize
-    check_dense_bytes(f"the kron of {a.shape} and {b.shape}", nbytes)
-    return np.kron(b, a)
+from .config import NORMALITY_TOL, PreconditionError
 
 
 def _kron_sum(first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """sum_s kron(first[s], second[s]) as a new array, for two (M, d, d)
+    """sum_s first[s] (x) second[s] as a new array, for two (M, d, d)
     stacks of factors, at O(M d^4).
 
     Row i + d*p, column j + d*q of the sum is

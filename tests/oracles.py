@@ -5,8 +5,9 @@ The package verifies protocols by the closed-form four-party overlap
 D C1 C2^dag (copying.pair_operator).  The routines here compute the
 same quantities the long way: assemble and apply_local build the whole
 four-particle state and re-wire its factor order through the (1,3,2,4)
-permutation and back, and partial_trace_second traces out the second
-factor of a dense operator, power_trace_certificate decides the
+permutation and back, kron writes a Kronecker product in the package's
+index convention, partial_trace_second traces out the second factor of
+a dense operator, power_trace_certificate decides the
 copyability condition from matrix powers and traces, with no
 eigenvalue, and nearest_copyable_residual measures the distance from
 eigenphases to the nearest copyable spectrum by trying every
@@ -28,6 +29,12 @@ from loccopy.config import NORM_TOL, TAU
 from loccopy.states import BipartiteState, assert_unitary
 
 WIRING = (1, 3, 2, 4)  # self-inverse factor permutation pairing A and B slots
+
+
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Tensor product of two operators, first factor fastest: the matrix
+    of a (x) b in the mu = i + d1*(j-1) convention, which is np.kron(b, a)."""
+    return np.kron(b, a)
 
 
 def partial_trace_second(m: np.ndarray, d1: int, d2: int) -> np.ndarray:

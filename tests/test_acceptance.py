@@ -31,7 +31,9 @@ from loccopy.generators import (
 from loccopy.majorization import CATALYTIC, catalytic_copy_check, nielsen_transformable
 from loccopy.simulator import run_copy
 from loccopy.states import SchmidtVector, from_unitary, max_entangled, overlap
-from loccopy.tensor import eig_normal, kron
+from loccopy.tensor import eig_normal
+
+from oracles import kron
 
 TAU = 2.0 * np.pi
 

@@ -15,7 +15,7 @@ from loccopy.config import DENSE_BYTES, TAU
 from loccopy.generators import copyable_pair, haar_unitary, nonprime_counterexample, orthogonal_pair
 from loccopy.states import BipartiteState, from_unitary, max_entangled
 
-from conftest import protocol_json
+from conftest import arc_bound_pair, protocol_json
 
 
 def run(capsys, argv):
@@ -291,6 +291,16 @@ class TestCheckPair:
         assert payload["orthogonality"] == "orthogonal"
         assert payload["copyable"] is False
         assert payload["detected_m"] is None
+
+    def test_copyable_pair_at_the_arc_bound_is_orthogonal(self, capsys, tmp_path):
+        # |Tr T|/2 is above PHASE_TOL by roundoff, and the trace rule alone
+        # reads "neither"; a copyable report with M = 2 is orthogonal
+        pair = write_json(tmp_path, "pair.json",
+                          serialization.pair_to_json(*arc_bound_pair(142)))
+        code, out, _ = run(capsys, ["check-pair", pair])
+        payload = json.loads(out)
+        assert (code, payload["orthogonality"], payload["copyable"],
+                payload["detected_m"]) == (0, "orthogonal", True, 2)
 
     def test_identical_pair_is_copyable(self, capsys, tmp_path):
         s = serialization.state_to_json(max_entangled(3))
@@ -1048,6 +1058,20 @@ class TestErrorHandling:
         assert (result.returncode, result.stdout) == (2, b"")
         assert result.stderr.decode() == ("error: -: 'utf-8' codec can't decode byte 0xff "
                                           "in position 0: invalid start byte\n")
+
+    @pytest.mark.parametrize("order", [("-", "good"), ("good", "-")])
+    def test_closed_stdin_is_input_error(self, tmp_path, order):
+        # with fd 0 closed at start-up Python leaves sys.stdin None, and the
+        # first open() in the process takes fd 0
+        import subprocess
+
+        good = write_json(tmp_path, "good.json", {"probs": [0.5, 0.5]})
+        argv = [good if arg == "good" else arg for arg in order]
+        result = subprocess.run(["sh", "-c", 'exec "$0" "$@" <&-', sys.executable,
+                                 "-m", "loccopy.cli", "majorize", *argv],
+                                capture_output=True, env=src_env())
+        assert (result.returncode, result.stdout) == (2, b"")
+        assert result.stderr.decode() == "error: cannot read -: stdin is closed\n"
 
     def test_out_dash_is_not_a_stdin_read(self, capsys, monkeypatch):
         pair = json.dumps(serialization.pair_to_json(*copyable_pair(2, 2, seed=3)))

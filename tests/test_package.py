@@ -8,10 +8,10 @@ import pytest
 
 import loccopy
 
-# The brute-force four-particle oracle and its tensor helpers, which live
-# in tests/oracles.py and are no part of the package.
+# The brute-force four-particle oracle and its tensor helpers, kron among
+# them, which live in tests/oracles.py and are no part of the package.
 ORACLE_NAMES = (
-    "FourPartyState", "WIRING", "apply_local", "assemble",
+    "FourPartyState", "WIRING", "apply_local", "assemble", "kron",
     "partial_trace_second", "permute_factors",
 )
 # The oracle names that were once in loccopy.__all__: their home module is
@@ -67,6 +67,7 @@ def test_unknown_name_raises_attribute_error():
         loccopy.no_such_name
     assert not hasattr(loccopy, "NumericConfig")
     assert not hasattr(loccopy, "emit_locc_transcript")
+    assert not hasattr(loccopy, "schmidt")
 
 
 @pytest.mark.parametrize("name", ORACLE_NAMES)

