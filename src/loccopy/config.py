@@ -19,12 +19,22 @@ PHASE_TOL = 1e-7        # largest distance of an eigenphase from its rotated roo
 SUM_TOL = 1e-10         # one-sided slack on majorization partial sums
 MAX_ENT_TOL = 1e-8      # max deviation of Schmidt probs from 1/d
 FIDELITY_TOL = 1e-9     # copy verification: require f >= 1 - FIDELITY_TOL
-DENSE_BYTES = 2**31     # bytes of dense arrays one call may hold; a protocol's five admit d <= 71
+DENSE_BYTES = 2**31     # bytes of dense arrays one call may hold; a protocol's five admit
+                        # d <= 71, a generated pair d <= 1448
 
 
 def protocol_bytes(d: int) -> int:
     """A, B and simulator._simulate's three work arrays: five complex d^2 x d^2."""
     return 5 * 16 * d**4
+
+
+def pair_bytes(d: int) -> int:
+    """A generated pair at its peak, the two states' JSON list tree
+    included: 64 complex d x d arrays.  generate's ru_maxrss above its
+    import baseline measured 42 MiB at d = 256, 133 MiB at d = 512 and
+    285 MiB at d = 768 (2-core Xeon, Python 3.11, numpy 2.4, one BLAS
+    thread), 510 to 670 bytes per d^2, here rounded up to 1024."""
+    return 64 * 16 * d**2
 
 
 def int_text(n: int) -> str:

@@ -414,8 +414,8 @@ def survey(ds, samples: int, seed: int) -> list[dict]:
     per d in ds, over samples pairs from orthogonal_pair.  Sample k at d
     draws from SeedSequence((seed, d, k)) and is judged by one
     spectral_verdict on its pair_operator, whose report gives both
-    answers.  ValueError refuses samples < 1, d < 2 and a d past
-    DENSE_BYTES before the first draw."""
+    answers.  ValueError refuses samples < 1, d < 2 and a d whose pair
+    exceeds DENSE_BYTES (pair_bytes, d above 1448) before the first draw."""
     from . import generators  # here, so that check-pair and synthesize never load it
 
     if samples < 1:

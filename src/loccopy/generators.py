@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import PHASE_TOL, TAU, check_dense_bytes, int_text, protocol_bytes
+from .config import PHASE_TOL, TAU, check_dense_bytes, int_text, pair_bytes
 from .states import BipartiteState, from_unitary
 
 
@@ -25,11 +25,12 @@ def _haar(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def _check_dimension(d: int) -> None:
-    """Refuse a subsystem dimension below 2, or one that synthesize would
-    refuse by DENSE_BYTES, before any generator draws or allocates."""
+    """Refuse a subsystem dimension below 2, or one whose pair, as
+    pair_bytes counts it, exceeds DENSE_BYTES, before any generator draws
+    or allocates."""
     if d < 2:
         raise ValueError(f"dimension must be at least 2, got {d}")
-    check_dense_bytes(f"synthesis at d = {int_text(d)}", protocol_bytes(d))
+    check_dense_bytes(f"a pair at d = {int_text(d)}", pair_bytes(d))
 
 
 def _delta_interval(d: int, d2: int) -> tuple[float, float]:

@@ -11,7 +11,7 @@ import pytest
 from loccopy import serialization
 from loccopy.cli import main
 from loccopy.copying import synthesize_protocol
-from loccopy.config import DENSE_BYTES, TAU
+from loccopy.config import DENSE_BYTES, TAU, pair_bytes
 from loccopy.generators import copyable_pair, haar_unitary, nonprime_counterexample, orthogonal_pair
 from loccopy.states import BipartiteState, from_unitary, max_entangled
 
@@ -39,6 +39,15 @@ def write_json(tmp_path, name, obj):
 def budget_error(what, d):
     """The refusal of a protocol's five complex d^2 x d^2 arrays."""
     return f"{what} at d = {d} needs {80 * d**4} bytes, over the budget of {DENSE_BYTES} bytes"
+
+
+def pair_error(d):
+    """The refusal of a generated pair at d."""
+    return f"a pair at d = {d} needs {pair_bytes(d)} bytes, over the budget of {DENSE_BYTES} bytes"
+
+
+# the first d whose generated pair exceeds DENSE_BYTES
+PAIR_LIMIT = 1449
 
 
 @pytest.fixture
@@ -766,27 +775,20 @@ class TestGenerate:
         assert out == ""
         assert f"over the budget of {DENSE_BYTES} bytes" in err
 
-    @pytest.mark.parametrize("family_args,d", [
-        (["--family", "orthogonal", "--d", "72"], 72),
-        (["--family", "copyable", "--d", "72", "--m", "4"], 72),
-        (["--family", "nonprime", "--d1", "8", "--d2", "9"], 72),
-    ], ids=["orthogonal", "copyable", "nonprime"])
-    def test_dimension_synthesize_refuses_rejected_before_generation(
-            self, capsys, monkeypatch, family_args, d):
-        # synthesize refuses a d whose five d^2 x d^2 arrays exceed
-        # DENSE_BYTES, the first being 72, and so does generate
-        from loccopy import generators
-
-        calls = []
-        for name in ("orthogonal_pair", "copyable_pair", "nonprime_counterexample"):
-            draw = getattr(generators, name)
-            monkeypatch.setattr(generators, name,
-                                lambda *args, draw=draw: calls.append(args) or draw(*args))
-        code, out, err = run(capsys, ["generate"] + family_args)
-        assert code == 2
-        assert out == ""
-        assert calls == []
-        assert err.splitlines() == [f"error: {budget_error('synthesis', d)}"]
+    def test_pair_past_the_synthesis_budget_is_generated_and_decided(self, capsys, tmp_path):
+        # d = 256 is past synthesize's budget, not past a pair's: generate
+        # and check-pair hold only d x d arrays
+        pair = tmp_path / "pair.json"
+        code, out, err = run(capsys, ["generate", "--family", "copyable", "--d", "256",
+                                      "--m", "4", "--out", str(pair)])
+        assert (code, out, err) == (0, "", "")
+        code, out, err = run(capsys, ["check-pair", str(pair)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["detected_m"] == 4
+        code, out, err = run(capsys, ["synthesize", str(pair)])
+        assert (code, out) == (2, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: synthesis at d = 256 needs ")
 
     @pytest.mark.parametrize("family_args,flag", [
         (["--family", "orthogonal", "--d", "3", "--m", "7"], "--m"),
@@ -916,9 +918,9 @@ class TestSurvey:
     @pytest.mark.parametrize("d,message", [
         ("-3", "dimension must be at least 2, got -3"),
         ("1", "dimension must be at least 2, got 1"),
-        # past DENSE_BYTES: synthesize would refuse the pair
-        ("72", budget_error("synthesis", 72)),
-    ], ids=["negative", "one", "past-synthesis"])
+        # past DENSE_BYTES: the first d whose pair would not fit
+        (str(PAIR_LIMIT), pair_error(PAIR_LIMIT)),
+    ], ids=["negative", "one", "past-pair"])
     def test_bad_dimension_rejected_before_sampling(self, capsys, monkeypatch, d, message):
         from loccopy import generators
 
@@ -943,7 +945,7 @@ class TestSurvey:
         code, out, err = run(capsys, ["survey", "--d", "4", "20737", "--samples", "2"])
         assert code == 2
         assert out == ""
-        assert budget_error("synthesis", 20737) in err
+        assert pair_error(20737) in err
 
     def test_pretty_table(self, capsys):
         code, out, _ = run(capsys, ["survey", "--d", "2", "--samples", "3",
@@ -1525,31 +1527,33 @@ def test_memory_exhaustion_is_one_error_line(tmp_path):
 
 @pytest.mark.parametrize("command", ["synthesize", "generate", "survey", "simulate"])
 def test_budget_refuses_before_allocating(tmp_path, command):
-    # d=100 needs 7.45 GiB of d^2 x d^2 arrays: each path refuses it by
-    # DENSE_BYTES before its first allocation, so the 1 GiB limit is
-    # never reached
+    # a protocol at d=100 needs 7.45 GiB of d^2 x d^2 arrays, and a pair at
+    # PAIR_LIMIT just over 2 GiB: each path refuses its own by DENSE_BYTES
+    # before its first allocation, so the 1 GiB limit is never reached
     out_path = tmp_path / "out.json"
     if command == "synthesize":
         pair = write_json(tmp_path, "pair.json",
                           serialization.pair_to_json(*copyable_pair(100, 4, seed=0)))
-        argv, what = ["synthesize", pair, "--out", str(out_path)], "synthesis"
+        argv = ["synthesize", pair, "--out", str(out_path)]
+        refusal = budget_error("synthesis", 100)
     elif command == "generate":
-        argv = ["generate", "--family", "copyable", "--d", "100", "--m", "4",
+        argv = ["generate", "--family", "copyable", "--d", str(PAIR_LIMIT), "--m", "3",
                 "--out", str(out_path)]
-        what = "synthesis"
+        refusal = pair_error(PAIR_LIMIT)
     elif command == "survey":
-        argv, what = ["survey", "--d", "100"], "synthesis"
+        argv, refusal = ["survey", "--d", str(PAIR_LIMIT)], pair_error(PAIR_LIMIT)
     else:  # short lists: the budget is checked before their lengths
         protocol = write_json(tmp_path, "protocol.json", {
             "d": 100, "blank": serialization.state_to_json(max_entangled(2)),
             "A": [], "B": [], "phases": [0.0, 0.0]})
         state = write_json(tmp_path, "state.json", serialization.state_to_json(max_entangled(2)))
         # a refusal of an input file starts with its path
-        argv, what = ["simulate", protocol, state], f"{protocol}: a protocol"
+        argv = ["simulate", protocol, state]
+        refusal = budget_error(f"{protocol}: a protocol", 100)
     result = run_in_one_gib(argv)
     assert result.returncode == 2
     assert result.stdout == ""
-    assert result.stderr.splitlines() == [f"error: {budget_error(what, 100)}"]
+    assert result.stderr.splitlines() == [f"error: {refusal}"]
     assert not out_path.exists()
 
 
@@ -1562,12 +1566,12 @@ BIG = str(10**4000)
     (["generate", "--family", "nonprime", "--d1", BIG, "--d2", BIG], 10**8000, "at least 2**26575"),
 ], ids=["survey", "generate", "nonprime"])
 def test_budget_refusal_names_the_budget_at_any_d(capsys, argv, d, d_text):
-    # 80 d^4 has 16002 digits at d = 10**4000, and the nonprime family's
-    # d = 10**8000 has 8001: both are past Python's 4300-digit int-to-str
-    # limit, so the refusal names each as at least a power of two
+    # a pair's bytes have 8004 digits at d = 10**4000, and the nonprime
+    # family's d = 10**8000 has 8001: both are past Python's 4300-digit
+    # int-to-str limit, so the refusal names each as at least a power of two
     code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     [line] = err.splitlines()
-    bits = (80 * d**4).bit_length()
-    assert line == (f"error: synthesis at d = {d_text} needs at least 2**{bits - 1} bytes, "
+    bits = pair_bytes(d).bit_length()
+    assert line == (f"error: a pair at d = {d_text} needs at least 2**{bits - 1} bytes, "
                     f"over the budget of {DENSE_BYTES} bytes")

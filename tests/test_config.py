@@ -48,3 +48,8 @@ def test_budget_refusal_names_any_byte_count(needed, amount):
     with pytest.raises(ValueError) as exc:
         config.check_dense_bytes("x", needed)
     assert str(exc.value) == f"x needs {amount} bytes, over the budget of {config.DENSE_BYTES} bytes"
+
+
+def test_pair_budget_admits_d_up_to_1448():
+    # README and DENSE_BYTES's comment give this bound for generate and survey
+    assert config.pair_bytes(1448) <= config.DENSE_BYTES < config.pair_bytes(1449)
